@@ -443,12 +443,12 @@ def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None
     g = link_etiology(g, warnings)
     g = add_causal_edges_llm(g, x.text, gw, case_id=x.case_id, warnings=warnings)
 
+    _persist(work_dir, "convert.log", lambda: "".join(f"{w}\n" for w in warnings))
     violations = validate_graph(g)
     if violations:
         raise ConversionError(
             x.case_id, "validate", "; ".join(str(v) for v in violations)
         )
-    _persist(work_dir, "convert.log", lambda: "".join(f"{w}\n" for w in warnings))
     return g
 
 

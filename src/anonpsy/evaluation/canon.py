@@ -12,9 +12,8 @@ import re
 from functools import lru_cache
 from importlib import resources
 
-import yaml
-
 from ..textproc import normalize_ws
+from ..yamlio import load_yaml
 
 _PARENTHETICAL = re.compile(r"\s*\(([^)]*)\)")
 
@@ -34,7 +33,7 @@ def load_specifier_patterns() -> tuple[re.Pattern[str], ...]:
 @lru_cache(maxsize=1)
 def load_synonyms() -> dict[str, str]:
     text = resources.files("anonpsy").joinpath("data/diagnosis_synonyms.yaml").read_text(encoding="utf-8")
-    doc = yaml.safe_load(text) or {}
+    doc = load_yaml(text) or {}
     return {str(k).lower(): str(v).lower() for k, v in doc.items()}
 
 

@@ -31,17 +31,18 @@ class HashedTfEmbedder:
     def __init__(self, dimensions: int = FALLBACK_DIMENSIONS):
         self.dimensions = dimensions
 
-    def embed(self, text: str) -> list[float]:
+    def embed(self, text: str) -> dict[int, float]:
+        """Sparse vector: the nonzero buckets only, in ascending bucket order."""
         tokens = tokenize(text)
         terms = list(tokens)
         terms.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        vector = [0.0] * self.dimensions
+        counts: dict[int, float] = {}
         for term in terms:
-            vector[_bucket(term, self.dimensions)] += 1.0
-        norm = math.sqrt(sum(v * v for v in vector))
-        if norm == 0.0:
-            return vector
-        return [v / norm for v in vector]
+            bucket = _bucket(term, self.dimensions)
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        buckets = sorted(counts)
+        norm = math.sqrt(sum(counts[k] * counts[k] for k in buckets))
+        return {k: counts[k] / norm for k in buckets}
 
 
 class HttpEmbedder:
@@ -67,19 +68,36 @@ class HttpEmbedder:
         return [float(v) for v in embedding]
 
 
-def cosine(u: list[float], v: list[float]) -> float:
-    dot = sum(a * b for a, b in zip(u, v))
-    nu = math.sqrt(sum(a * a for a in u))
-    nv = math.sqrt(sum(b * b for b in v))
+def _sparse(u) -> dict[int, float]:
+    if isinstance(u, dict):
+        return u
+    return {i: x for i, x in enumerate(u) if x}
+
+
+def cosine(u, v) -> float:
+    """Cosine of two vectors, each a dense list or a sparse {index: value} map.
+
+    Sums run over the nonzero entries in ascending index order. A running sum
+    that starts at 0 is unchanged by adding a zero, so a sparse vector gives
+    the same bits as its dense list.
+    """
+    u, v = _sparse(u), _sparse(v)
+    dot = sum(u[k] * v[k] for k in sorted(u.keys() & v.keys()))
+    nu = math.sqrt(sum(u[k] * u[k] for k in sorted(u)))
+    nv = math.sqrt(sum(v[k] * v[k] for k in sorted(v)))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return dot / (nu * nv)
 
 
-def doc_similarity(a: str, b: str, embedder) -> float:
-    """Cosine similarity of two documents under the configured embedder."""
-    ua = embedder.embed(a)
-    ub = embedder.embed(b)
-    if all(x == 0.0 for x in ua) and all(x == 0.0 for x in ub):
+def embedded_similarity(a: str, ua, b: str, ub) -> float:
+    """doc_similarity of a and b given their embeddings ua and ub."""
+    ua, ub = _sparse(ua), _sparse(ub)
+    if not ua and not ub:
         return 1.0 if a == b else 0.0
     return cosine(ua, ub)
+
+
+def doc_similarity(a: str, b: str, embedder) -> float:
+    """Cosine similarity of two documents under the configured embedder."""
+    return embedded_similarity(a, embedder.embed(a), b, embedder.embed(b))

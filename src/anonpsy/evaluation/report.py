@@ -19,8 +19,9 @@ from pathlib import Path
 import yaml
 
 from ..gateway import GatewayError, LlmGateway
+from ..yamlio import load_yaml
 from .canon import canonical_label_set, soft_f1
-from .embedding import doc_similarity
+from .embedding import embedded_similarity
 from .judge import JudgeError, judge_risk
 from .stats import (
     binomial_test,
@@ -181,7 +182,7 @@ def run_eval(
     missing: list[str] = []
     for case_id, case_dir in discover_cases(run_dir):
         original = (case_dir / "original.txt").read_text(encoding="utf-8")
-        meta = yaml.safe_load((case_dir / "meta.yaml").read_text(encoding="utf-8")) or {}
+        meta = load_yaml((case_dir / "meta.yaml").read_text(encoding="utf-8")) or {}
         gold = canonical_label_set([str(d) for d in meta.get("diagnoses", [])])
         case = CaseEval(case_id=case_id, gold=gold)
 
@@ -194,11 +195,16 @@ def run_eval(
             missing.append(f"{case_id}/{VARIANT_FILES['anonpsy']}")
             continue
 
+        original_vector = embedder.embed(original)
         for variant, text in texts.items():
             predicted_raw = _predict_diagnoses(gw, text, case_id, variant, judge_model)
             predicted = canonical_label_set(predicted_raw)
             score = soft_f1(predicted, gold, matcher=matcher, threshold=match_threshold)
-            cos = 1.0 if variant == "original" else doc_similarity(original, text, embedder)
+            cos = (
+                1.0
+                if variant == "original"
+                else embedded_similarity(original, original_vector, text, embedder.embed(text))
+            )
             acceptable = None
             if gold:
                 acceptable = _judge_acceptability(gw, text, gold, case_id, variant, judge_model)

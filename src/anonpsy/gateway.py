@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from pathlib import Path
 import requests
 
 from . import prompts
+from .fileio import write_atomic
 
 # Decoding temperatures per operator. Conversion and generation run cold for
 # schema stability; perturbation runs warm for semantic diversity.
@@ -258,6 +258,4 @@ class LlmGateway:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
+        write_atomic(path, text)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import yaml
 
+from ..yamlio import load_yaml
+
 CONSTRAINT_KINDS = ("min_present_age", "max_onset_age", "required_sex")
 
 
@@ -106,9 +108,15 @@ def _data_text(name: str) -> str:
     return resources.files("anonpsy").joinpath(f"data/{name}").read_text(encoding="utf-8")
 
 
+def _load_table(path: str | Path | None, name: str):
+    """A user's table file through the pure loader, else the packaged data/<name>."""
+    if path:
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    return load_yaml(_data_text(name)) or {}
+
+
 def load_feasibility_rules(path: str | Path | None = None) -> list[FeasibilityRule]:
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("feasibility_rules.yaml")
-    doc = yaml.safe_load(text) or {}
+    doc = _load_table(path, "feasibility_rules.yaml")
     rules = []
     for entry in doc.get("rules", []):
         rules.append(
@@ -122,8 +130,7 @@ def load_feasibility_rules(path: str | Path | None = None) -> list[FeasibilityRu
 
 
 def load_test_value_pools(path: str | Path | None = None) -> list[TestValuePool]:
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("test_value_pools.yaml")
-    doc = yaml.safe_load(text) or {}
+    doc = _load_table(path, "test_value_pools.yaml")
     pools = []
     for entry in doc.get("pools", []):
         pools.append(
@@ -142,10 +149,8 @@ def load_minor_occupations(path: str | Path | None = None) -> frozenset[str]:
 
 
 def load_contradiction_lexicon(path: str | Path | None = None) -> dict[str, dict[str, list[str]]]:
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("contradiction_lexicon.yaml")
-    return yaml.safe_load(text) or {}
+    return _load_table(path, "contradiction_lexicon.yaml")
 
 
 def load_mse_domains(path: str | Path | None = None) -> dict[str, list[str]]:
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("mse_domains.yaml")
-    return yaml.safe_load(text) or {}
+    return _load_table(path, "mse_domains.yaml")

@@ -20,11 +20,12 @@ from .config import ConfigError, RunConfig
 from .converter import CaseNarrative, convert
 from .evaluation.embedding import HashedTfEmbedder, HttpEmbedder
 from .evaluation.report import EvalInputError, run_eval
+from .fileio import write_atomic
 from .gateway import HttpBackend, LlmGateway, MockBackend
 from .narrator import generate, plan_outline
 from .perturbation import perturb
 from .perturbation.config import load_feasibility_rules, load_test_value_pools
-from .yamlio import parse_yaml, serialize_yaml
+from .yamlio import load_yaml, parse_yaml, serialize_yaml
 
 BASELINE_NAMES = ("phi", "sdc", "llm_only")
 
@@ -279,7 +280,7 @@ def _update_manifest(out_dir: Path, config: RunConfig, stage: str, result: Stage
     path = out_dir / "run_manifest.yaml"
     doc = {}
     if path.is_file():
-        doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        doc = load_yaml(path.read_text(encoding="utf-8")) or {}
     doc["config_digest"] = config.digest()
     doc["seed"] = config.seed
     doc["backend"] = config.backend
@@ -292,4 +293,4 @@ def _update_manifest(out_dir: Path, config: RunConfig, stage: str, result: Stage
         "failed": {k: result.failed[k] for k in sorted(result.failed)},
     }
     doc["stages"] = {k: stages[k] for k in sorted(stages)}
-    path.write_text(yaml.safe_dump(doc, sort_keys=True), encoding="utf-8")
+    write_atomic(path, yaml.safe_dump(doc, sort_keys=True))

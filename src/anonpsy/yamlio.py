@@ -60,6 +60,24 @@ _NUMBER_LIKE = re.compile(r"[-+]?\d+(\.\d+)?")
 _YAML_UNSAFE = re.compile("[\x7f-\x9f  ￾￿]")
 
 
+# libyaml parses, but its emitter and its scanner on hand-written text differ
+# from pure PyYAML (astral escapes, line folding, trailing tabs). So it reads
+# only YAML this program wrote or ships; dumps and model replies stay pure.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_STR_TAG = "tag:yaml.org,2002:str"
+_RESOLVER = yaml.resolver.Resolver()
+
+
+def load_yaml(text: str):
+    """Load YAML the program itself wrote or packages, through libyaml if present."""
+    return yaml.load(text, Loader=_Loader)
+
+
+def _plain_is_str(value: str) -> bool:
+    """True when a plain scalar reads back as this string, not a bool, number or date."""
+    return _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR_TAG
+
+
 def _quote(value: str) -> str:
     out = json.dumps(value, ensure_ascii=False)
     return _YAML_UNSAFE.sub(lambda m: "\\u%04x" % ord(m.group(0)), out)
@@ -82,7 +100,7 @@ def _scalar(value) -> str:
         and ": " not in value
         and " #" not in value
         and not value.endswith(":")
-        and yaml.safe_load(value) == value  # guard against octal/hex/date lookalikes
+        and _plain_is_str(value)  # guard against octal/hex/date lookalikes
     ):
         return value
     return _quote(value)
@@ -94,7 +112,7 @@ def _flow_item(value: str) -> str:
         and _PLAIN_FLOW.fullmatch(value)
         and value == value.strip()
         and value.lower() not in _YAML_WORDS
-        and yaml.safe_load(value) == value
+        and _plain_is_str(value)
     ):
         return value
     return _quote(value)
@@ -353,7 +371,7 @@ def parse_yaml(text: str) -> SemanticGraph:
     mismatches with the offending path.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = load_yaml(text)
     except yaml.YAMLError as exc:
         raise GraphParseError("$", f"not valid YAML: {exc}") from exc
     doc = _require_mapping(doc, "$")

@@ -246,6 +246,18 @@ class TestConvert:
         log = (tmp_path / "convert.log").read_text()
         assert "initial current_symptom" in log
 
+    def test_warning_log_persisted_when_validation_fails(self, corpus_dir, mock_gateway, tmp_path, monkeypatch):
+        from anonpsy import converter
+        from anonpsy.model import Violation
+
+        monkeypatch.setattr(
+            converter, "validate_graph", lambda g: [Violation("forced", "$", "forced failure")]
+        )
+        case = _load_cases(corpus_dir)[0]
+        with pytest.raises(ConversionError, match="stage validate"):
+            convert(case, mock_gateway, work_dir=tmp_path)
+        assert "initial current_symptom" in (tmp_path / "convert.log").read_text()
+
     def test_etiology_and_causal_edges_in_case_002(self, corpus_dir, mock_gateway):
         cases = {c.case_id: c for c in _load_cases(corpus_dir)}
         graph = convert(cases["case_002"], mock_gateway)

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import pytest
 
 from anonpsy import prompts
@@ -135,6 +138,49 @@ class TestRetryAndCache:
         assert second.backend == "cache"
         assert second.text == first.text
         assert backend.attempts == 1
+
+    def test_two_threads_writing_one_key_both_succeed(self, tmp_path, monkeypatch):
+        # Hold the first writer between its write and its rename until the
+        # second writer has renamed: writers that share a temporary file
+        # name lose the first writer's file and fail its call.
+        real_replace = os.replace
+        first_waiting = threading.Event()
+        second_done = threading.Event()
+        callers = []
+
+        def gated_replace(src, dst):
+            callers.append(threading.current_thread().name)
+            if len(callers) == 1:
+                first_waiting.set()
+                assert second_done.wait(timeout=10)
+                return real_replace(src, dst)
+            try:
+                return real_replace(src, dst)
+            finally:
+                second_done.set()
+
+        monkeypatch.setattr(os, "replace", gated_replace)
+        cache_dir = tmp_path / "cache"
+        gw = LlmGateway(_FlakyBackend(failures=0, text="shared\n"), model="m", cache_dir=cache_dir)
+        outcomes = {}
+
+        def writer():
+            try:
+                outcomes[threading.current_thread().name] = gw.complete(_request()).text
+            except Exception as exc:
+                outcomes[threading.current_thread().name] = exc
+
+        first = threading.Thread(target=writer, name="first")
+        second = threading.Thread(target=writer, name="second")
+        first.start()
+        assert first_waiting.wait(timeout=10)
+        second.start()
+        second.join(timeout=10)
+        first.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        assert callers == ["first", "second"]
+        assert outcomes == {"first": "shared\n", "second": "shared\n"}
+        assert [p.name for p in cache_dir.iterdir()] == [f"{cache_key(_request())}.txt"]
 
     def test_distinct_temperatures_never_collide(self):
         a = cache_key(_request(temperature=0.1))

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
 
 from anonpsy.evaluation.canon import canonical_label_set, canonicalize_diagnosis, soft_f1
-from anonpsy.evaluation.embedding import HashedTfEmbedder, doc_similarity
+from anonpsy.evaluation.embedding import FALLBACK_DIMENSIONS, HashedTfEmbedder, _bucket, doc_similarity
+from anonpsy.textproc import tokenize
 
+from .conftest import CORPUS_DIR, GOLDEN_DIR
 from .helpers import tf_cosine_oracle
 from .synthesis import CASE_001, CASE_002
 
@@ -94,7 +97,43 @@ class TestSoftF1:
             assert 0.0 <= soft_f1(pred, gold) <= 1.0
 
 
+class _DenseEmbedder:
+    """The dense 4096-float embedder, kept as the reference; lists like HttpEmbedder's."""
+
+    def embed(self, text: str) -> list[float]:
+        tokens = tokenize(text)
+        terms = list(tokens) + [f"{x} {y}" for x, y in zip(tokens, tokens[1:])]
+        vector = [0.0] * FALLBACK_DIMENSIONS
+        for term in terms:
+            vector[_bucket(term, FALLBACK_DIMENSIONS)] += 1.0
+        norm = math.sqrt(sum(v * v for v in vector))
+        return vector if norm == 0.0 else [v / norm for v in vector]
+
+
+def _dense_similarity(a: str, b: str) -> float:
+    """The dense doc_similarity, kept as the reference."""
+    ua, ub = _DenseEmbedder().embed(a), _DenseEmbedder().embed(b)
+    if all(x == 0.0 for x in ua) and all(x == 0.0 for x in ub):
+        return 1.0 if a == b else 0.0
+    dot = sum(x * y for x, y in zip(ua, ub))
+    nu = math.sqrt(sum(x * x for x in ua))
+    nv = math.sqrt(sum(y * y for y in ub))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return dot / (nu * nv)
+
+
 class TestDocSimilarity:
+    def test_equals_dense_reference_bit_for_bit(self):
+        texts = [p.read_text(encoding="utf-8") for p in sorted(CORPUS_DIR.glob("*.txt"))]
+        texts += [p.read_text(encoding="utf-8") for p in sorted(GOLDEN_DIR.glob("*.deid.txt"))]
+        texts += ["", "alpha beta gamma"]
+        for a in texts:
+            for b in texts:
+                expected = _dense_similarity(a, b)
+                assert doc_similarity(a, b, HashedTfEmbedder()) == expected
+                assert doc_similarity(a, b, _DenseEmbedder()) == expected
+
     def test_self_similarity_is_one(self):
         embedder = HashedTfEmbedder()
         assert doc_similarity(CASE_001, CASE_001, embedder) == pytest.approx(1.0, abs=1e-9)
