@@ -47,6 +47,7 @@ from .temporal import (
     to_days,
 )
 from .textproc import contains_normalized
+from .yamlio import serialize_yaml
 
 _STRUCTURED_ATTEMPTS = 3
 
@@ -426,8 +427,6 @@ def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None
     When work_dir is given, intermediate stage YAML and the warning log are
     persisted there for debugging.
     """
-    from .yamlio import serialize_yaml  # local import to avoid cycle at module load
-
     draft = extract_entities(x, gw)
     _persist(work_dir, "stage1.entities.yaml", lambda: serialize_yaml(draft.graph))
 

@@ -49,7 +49,7 @@ class GatewayError(RuntimeError):
 
 
 class TransientBackendError(RuntimeError):
-    """Internal marker for failures worth retrying (network, 5xx)."""
+    """Internal marker for failures worth retrying (network, 429, 5xx)."""
 
 
 class MockFixtureMissing(GatewayError):
@@ -145,12 +145,19 @@ class HttpBackend:
             )
         except requests.RequestException as exc:
             raise TransientBackendError(str(exc)) from exc
-        if resp.status_code >= 500:
-            raise TransientBackendError(f"server error {resp.status_code}")
+        if resp.status_code >= 500 or resp.status_code == 429:
+            raise TransientBackendError(f"backend returned {resp.status_code}")
         if resp.status_code != 200:
             raise GatewayError(req.template_id, f"backend returned {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
+        try:
+            body = resp.json()
+        except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+            raise GatewayError(req.template_id, f"response body is not JSON: {exc}") from exc
+        if not isinstance(body, dict):
+            raise GatewayError(req.template_id, f"response is not a JSON object: {type(body).__name__}")
         message = body.get("message") or {}
+        if not isinstance(message, dict):
+            raise GatewayError(req.template_id, f"response message is not an object: {type(message).__name__}")
         return message.get("content", "")
 
 
@@ -172,7 +179,6 @@ class LlmGateway:
         self.retries = retries
         self.backoff_seconds = backoff_seconds
         self._sleep = sleep
-        self.calls: list[tuple[str, str]] = []  # (template_id, digest) in call order
 
     # -- request construction -------------------------------------------
 
@@ -215,7 +221,6 @@ class LlmGateway:
     # -- completion ------------------------------------------------------
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        self.calls.append((req.template_id, variables_digest(dict(req.variables))))
         cached = self._cache_read(req)
         if cached is not None:
             return ChatResponse(text=cached, backend="cache", latency_ms=0)

@@ -56,7 +56,8 @@ class DurationInterval:
     offset_days: int
     span_days: int
     virtual: bool = False
-    age_anchored: bool = False
+    # The graph YAML omits this key when False, and reads an absent key as False.
+    age_anchored: bool = field(default=False, metadata={"yaml_omit_if": False})
 
     @property
     def end_days(self) -> int:

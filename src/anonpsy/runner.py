@@ -29,6 +29,15 @@ from .yamlio import load_yaml, parse_yaml, serialize_yaml
 
 BASELINE_NAMES = ("phi", "sdc", "llm_only")
 
+# What each pipeline stage writes per case, in stage order. A case that fails
+# a stage loses these files for that stage and every later one, so nothing
+# downstream reads artifacts made from an earlier input.
+STAGE_OUTPUTS = {
+    "convert": ("graph.yaml",),
+    "perturb": ("graph.perturbed.yaml", "perturb.audit.yaml"),
+    "generate": ("outline.yaml", "deid.txt"),
+}
+
 
 class UsageError(RuntimeError):
     """Bad invocation or missing inputs; maps to exit code 2."""
@@ -109,6 +118,14 @@ def _map_cases(case_ids: list[str], jobs: int, fn) -> StageResult:
     return result
 
 
+def _remove_stale_outputs(out_dir: Path, result: StageResult) -> None:
+    stages = list(STAGE_OUTPUTS)
+    names = [name for stage in stages[stages.index(result.stage):] for name in STAGE_OUTPUTS[stage]]
+    for case_id in result.failed:
+        for name in names:
+            (out_dir / case_id / name).unlink(missing_ok=True)
+
+
 def _run_case(fn, case_id: str) -> str | None:
     try:
         fn(case_id)
@@ -139,6 +156,7 @@ def run_convert(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) 
 
     result = _map_cases(sorted(narratives), config.jobs, one)
     result.stage = "convert"
+    _remove_stale_outputs(out_dir, result)
     _update_manifest(out_dir, config, "convert", result)
     return result
 
@@ -172,6 +190,7 @@ def run_perturb(out_dir: str | Path, config: RunConfig) -> StageResult:
 
     result = _map_cases(case_ids, config.jobs, one)
     result.stage = "perturb"
+    _remove_stale_outputs(out_dir, result)
     _update_manifest(out_dir, config, "perturb", result)
     return result
 
@@ -191,6 +210,7 @@ def run_generate(out_dir: str | Path, config: RunConfig) -> StageResult:
 
     result = _map_cases(case_ids, config.jobs, one)
     result.stage = "generate"
+    _remove_stale_outputs(out_dir, result)
     _update_manifest(out_dir, config, "generate", result)
     return result
 

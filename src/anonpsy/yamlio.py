@@ -1,35 +1,23 @@
 """Bit-stable YAML serialization of semantic graphs.
 
-The emitter is hand-rolled so that equal graphs always produce byte-identical
-documents: fixed key order, 2-space indent, LF line endings, one scalar per
-line, flow style only for id lists. The parser is strict: unknown keys, type
-mismatches, and invariant violations raise with the offending path.
+One field table, derived at import from the `model.py` dataclasses, drives
+both directions. The emitter is hand-rolled so that equal graphs always
+produce byte-identical documents: dataclass field order, 2-space indent, LF
+line endings, one scalar per line, flow style only for string lists. The
+parser is strict: unknown keys, missing keys, type mismatches, and invariant
+violations raise with the offending path.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .model import (
-    TEST_RESULT_KEYS,
-    CaseAttributes,
-    Demographics,
-    DiagnosisNode,
-    DurationInterval,
-    FamilyHistoryEntry,
-    PastHistoryNode,
-    Relation,
-    SemanticGraph,
-    StebContext,
-    SymptomNode,
-    TreatmentNode,
-    Violation,
-    VisitEvent,
-    validate_graph,
-)
+from .model import TEST_RESULT_KEYS, CaseAttributes, SemanticGraph, Violation, validate_graph
 
 
 class GraphSerializationError(ValueError):
@@ -122,171 +110,7 @@ def _flow_list(values: list[str]) -> str:
     return "[" + ", ".join(_flow_item(v) for v in values) + "]"
 
 
-class _Emitter:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def kv(self, indent: int, key: str, value) -> None:
-        self.lines.append(f"{'  ' * indent}{key}: {_scalar(value)}")
-
-    def raw(self, indent: int, text: str) -> None:
-        self.lines.append(f"{'  ' * indent}{text}")
-
-    def mapping_entry(self, indent: int, pairs: list[tuple[str, str]]) -> None:
-        """Emit a block-list mapping item: '- k: v' then aligned keys."""
-        first_key, first_val = pairs[0]
-        self.raw(indent, f"- {first_key}: {first_val}")
-        for key, val in pairs[1:]:
-            self.raw(indent + 1, f"{key}: {val}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def serialize_yaml(g: SemanticGraph) -> str:
-    """Serialize a valid graph to its canonical YAML form.
-
-    Equal graphs yield byte-identical text. Invalid graphs are refused with
-    the full validation report attached.
-    """
-    violations = validate_graph(g)
-    if violations:
-        raise GraphSerializationError(violations)
-
-    em = _Emitter()
-    demo = g.attributes.demographics
-    em.raw(0, "demographics:")
-    em.kv(1, "age", demo.age)
-    em.kv(1, "sex", demo.sex)
-    em.kv(1, "ethnicity", demo.ethnicity)
-    em.kv(1, "occupation", demo.occupation)
-    em.kv(1, "family_structure", demo.family_structure)
-
-    em.raw(0, "test_results:")
-    for key in TEST_RESULT_KEYS:
-        em.kv(1, key, g.attributes.test_results.get(key, ""))
-
-    if not g.attributes.family_history:
-        em.raw(0, "family_history: []")
-    else:
-        em.raw(0, "family_history:")
-        for entry in g.attributes.family_history:
-            em.mapping_entry(
-                1,
-                [
-                    ("member", _scalar(entry.member)),
-                    ("condition", _scalar(entry.condition)),
-                    ("evidence_text", _scalar(entry.evidence_text)),
-                ],
-            )
-
-    if not g.diagnoses:
-        em.raw(0, "diagnoses: []")
-    else:
-        em.raw(0, "diagnoses:")
-        for node in g.diagnoses:
-            em.mapping_entry(1, [("id", _scalar(node.id)), ("label", _scalar(node.label))])
-
-    if not g.symptoms:
-        em.raw(0, "symptoms: []")
-    else:
-        em.raw(0, "symptoms:")
-        for node in g.symptoms:
-            em.mapping_entry(
-                1,
-                [
-                    ("id", _scalar(node.id)),
-                    ("symptom", _scalar(node.symptom)),
-                    ("pattern", _scalar(node.pattern)),
-                    ("current_symptom", _scalar(node.current_symptom)),
-                    ("evidence_text", _scalar(node.evidence_text)),
-                ],
-            )
-            if not node.contexts:
-                em.raw(2, "contexts: []")
-            else:
-                em.raw(2, "contexts:")
-                for ctx in node.contexts:
-                    pairs = [(name, _scalar(getattr(ctx, name))) for name in ctx.present_fields()]
-                    em.mapping_entry(3, pairs)
-            em.raw(2, f"duration_ids: {_flow_list(node.duration_ids)}")
-
-    if not g.treatments:
-        em.raw(0, "treatments: []")
-    else:
-        em.raw(0, "treatments:")
-        for node in g.treatments:
-            pairs = [
-                ("id", _scalar(node.id)),
-                ("treatment_type", _scalar(node.treatment_type)),
-                ("name", _scalar(node.name)),
-            ]
-            for key in ("dose", "route", "frequency", "outcome"):
-                value = getattr(node, key)
-                if value is not None:
-                    pairs.append((key, _scalar(value)))
-            pairs.append(("duration_ids", _flow_list(node.duration_ids)))
-            em.mapping_entry(1, pairs)
-
-    if not g.past_history:
-        em.raw(0, "past_history: []")
-    else:
-        em.raw(0, "past_history:")
-        for node in g.past_history:
-            em.mapping_entry(
-                1,
-                [
-                    ("id", _scalar(node.id)),
-                    ("condition", _scalar(node.condition)),
-                    ("duration_ids", _flow_list(node.duration_ids)),
-                ],
-            )
-
-    visit = g.visit_event
-    em.raw(0, "visit_event:")
-    em.kv(1, "setting", visit.setting)
-    em.kv(1, "arrival_mode", visit.arrival_mode)
-    em.kv(1, "legal_status", visit.legal_status)
-    em.kv(1, "reason_for_visit", visit.reason_for_visit)
-    em.raw(1, f"safety_flags: {_flow_list(visit.safety_flags)}")
-    em.kv(1, "source_of_information", visit.source_of_information)
-    if visit.pathway is not None:
-        em.kv(1, "pathway", visit.pathway)
-    em.kv(1, "visit_episode", visit.visit_episode)
-
-    if not g.relations:
-        em.raw(0, "relations: []")
-    else:
-        em.raw(0, "relations:")
-        for rel in g.relations:
-            em.mapping_entry(
-                1,
-                [
-                    ("relation_type", _scalar(rel.relation_type)),
-                    ("source_id", _scalar(rel.source_id)),
-                    ("target_id", _scalar(rel.target_id)),
-                ],
-            )
-
-    if not g.durations:
-        em.raw(0, "durations: []")
-    else:
-        em.raw(0, "durations:")
-        for dur in g.durations:
-            pairs = [
-                ("id", _scalar(dur.id)),
-                ("offset_days", _scalar(dur.offset_days)),
-                ("span_days", _scalar(dur.span_days)),
-                ("virtual", _scalar(dur.virtual)),
-            ]
-            if dur.age_anchored:
-                pairs.append(("age_anchored", "true"))
-            em.mapping_entry(1, pairs)
-
-    return em.text()
-
-
-# --- parsing ---------------------------------------------------------------
+# --- the field table -------------------------------------------------------
 
 TOP_LEVEL_KEYS = (
     "demographics",
@@ -300,6 +124,107 @@ TOP_LEVEL_KEYS = (
     "relations",
     "durations",
 )
+
+_REQUIRED = object()  # the omit value of a key that is always present
+_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean"}
+
+
+@dataclass(frozen=True)
+class _Field:
+    name: str
+    kind: type  # str, int or bool for a scalar; list; dict for a block mapping
+    schema: _Schema | None = None  # list items or mapping entries; None for list[str]
+    omit: object = _REQUIRED  # not emitted when the value is this, and an absent key reads as it
+    nullable: bool = False  # `X | None`: a null reads as None
+
+
+class _Schema:
+    """The fields of one mapping in key order, and the constructor of its value."""
+
+    def __init__(self, fields_: tuple[_Field, ...], make: Callable) -> None:
+        self.fields = fields_
+        self.make = make
+        self.required = tuple(f.name for f in fields_ if f.omit is _REQUIRED)
+        self.optional = tuple(f.name for f in fields_ if f.omit is not _REQUIRED)
+
+
+def _schema_of(cls) -> _Schema:
+    hints = get_type_hints(cls)
+    return _Schema(tuple(_field_of(f, hints[f.name]) for f in fields(cls)), cls)
+
+
+def _field_of(f, hint) -> _Field:
+    args = get_args(hint)
+    nullable = type(None) in args
+    if nullable:
+        (hint,) = (a for a in args if a is not type(None))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return _Field(f.name, list, _schema_of(item) if is_dataclass(item) else None)
+    if get_origin(hint) is dict:  # test results, keyed by the fixed test names
+        return _Field(f.name, dict, _Schema(tuple(_Field(k, str) for k in TEST_RESULT_KEYS), dict))
+    if is_dataclass(hint):  # always present: a graph without its visit event is invalid
+        return _Field(f.name, dict, _schema_of(hint))
+    omit = None if nullable and f.default is None else _REQUIRED
+    return _Field(f.name, hint, omit=f.metadata.get("yaml_omit_if", omit), nullable=nullable)
+
+
+_ATTRIBUTE_KEYS = tuple(f.name for f in fields(CaseAttributes))
+
+
+def _graph(**sections) -> SemanticGraph:
+    attributes = CaseAttributes(**{key: sections.pop(key) for key in _ATTRIBUTE_KEYS})
+    return SemanticGraph(attributes=attributes, **sections)
+
+
+# The top level flattens `attributes` beside the graph's own fields, in
+# TOP_LEVEL_KEYS order, and requires every key.
+_SECTIONS = {f.name: f for cls in (CaseAttributes, SemanticGraph) for f in _schema_of(cls).fields}
+_GRAPH = _Schema(tuple(_SECTIONS[key] for key in TOP_LEVEL_KEYS), _graph)
+
+
+# --- emitting ----------------------------------------------------------------
+
+
+def _emit(values: dict, schema: _Schema, indent: int, lines: list[str]) -> None:
+    """Append the block lines of one mapping; `values` maps field names to values."""
+    pad = "  " * indent
+    for f in schema.fields:
+        value = values[f.name]
+        if f.kind is list:
+            if f.schema is None:
+                lines.append(f"{pad}{f.name}: {_flow_list(value)}")
+            elif not value:
+                lines.append(f"{pad}{f.name}: []")
+            else:
+                lines.append(f"{pad}{f.name}:")
+                for item in value:
+                    first = len(lines)
+                    _emit(vars(item), f.schema, indent + 2, lines)
+                    # The item's first key moves up onto its "- " line.
+                    lines[first] = f"{pad}  - {lines[first][len(pad) + 4:]}"
+        elif f.kind is dict:
+            lines.append(f"{pad}{f.name}:")
+            _emit(value if type(value) is dict else vars(value), f.schema, indent + 1, lines)
+        elif value is not f.omit:
+            lines.append(f"{pad}{f.name}: {_scalar(value)}")
+
+
+def serialize_yaml(g: SemanticGraph) -> str:
+    """Serialize a valid graph to its canonical YAML form.
+
+    Equal graphs yield byte-identical text. Invalid graphs are refused with
+    the full validation report attached.
+    """
+    violations = validate_graph(g)
+    if violations:
+        raise GraphSerializationError(violations)
+    lines: list[str] = []
+    _emit({**vars(g), **vars(g.attributes)}, _GRAPH, 0, lines)
+    return "\n".join(lines) + "\n"
+
+
+# --- parsing -----------------------------------------------------------------
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -325,43 +250,47 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
             raise GraphParseError(f"{path}.{key}", "missing required key")
 
 
-def _get_str(obj: dict, key: str, path: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise GraphParseError(f"{path}.{key}", f"expected string, got {type(value).__name__}")
-    return value
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _get_opt_str(obj: dict, key: str, path: str) -> str | None:
-    if key not in obj or obj[key] is None:
-        return None
-    return _get_str(obj, key, path)
+def _type_error(path: str, kind: type, value) -> GraphParseError:
+    return GraphParseError(path, f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}")
 
 
-def _get_int(obj: dict, key: str, path: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphParseError(f"{path}.{key}", f"expected integer, got {type(value).__name__}")
-    return value
-
-
-def _get_bool(obj: dict, key: str, path: str, default: bool | None = None) -> bool:
-    if key not in obj and default is not None:
-        return default
-    value = obj.get(key)
-    if not isinstance(value, bool):
-        raise GraphParseError(f"{path}.{key}", f"expected boolean, got {type(value).__name__}")
-    return value
-
-
-def _get_str_list(obj: dict, key: str, path: str) -> list[str]:
-    values = _require_list(obj.get(key), f"{path}.{key}")
-    out = []
-    for i, value in enumerate(values):
-        if not isinstance(value, str):
-            raise GraphParseError(f"{path}.{key}[{i}]", f"expected string, got {type(value).__name__}")
-        out.append(value)
-    return out
+def _parse(obj: dict, schema: _Schema, path: str):
+    """Build the value of one mapping; `path` names it in errors ("" at the top)."""
+    _check_keys(obj, path or "$", schema.required, schema.optional)
+    values = {}
+    for f in schema.fields:
+        name = f.name
+        if name not in obj:  # only an optional key gets past _check_keys absent
+            values[name] = f.omit
+            continue
+        value = obj[name]
+        kind = f.kind
+        if kind is list:
+            sub = _join(path, name)
+            items = _require_list(value, sub)
+            if f.schema is None:
+                for i, item in enumerate(items):
+                    if type(item) is not str:
+                        raise _type_error(f"{sub}[{i}]", str, item)
+                values[name] = list(items)
+            else:
+                parsed = []
+                for i, item in enumerate(items):
+                    item_path = f"{sub}[{i}]"
+                    parsed.append(_parse(_require_mapping(item, item_path), f.schema, item_path))
+                values[name] = parsed
+        elif kind is dict:
+            sub = _join(path, name)
+            values[name] = _parse(_require_mapping(value, sub), f.schema, sub)
+        elif type(value) is kind or (value is None and f.nullable):
+            values[name] = value
+        else:
+            raise _type_error(_join(path, name), kind, value)
+    return schema.make(**values)
 
 
 def parse_yaml(text: str) -> SemanticGraph:
@@ -374,181 +303,8 @@ def parse_yaml(text: str) -> SemanticGraph:
         doc = load_yaml(text)
     except yaml.YAMLError as exc:
         raise GraphParseError("$", f"not valid YAML: {exc}") from exc
-    doc = _require_mapping(doc, "$")
-    _check_keys(doc, "$", TOP_LEVEL_KEYS)
-
-    demo_doc = _require_mapping(doc["demographics"], "demographics")
-    _check_keys(demo_doc, "demographics", ("age", "sex", "ethnicity", "occupation", "family_structure"))
-    demographics = Demographics(
-        age=_get_int(demo_doc, "age", "demographics"),
-        sex=_get_str(demo_doc, "sex", "demographics"),
-        ethnicity=_get_str(demo_doc, "ethnicity", "demographics"),
-        occupation=_get_str(demo_doc, "occupation", "demographics"),
-        family_structure=_get_str(demo_doc, "family_structure", "demographics"),
-    )
-
-    tests_doc = _require_mapping(doc["test_results"], "test_results")
-    _check_keys(tests_doc, "test_results", TEST_RESULT_KEYS)
-    test_results = {key: _get_str(tests_doc, key, "test_results") for key in TEST_RESULT_KEYS}
-
-    family_history = []
-    for i, entry in enumerate(_require_list(doc["family_history"], "family_history")):
-        path = f"family_history[{i}]"
-        entry = _require_mapping(entry, path)
-        _check_keys(entry, path, ("member", "condition", "evidence_text"))
-        family_history.append(
-            FamilyHistoryEntry(
-                member=_get_str(entry, "member", path),
-                condition=_get_str(entry, "condition", path),
-                evidence_text=_get_str(entry, "evidence_text", path),
-            )
-        )
-
-    diagnoses = []
-    for i, entry in enumerate(_require_list(doc["diagnoses"], "diagnoses")):
-        path = f"diagnoses[{i}]"
-        entry = _require_mapping(entry, path)
-        _check_keys(entry, path, ("id", "label"))
-        diagnoses.append(DiagnosisNode(id=_get_str(entry, "id", path), label=_get_str(entry, "label", path)))
-
-    symptoms = []
-    for i, entry in enumerate(_require_list(doc["symptoms"], "symptoms")):
-        path = f"symptoms[{i}]"
-        entry = _require_mapping(entry, path)
-        _check_keys(
-            entry,
-            path,
-            ("id", "symptom", "pattern", "current_symptom", "evidence_text", "contexts", "duration_ids"),
-        )
-        contexts = []
-        for j, ctx in enumerate(_require_list(entry["contexts"], f"{path}.contexts")):
-            ctx_path = f"{path}.contexts[{j}]"
-            ctx = _require_mapping(ctx, ctx_path)
-            _check_keys(ctx, ctx_path, (), StebContext.FIELD_ORDER)
-            contexts.append(
-                StebContext(
-                    situation=_get_opt_str(ctx, "situation", ctx_path),
-                    thought=_get_opt_str(ctx, "thought", ctx_path),
-                    emotion=_get_opt_str(ctx, "emotion", ctx_path),
-                    behavior=_get_opt_str(ctx, "behavior", ctx_path),
-                )
-            )
-        symptoms.append(
-            SymptomNode(
-                id=_get_str(entry, "id", path),
-                symptom=_get_str(entry, "symptom", path),
-                pattern=_get_str(entry, "pattern", path),
-                current_symptom=_get_bool(entry, "current_symptom", path),
-                evidence_text=_get_str(entry, "evidence_text", path),
-                contexts=contexts,
-                duration_ids=_get_str_list(entry, "duration_ids", path),
-            )
-        )
-
-    treatments = []
-    for i, entry in enumerate(_require_list(doc["treatments"], "treatments")):
-        path = f"treatments[{i}]"
-        entry = _require_mapping(entry, path)
-        _check_keys(
-            entry,
-            path,
-            ("id", "treatment_type", "name", "duration_ids"),
-            ("dose", "route", "frequency", "outcome"),
-        )
-        treatments.append(
-            TreatmentNode(
-                id=_get_str(entry, "id", path),
-                treatment_type=_get_str(entry, "treatment_type", path),
-                name=_get_str(entry, "name", path),
-                dose=_get_opt_str(entry, "dose", path),
-                route=_get_opt_str(entry, "route", path),
-                frequency=_get_opt_str(entry, "frequency", path),
-                outcome=_get_opt_str(entry, "outcome", path),
-                duration_ids=_get_str_list(entry, "duration_ids", path),
-            )
-        )
-
-    past_history = []
-    for i, entry in enumerate(_require_list(doc["past_history"], "past_history")):
-        path = f"past_history[{i}]"
-        entry = _require_mapping(entry, path)
-        _check_keys(entry, path, ("id", "condition", "duration_ids"))
-        past_history.append(
-            PastHistoryNode(
-                id=_get_str(entry, "id", path),
-                condition=_get_str(entry, "condition", path),
-                duration_ids=_get_str_list(entry, "duration_ids", path),
-            )
-        )
-
-    visit_doc = _require_mapping(doc["visit_event"], "visit_event")
-    _check_keys(
-        visit_doc,
-        "visit_event",
-        (
-            "setting",
-            "arrival_mode",
-            "legal_status",
-            "reason_for_visit",
-            "safety_flags",
-            "source_of_information",
-            "visit_episode",
-        ),
-        ("pathway",),
-    )
-    visit_event = VisitEvent(
-        setting=_get_str(visit_doc, "setting", "visit_event"),
-        arrival_mode=_get_str(visit_doc, "arrival_mode", "visit_event"),
-        legal_status=_get_str(visit_doc, "legal_status", "visit_event"),
-        reason_for_visit=_get_str(visit_doc, "reason_for_visit", "visit_event"),
-        safety_flags=_get_str_list(visit_doc, "safety_flags", "visit_event"),
-        source_of_information=_get_str(visit_doc, "source_of_information", "visit_event"),
-        pathway=_get_opt_str(visit_doc, "pathway", "visit_event"),
-        visit_episode=_get_str(visit_doc, "visit_episode", "visit_event"),
-    )
-
-    relations = []
-    for i, entry in enumerate(_require_list(doc["relations"], "relations")):
-        path = f"relations[{i}]"
-        entry = _require_mapping(entry, path)
-        _check_keys(entry, path, ("relation_type", "source_id", "target_id"))
-        relations.append(
-            Relation(
-                relation_type=_get_str(entry, "relation_type", path),
-                source_id=_get_str(entry, "source_id", path),
-                target_id=_get_str(entry, "target_id", path),
-            )
-        )
-
-    durations = []
-    for i, entry in enumerate(_require_list(doc["durations"], "durations")):
-        path = f"durations[{i}]"
-        entry = _require_mapping(entry, path)
-        _check_keys(entry, path, ("id", "offset_days", "span_days", "virtual"), ("age_anchored",))
-        span = _get_int(entry, "span_days", path)
-        if span < 0:
-            raise GraphParseError(f"{path}.span_days", "span_days < 0")
-        durations.append(
-            DurationInterval(
-                id=_get_str(entry, "id", path),
-                offset_days=_get_int(entry, "offset_days", path),
-                span_days=span,
-                virtual=_get_bool(entry, "virtual", path),
-                age_anchored=_get_bool(entry, "age_anchored", path, default=False),
-            )
-        )
-
-    return SemanticGraph(
-        attributes=CaseAttributes(
-            demographics=demographics,
-            family_history=family_history,
-            test_results=test_results,
-        ),
-        diagnoses=diagnoses,
-        symptoms=symptoms,
-        treatments=treatments,
-        past_history=past_history,
-        visit_event=visit_event,
-        relations=relations,
-        durations=durations,
-    )
+    graph = _parse(_require_mapping(doc, "$"), _GRAPH, "")
+    for i, duration in enumerate(graph.durations):
+        if duration.span_days < 0:
+            raise GraphParseError(f"durations[{i}].span_days", "span_days < 0")
+    return graph

@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ import yaml
 
 from anonpsy.cli import main
 from anonpsy.config import ConfigError, load_config
+from anonpsy.runner import UsageError, run_evaluation, run_pipeline
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR
 
@@ -76,6 +78,27 @@ class TestRunCommand:
         assert (out_dir / "case_001" / "deid.txt").is_file()
         err = capsys.readouterr().err
         assert "case_999" in err and "FAILED" in err
+
+    def test_failed_reconvert_leaves_no_stale_downstream_artifacts(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        config = load_config(_write_config(tmp_path))
+        out_dir = tmp_path / "run"
+        assert run_pipeline(corpus, out_dir, config).ok
+        others = {case_id: _tree(out_dir / case_id) for case_id in ("case_002", "case_003")}
+
+        new_text = "A different patient whose narrative has no mock fixtures.\n"
+        (corpus / "case_001.txt").write_text(new_text, encoding="utf-8")
+        result = run_pipeline(corpus, out_dir, config)
+
+        assert result.failed["case_001"].startswith("MockFixtureMissing")
+        case_dir = out_dir / "case_001"
+        assert (case_dir / "original.txt").read_text(encoding="utf-8") == new_text
+        for name in ("graph.yaml", "graph.perturbed.yaml", "perturb.audit.yaml", "outline.yaml", "deid.txt"):
+            assert not (case_dir / name).exists(), name
+        assert {case_id: _tree(out_dir / case_id) for case_id in others} == others
+        with pytest.raises(UsageError, match="case_001/deid.txt"):
+            run_evaluation(out_dir, config)
 
 
 class TestBaselineAndEval:

@@ -2,6 +2,7 @@ import os
 import threading
 
 import pytest
+import requests
 
 from anonpsy import prompts
 from anonpsy.gateway import (
@@ -250,3 +251,47 @@ class TestHttpBackend:
         backend = HttpBackend("http://localhost:11434")
         with pytest.raises(TransientBackendError):
             backend.complete(_request())
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            requests.exceptions.JSONDecodeError("Expecting value", "<html>busy</html>", 0),
+            ["not", "an", "object"],
+            {"message": "text"},
+        ],
+    )
+    def test_malformed_body_is_gateway_error_naming_template(self, monkeypatch, body):
+        from anonpsy.gateway import HttpBackend
+
+        class _Response:
+            status_code = 200
+
+            def json(self):
+                if isinstance(body, Exception):
+                    raise body
+                return body
+
+        monkeypatch.setattr("anonpsy.gateway.requests.post", lambda *a, **k: _Response())
+        with pytest.raises(GatewayError) as err:
+            HttpBackend("http://localhost:11434").complete(_request())
+        assert err.value.template_id == "lead_paragraph"
+
+    def test_rate_limit_is_transient_and_retried(self, monkeypatch):
+        from anonpsy.gateway import HttpBackend
+
+        statuses = [429, 200]
+
+        class _Response:
+            text = "slow down"
+
+            def __init__(self):
+                self.status_code = statuses.pop(0)
+
+            def json(self):
+                return {"message": {"role": "assistant", "content": "after backoff"}}
+
+        monkeypatch.setattr("anonpsy.gateway.requests.post", lambda *a, **k: _Response())
+        sleeps = []
+        gw = LlmGateway(HttpBackend("http://localhost:11434"), model="m", sleep=sleeps.append)
+        assert gw.complete(_request()).text == "after backoff"
+        assert sleeps == [0.5]

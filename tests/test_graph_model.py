@@ -141,6 +141,54 @@ class TestParseYaml:
             parse_yaml(text)
         assert "demographics.age" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new, path, message",
+        [
+            ("        emotion: sad\n", "        emotion: sad\n        mood: low\n",
+             "symptoms[0].contexts[0].mood", "unknown key"),
+            ("durations:\n", "durations_:\n", "$.durations_", "unknown key"),
+            ("  setting: outpatient clinic\n", "", "visit_event.setting", "missing required key"),
+            ("  labs: \"\"\n", "", "test_results.labs", "missing required key"),
+            ("age: 30", "age: true", "demographics.age", "expected integer, got bool"),
+            ("sex: female", "sex: 7", "demographics.sex", "expected string, got int"),
+            ("current_symptom: true", "current_symptom: 1",
+             "symptoms[0].current_symptom", "expected boolean, got int"),
+            ("virtual: false\n", "virtual: false\n    age_anchored: null\n",
+             "durations[0].age_anchored", "expected boolean, got NoneType"),
+            ("duration_ids: [d_001]", "duration_ids: [1]",
+             "symptoms[0].duration_ids[0]", "expected string, got int"),
+            ("  - id: dx_001\n    label: major depressive disorder\n", "  - dx_001\n",
+             "diagnoses[0]", "expected mapping, got str"),
+            ("treatments: []", "treatments: none", "treatments", "expected list, got str"),
+            ("safety_flags: []", "safety_flags: {}", "visit_event.safety_flags", "expected list, got dict"),
+            ("span_days: 15", "span_days: -3", "durations[0].span_days", "span_days < 0"),
+        ],
+    )
+    def test_single_fault_error_path_and_message(self, old, new, path, message):
+        text = serialize_yaml(minimal_graph())
+        assert old in text
+        with pytest.raises(GraphParseError) as err:
+            parse_yaml(text.replace(old, new, 1))
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+    def test_missing_top_level_section(self):
+        text = serialize_yaml(minimal_graph())
+        with pytest.raises(GraphParseError) as err:
+            parse_yaml(text[: text.index("durations:")])
+        assert (err.value.path, str(err.value)) == ("$.durations", "$.durations: missing required key")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("  source_of_information: patient\n", "  source_of_information: patient\n  pathway: null\n"),
+            ("        emotion: sad\n", "        emotion: sad\n        thought: ~\n"),
+        ],
+    )
+    def test_null_optional_string_parses_to_none(self, old, new):
+        text = serialize_yaml(minimal_graph())
+        assert old in text
+        assert parse_yaml(text.replace(old, new, 1)) == minimal_graph()
+
     def test_round_trip_random_graphs(self):
         rng = random.Random(991)
         for _ in range(60):
