@@ -9,10 +9,11 @@ the embedding model identifier is a config string, not a code dependency.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import math
 
-import requests
-
+from ..gateway import post_json
 from ..textproc import tokenize
 
 FALLBACK_DIMENSIONS = 4096
@@ -56,15 +57,21 @@ class HttpEmbedder:
         self.timeout_seconds = timeout_seconds
 
     def embed(self, text: str) -> list[float]:
-        resp = requests.post(
-            f"{self.endpoint}/api/embeddings",
-            json={"model": self.model, "prompt": text},
-            timeout=self.timeout_seconds,
-        )
-        resp.raise_for_status()
-        embedding = resp.json().get("embedding")
+        url = f"{self.endpoint}/api/embeddings"
+        try:
+            status, data = post_json(url, {"model": self.model, "prompt": text}, self.timeout_seconds)
+        except (OSError, http.client.HTTPException) as exc:
+            raise RuntimeError(f"embedding endpoint {url} failed: {exc}") from exc
+        if not 200 <= status < 300:
+            reply = data.decode("utf-8", "replace")
+            raise RuntimeError(f"embedding endpoint {url} returned {status}: {reply[:200]}")
+        try:
+            body = json.loads(data)
+        except ValueError as exc:
+            raise RuntimeError(f"embedding endpoint {url} returned a body that is not JSON: {exc}") from exc
+        embedding = body.get("embedding") if isinstance(body, dict) else None
         if not isinstance(embedding, list) or not embedding:
-            raise RuntimeError("embedding endpoint returned no vector")
+            raise RuntimeError(f"embedding endpoint returned no vector: {url}")
         return [float(v) for v in embedding]
 
 

@@ -178,9 +178,19 @@ def run_eval(
     seed: int = 0,
 ) -> EvalReport:
     """Evaluate every case directory under run_dir and aggregate statistics."""
+    discovered = discover_cases(run_dir)
+    # Check every input before the first (possibly paid) model call.
+    anonpsy_file = VARIANT_FILES["anonpsy"]
+    missing = [
+        f"{case_id}/{anonpsy_file}"
+        for case_id, case_dir in discovered
+        if not (case_dir / anonpsy_file).is_file()
+    ]
+    if missing:
+        raise EvalInputError("missing run artifacts: " + ", ".join(missing))
+
     cases: list[CaseEval] = []
-    missing: list[str] = []
-    for case_id, case_dir in discover_cases(run_dir):
+    for case_id, case_dir in discovered:
         original = (case_dir / "original.txt").read_text(encoding="utf-8")
         meta = load_yaml((case_dir / "meta.yaml").read_text(encoding="utf-8")) or {}
         gold = canonical_label_set([str(d) for d in meta.get("diagnoses", [])])
@@ -191,9 +201,6 @@ def run_eval(
             path = case_dir / filename
             if path.is_file():
                 texts[variant] = path.read_text(encoding="utf-8")
-        if "anonpsy" not in texts:
-            missing.append(f"{case_id}/{VARIANT_FILES['anonpsy']}")
-            continue
 
         original_vector = embedder.embed(original)
         for variant, text in texts.items():
@@ -225,9 +232,6 @@ def run_eval(
                 case.risk_llm_only = result.score_b
                 case.more_similar = "anonpsy" if result.choice == "A" else "llm_only"
         cases.append(case)
-
-    if missing:
-        raise EvalInputError("missing run artifacts: " + ", ".join(missing))
 
     variant_means = _variant_means(cases)
     statistics = _corpus_statistics(cases)

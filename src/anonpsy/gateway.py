@@ -10,12 +10,13 @@ which keeps the whole pipeline byte-reproducible offline.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from . import prompts
 from .fileio import write_atomic
@@ -121,6 +122,30 @@ class MockBackend:
         return path.read_text(encoding="utf-8")
 
 
+def post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
+    """POST `payload` as JSON to `url`; return the reply's status and body.
+
+    An HTTP error status comes back like any other. Connection, timeout and
+    protocol failures raise `OSError` or `http.client.HTTPException`.
+    `urllib.request` takes proxies from `HTTP(S)_PROXY`/`NO_PROXY` and, for
+    https, CA certificates from the default SSL paths.
+    """
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        try:
+            return exc.code, exc.read()
+        finally:
+            exc.close()
+
+
 class HttpBackend:
     """Chat-completion backend speaking the Ollama-compatible /api/chat shape."""
 
@@ -140,18 +165,17 @@ class HttpBackend:
         if req.seed is not None:
             payload["options"]["seed"] = req.seed
         try:
-            resp = requests.post(
-                f"{self.endpoint}/api/chat", json=payload, timeout=self.timeout_seconds
-            )
-        except requests.RequestException as exc:
+            status, data = post_json(f"{self.endpoint}/api/chat", payload, self.timeout_seconds)
+        except (OSError, http.client.HTTPException) as exc:
             raise TransientBackendError(str(exc)) from exc
-        if resp.status_code >= 500 or resp.status_code == 429:
-            raise TransientBackendError(f"backend returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise GatewayError(req.template_id, f"backend returned {resp.status_code}: {resp.text[:200]}")
+        if status >= 500 or status == 429:
+            raise TransientBackendError(f"backend returned {status}")
+        if status != 200:
+            text = data.decode("utf-8", "replace")
+            raise GatewayError(req.template_id, f"backend returned {status}: {text[:200]}")
         try:
-            body = resp.json()
-        except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+            body = json.loads(data)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise GatewayError(req.template_id, f"response body is not JSON: {exc}") from exc
         if not isinstance(body, dict):
             raise GatewayError(req.template_id, f"response is not a JSON object: {type(body).__name__}")

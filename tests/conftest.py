@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,73 @@ def mock_gateway(run_config) -> LlmGateway:
 
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+class HttpStub:
+    """An HTTP server on 127.0.0.1 that records each request and replies from a queue.
+
+    `replies` holds (status, body) pairs, served in order: a `bytes` or `str`
+    body is sent as is, anything else as JSON. The reply `HttpStub.STALL`
+    sends nothing until the stub shuts down. `requests` collects
+    (path, parsed JSON body) pairs.
+    """
+
+    STALL = object()
+
+    def __init__(self):
+        self.replies: list = []
+        self.requests: list[tuple[str, object]] = []
+        self._release = threading.Event()
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):  # keep test output quiet
+                pass
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                stub.requests.append((self.path, json.loads(body)))
+                reply = stub.replies.pop(0) if stub.replies else (500, "no reply queued")
+                if reply is HttpStub.STALL:
+                    stub._release.wait(timeout=30)
+                    return
+                status, payload = reply
+                if isinstance(payload, str):
+                    payload = payload.encode("utf-8")
+                elif not isinstance(payload, bytes):
+                    payload = json.dumps(payload).encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self._thread = threading.Thread(target=self.server.serve_forever, args=(0.02,), daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self._release.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self._thread.join(timeout=10)
+
+
+@pytest.fixture()
+def http_stub():
+    stub = HttpStub()
+    try:
+        yield stub
+    finally:
+        stub.close()
+
+
+@pytest.fixture()
+def refused_url() -> str:
+    """The URL of a port that was bound and then closed, so connecting is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"

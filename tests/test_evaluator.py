@@ -1,4 +1,5 @@
 import random
+import shutil
 
 import pytest
 import yaml
@@ -115,3 +116,15 @@ class TestRunEval:
         (case_dir / "meta.yaml").write_text("case_id: case_009\ndiagnoses: []\n")
         with pytest.raises(EvalInputError, match="case_009/deid.txt"):
             run_eval(tmp_path, mock_gateway, HashedTfEmbedder())
+
+    def test_missing_deid_raised_before_any_model_call(self, full_run, mock_gateway, tmp_path):
+        out_dir, config = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out_dir, run_dir)
+        (run_dir / "case_001" / "deid.txt").unlink()
+        (run_dir / "case_003" / "deid.txt").unlink()
+        gw = FakeGateway(lambda template_id, variables: mock_gateway.call(template_id, variables, temperature=0.0))
+        with pytest.raises(EvalInputError) as err:
+            run_eval(run_dir, gw, HashedTfEmbedder(), seed=config.seed)
+        assert str(err.value) == "missing run artifacts: case_001/deid.txt, case_003/deid.txt"
+        assert gw.calls == []

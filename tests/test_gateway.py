@@ -1,13 +1,17 @@
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
-import requests
 
+import anonpsy
 from anonpsy import prompts
 from anonpsy.gateway import (
     ChatRequest,
     GatewayError,
+    HttpBackend,
     LlmGateway,
     MockBackend,
     MockFixtureMissing,
@@ -214,84 +218,66 @@ class TestRequestConstruction:
 
 
 class TestHttpBackend:
-    def test_payload_shape_and_content_extraction(self, monkeypatch):
-        from anonpsy.gateway import HttpBackend
-
-        captured = {}
-
-        class _Response:
-            status_code = 200
-
-            def json(self):
-                return {"message": {"role": "assistant", "content": "live answer"}}
-
-        def fake_post(url, json=None, timeout=None):
-            captured["url"] = url
-            captured["payload"] = json
-            return _Response()
-
-        monkeypatch.setattr("anonpsy.gateway.requests.post", fake_post)
-        backend = HttpBackend("http://localhost:11434/")
+    def test_payload_shape_and_content_extraction(self, http_stub):
+        http_stub.replies.append((200, {"message": {"role": "assistant", "content": "live answer"}}))
+        backend = HttpBackend(http_stub.url + "/")
         text = backend.complete(_request(seed=7))
         assert text == "live answer"
-        assert captured["url"] == "http://localhost:11434/api/chat"
-        assert captured["payload"]["model"] == "test-model"
-        assert captured["payload"]["options"] == {"temperature": 0.1, "seed": 7}
-        assert captured["payload"]["messages"] == [{"role": "user", "content": "hello"}]
-        assert captured["payload"]["stream"] is False
+        [(path, payload)] = http_stub.requests
+        assert path == "/api/chat"
+        assert payload["model"] == "test-model"
+        assert payload["options"] == {"temperature": 0.1, "seed": 7}
+        assert payload["messages"] == [{"role": "user", "content": "hello"}]
+        assert payload["stream"] is False
 
-    def test_server_errors_are_transient(self, monkeypatch):
-        from anonpsy.gateway import HttpBackend
-
-        class _Response:
-            status_code = 503
-            text = "unavailable"
-
-        monkeypatch.setattr("anonpsy.gateway.requests.post", lambda *a, **k: _Response())
-        backend = HttpBackend("http://localhost:11434")
+    def test_server_errors_are_transient(self, http_stub):
+        http_stub.replies.append((503, "unavailable"))
+        backend = HttpBackend(http_stub.url)
         with pytest.raises(TransientBackendError):
             backend.complete(_request())
 
     @pytest.mark.parametrize(
         "body",
-        [
-            requests.exceptions.JSONDecodeError("Expecting value", "<html>busy</html>", 0),
-            ["not", "an", "object"],
-            {"message": "text"},
-        ],
+        [b"<html>busy</html>", ["not", "an", "object"], {"message": "text"}],
+        ids=["body0", "body1", "body2"],
     )
-    def test_malformed_body_is_gateway_error_naming_template(self, monkeypatch, body):
-        from anonpsy.gateway import HttpBackend
-
-        class _Response:
-            status_code = 200
-
-            def json(self):
-                if isinstance(body, Exception):
-                    raise body
-                return body
-
-        monkeypatch.setattr("anonpsy.gateway.requests.post", lambda *a, **k: _Response())
+    def test_malformed_body_is_gateway_error_naming_template(self, http_stub, body):
+        http_stub.replies.append((200, body))
         with pytest.raises(GatewayError) as err:
-            HttpBackend("http://localhost:11434").complete(_request())
+            HttpBackend(http_stub.url).complete(_request())
         assert err.value.template_id == "lead_paragraph"
 
-    def test_rate_limit_is_transient_and_retried(self, monkeypatch):
-        from anonpsy.gateway import HttpBackend
-
-        statuses = [429, 200]
-
-        class _Response:
-            text = "slow down"
-
-            def __init__(self):
-                self.status_code = statuses.pop(0)
-
-            def json(self):
-                return {"message": {"role": "assistant", "content": "after backoff"}}
-
-        monkeypatch.setattr("anonpsy.gateway.requests.post", lambda *a, **k: _Response())
+    def test_rate_limit_is_transient_and_retried(self, http_stub):
+        http_stub.replies.append((429, "slow down"))
+        http_stub.replies.append((200, {"message": {"role": "assistant", "content": "after backoff"}}))
         sleeps = []
-        gw = LlmGateway(HttpBackend("http://localhost:11434"), model="m", sleep=sleeps.append)
+        gw = LlmGateway(HttpBackend(http_stub.url), model="m", sleep=sleeps.append)
         assert gw.complete(_request()).text == "after backoff"
         assert sleeps == [0.5]
+
+    def test_read_timeout_is_transient(self, http_stub):
+        http_stub.replies.append(http_stub.STALL)
+        with pytest.raises(TransientBackendError):
+            HttpBackend(http_stub.url, timeout_seconds=0.2).complete(_request())
+
+    def test_refused_connection_is_transient(self, refused_url):
+        with pytest.raises(TransientBackendError):
+            HttpBackend(refused_url).complete(_request())
+
+    def test_client_error_is_not_retried(self, http_stub):
+        http_stub.replies.append((404, {"error": "model not found"}))
+        sleeps = []
+        gw = LlmGateway(HttpBackend(http_stub.url), model="m", sleep=sleeps.append)
+        with pytest.raises(GatewayError, match="backend returned 404: .*model not found") as err:
+            gw.complete(_request())
+        assert err.value.template_id == "lead_paragraph"
+        assert sleeps == []
+        assert len(http_stub.requests) == 1
+
+
+def test_cli_and_runner_do_not_import_requests():
+    src_dir = Path(anonpsy.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
+    code = "import sys, anonpsy.cli, anonpsy.runner; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -161,25 +161,39 @@ class TestDocSimilarity:
 
 
 class TestHttpEmbedder:
-    def test_embedding_endpoint_contract(self, monkeypatch):
+    def test_embedding_endpoint_contract(self, http_stub):
         from anonpsy.evaluation.embedding import HttpEmbedder
 
-        captured = {}
-
-        class _Response:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"embedding": [3.0, 4.0]}
-
-        def fake_post(url, json=None, timeout=None):
-            captured["url"] = url
-            captured["payload"] = json
-            return _Response()
-
-        monkeypatch.setattr("anonpsy.evaluation.embedding.requests.post", fake_post)
-        embedder = HttpEmbedder("http://localhost:11434", "all-mpnet-base-v2")
+        http_stub.replies.append((200, {"embedding": [3.0, 4.0]}))
+        embedder = HttpEmbedder(http_stub.url, "all-mpnet-base-v2")
         assert embedder.embed("some text") == [3.0, 4.0]
-        assert captured["url"] == "http://localhost:11434/api/embeddings"
-        assert captured["payload"] == {"model": "all-mpnet-base-v2", "prompt": "some text"}
+        assert http_stub.requests == [
+            ("/api/embeddings", {"model": "all-mpnet-base-v2", "prompt": "some text"})
+        ]
+
+    @pytest.mark.parametrize(
+        "reply,fault",
+        [
+            ((500, "overloaded"), "returned 500: overloaded"),
+            ((404, {"error": "no such model"}), "returned 404"),
+            ((200, "<html>busy</html>"), "not JSON"),
+            ((200, {"embedding": []}), "returned no vector"),
+            ((200, {"model": "all-mpnet-base-v2"}), "returned no vector"),
+            ((200, ["not", "an", "object"]), "returned no vector"),
+        ],
+        ids=["server-error", "client-error", "not-json", "empty-vector", "no-vector", "not-an-object"],
+    )
+    def test_endpoint_faults_are_runtime_errors_naming_endpoint(self, http_stub, reply, fault):
+        from anonpsy.evaluation.embedding import HttpEmbedder
+
+        http_stub.replies.append(reply)
+        with pytest.raises(RuntimeError, match=fault) as err:
+            HttpEmbedder(http_stub.url, "all-mpnet-base-v2").embed("some text")
+        assert f"{http_stub.url}/api/embeddings" in str(err.value)
+
+    def test_refused_connection_is_runtime_error_naming_endpoint(self, refused_url):
+        from anonpsy.evaluation.embedding import HttpEmbedder
+
+        with pytest.raises(RuntimeError, match="failed") as err:
+            HttpEmbedder(refused_url, "all-mpnet-base-v2").embed("some text")
+        assert f"{refused_url}/api/embeddings" in str(err.value)
