@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .gateway import LlmGateway
+from .gateway import LlmGateway, validated_call
 from .model import (
     EPISODE_UNITS,
     ROUTE_VOCABULARY,
@@ -49,9 +49,6 @@ from .temporal import (
 from .textproc import contains_normalized
 from .yamlio import serialize_yaml
 
-_STRUCTURED_ATTEMPTS = 3
-
-
 class ConversionError(RuntimeError):
     """A case could not be converted; carries the staged error trail."""
 
@@ -81,23 +78,25 @@ class ConverterDraft:
     warnings: list[str] = field(default_factory=list)
 
 
+def _mapping(text: str, reject) -> dict | None:
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        return reject(f"invalid YAML: {exc}")
+    if isinstance(doc, dict):
+        return doc
+    return reject(f"expected mapping, got {type(doc).__name__}")
+
+
 def _structured_call(gw: LlmGateway, template_id: str, variables: dict[str, str], case_id: str, stage: str) -> dict:
     """Call the gateway and parse a YAML mapping, retrying with an attempt tag."""
-    last = ""
-    for attempt in range(1, _STRUCTURED_ATTEMPTS + 1):
-        call_vars = dict(variables)
-        if attempt > 1:
-            call_vars["attempt"] = str(attempt)
-        text = gw.call(template_id, call_vars, operator="convert")
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            last = f"invalid YAML: {exc}"
-            continue
-        if isinstance(doc, dict):
-            return doc
-        last = f"expected mapping, got {type(doc).__name__}"
-    raise ConversionError(case_id, stage, f"unparseable structured response after retries: {last}")
+    # The first attempt is untagged: the extraction fixtures are keyed so.
+    out = validated_call(gw, template_id, variables, _mapping, tag_first=False, operator="convert")
+    if out.error is not None:
+        raise out.error
+    if out.value is None:
+        raise ConversionError(case_id, stage, f"unparseable structured response after retries: {out.reason}")
+    return out.value
 
 
 def _str_or(obj: dict, key: str, default: str = "") -> str:
@@ -425,8 +424,11 @@ def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None
     """Run the full conversion chain and return a validated graph.
 
     When work_dir is given, intermediate stage YAML and the warning log are
-    persisted there for debugging.
+    persisted there for debugging; those of an earlier input go first.
     """
+    if work_dir is not None:
+        for name in ("stage1.entities.yaml", "stage2.episodes.yaml", "convert.log"):
+            (Path(work_dir) / name).unlink(missing_ok=True)
     draft = extract_entities(x, gw)
     _persist(work_dir, "stage1.entities.yaml", lambda: serialize_yaml(draft.graph))
 

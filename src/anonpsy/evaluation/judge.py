@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import yaml
 
-from ..gateway import LlmGateway
+from ..gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
 
-_JUDGE_ATTEMPTS = 3
 AT_RISK_THRESHOLD = 3
 
 
@@ -64,26 +63,20 @@ def judge_risk(
     """
     swapped = rng.random() < 0.5
     presented_a, presented_b = (candidate_b, candidate_a) if swapped else (candidate_a, candidate_b)
-    last = ""
-    for attempt in range(1, _JUDGE_ATTEMPTS + 1):
-        text = gw.call(
-            "judge_risk",
-            {
-                "original": original,
-                "version_a": presented_a,
-                "version_b": presented_b,
-                "attempt": str(attempt),
-            },
-            temperature=0.0,
-            model=model,
-        )
-        parsed = _parse_judgment(text)
-        if parsed is None:
-            last = "unparseable judgment"
-            continue
-        choice, score_a, score_b = parsed
-        if swapped:
-            choice = "B" if choice == "A" else "A"
-            score_a, score_b = score_b, score_a
-        return JudgeResult(choice=choice, score_a=score_a, score_b=score_b, swapped=swapped)
-    raise JudgeError(f"judge response unusable after {_JUDGE_ATTEMPTS} attempts: {last}")
+    out = validated_call(
+        gw,
+        "judge_risk",
+        {"original": original, "version_a": presented_a, "version_b": presented_b},
+        lambda text, reject: _parse_judgment(text) or reject("unparseable judgment"),
+        temperature=0.0,
+        model=model,
+    )
+    if out.error is not None:
+        raise out.error
+    if out.value is None:
+        raise JudgeError(f"judge response unusable after {VALIDATED_ATTEMPTS} attempts: {out.reason}")
+    choice, score_a, score_b = out.value
+    if swapped:
+        choice = "B" if choice == "A" else "A"
+        score_a, score_b = score_b, score_a
+    return JudgeResult(choice=choice, score_a=score_a, score_b=score_b, swapped=swapped)

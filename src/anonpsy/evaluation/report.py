@@ -122,37 +122,29 @@ class EvalReport:
         return buf.getvalue()
 
 
+def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, kind: type, what: str, model):
+    """Field `key` of the judge model's YAML reply; any other reply is a `GatewayError`."""
+    text = gw.call(template_id, variables, temperature=0.0, model=model)
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError:
+        doc = None
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):
+        raise GatewayError(template_id, f"response is not {what} mapping")
+    return doc[key]
+
+
 def _predict_diagnoses(gw: LlmGateway, narrative: str, case_id: str, variant: str, model: str | None) -> list[str]:
-    text = gw.call(
-        "predict_diagnoses",
-        {"case_id": case_id, "variant": variant, "narrative": narrative},
-        temperature=0.0,
-        model=model,
-    )
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("diagnoses"), list):
-        raise GatewayError("predict_diagnoses", "response is not a diagnoses mapping")
-    return [str(d) for d in doc["diagnoses"] if str(d).strip()]
+    variables = {"case_id": case_id, "variant": variant, "narrative": narrative}
+    diagnoses = _reply_field(gw, "predict_diagnoses", variables, "diagnoses", list, "a diagnoses", model)
+    return [str(d) for d in diagnoses if str(d).strip()]
 
 
 def _judge_acceptability(
     gw: LlmGateway, narrative: str, gold: list[str], case_id: str, variant: str, model: str | None
 ) -> bool:
-    text = gw.call(
-        "diagnosis_acceptability",
-        {
-            "case_id": case_id,
-            "variant": variant,
-            "narrative": narrative,
-            "diagnoses": "; ".join(gold),
-        },
-        temperature=0.0,
-        model=model,
-    )
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("acceptable"), bool):
-        raise GatewayError("diagnosis_acceptability", "response is not an acceptability mapping")
-    return doc["acceptable"]
+    variables = {"case_id": case_id, "variant": variant, "narrative": narrative, "diagnoses": "; ".join(gold)}
+    return _reply_field(gw, "diagnosis_acceptability", variables, "acceptable", bool, "an acceptability", model)
 
 
 def discover_cases(run_dir: str | Path) -> list[tuple[str, Path]]:

@@ -4,7 +4,9 @@ All operators go through one gateway that handles the per-operator
 temperature policy, transparent response caching, bounded retries with
 exponential backoff, and backend selection. The mock backend resolves
 requests against an on-disk fixture directory and fails loudly on misses,
-which keeps the whole pipeline byte-reproducible offline.
+which keeps the whole pipeline byte-reproducible offline. `validated_call`
+is the one loop that retries a model step until its validator accepts a
+reply.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import json
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 from . import prompts
 from .fileio import write_atomic
@@ -33,6 +36,9 @@ OPERATOR_TEMPERATURES = {
 
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
+# Model calls per validated step of the converter, the narrator and the
+# judge; perturbation steps take theirs from `PerturbConfig.max_retries`.
+VALIDATED_ATTEMPTS = 3
 
 
 def temperature_for(operator: str) -> float:
@@ -88,16 +94,18 @@ def variables_digest(variables: dict[str, str]) -> str:
 
 
 def cache_key(req: ChatRequest) -> str:
-    canon = json.dumps(
-        {
-            "model": req.model,
-            "temperature": repr(req.temperature),
-            "seed": req.seed,
-            "messages": [list(m) for m in req.messages],
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+    doc = {
+        "model": req.model,
+        "temperature": repr(req.temperature),
+        "seed": req.seed,
+        "messages": [list(m) for m in req.messages],
+    }
+    # No template renders {attempt}: without the tag a retry would be served
+    # the reply it is retrying. First attempts keep their untagged keys.
+    attempt = dict(req.variables).get("attempt", "1")
+    if attempt != "1":
+        doc["attempt"] = attempt
+    canon = json.dumps(doc, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -250,9 +258,9 @@ class LlmGateway:
             return ChatResponse(text=cached, backend="cache", latency_ms=0)
 
         last_transient: Exception | None = None
-        for attempt in range(self.retries):
-            if attempt:
-                self._sleep(self.backoff_seconds * (2 ** (attempt - 1)))
+        for retry in range(self.retries):
+            if retry:
+                self._sleep(self.backoff_seconds * (2 ** (retry - 1)))
             started = time.monotonic()
             try:
                 text = self.backend.complete(req)
@@ -288,3 +296,53 @@ class LlmGateway:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, text)
+
+
+@dataclass
+class Validated:
+    """What `validated_call` returns."""
+
+    value: Any = None  # the accepted value; None when no reply was accepted
+    attempts: int = 0  # model calls made
+    rejected: list[str] = field(default_factory=list)  # "attempt N: <reason>", in order
+    reason: str = ""  # the last reason, without its attempt tag
+    error: GatewayError | None = None  # the failure that ended the loop
+
+
+def validated_call(
+    gw,
+    template_id: str,
+    variables: dict[str, str],
+    check: Callable[[str, Callable[[str], None]], Any],
+    attempts: int = VALIDATED_ATTEMPTS,
+    tag_first: bool = True,
+    **options,
+) -> Validated:
+    """Call `gw.call` until `check` accepts a reply, at most `attempts` times.
+
+    Call N carries the variable `attempt` = "N" (not the first when
+    `tag_first` is false). `check(text, reject)` returns the accepted value or
+    None; `reject(reason)` records "attempt N: <reason>" and returns None. A
+    `GatewayError` is recorded as "gateway failure: ..." and ends the loop.
+    """
+    out = Validated()
+
+    def reject(reason: str) -> None:
+        out.reason = reason
+        out.rejected.append(f"attempt {out.attempts}: {reason}")
+
+    for attempt in range(1, attempts + 1):
+        out.attempts = attempt
+        tagged = dict(variables)
+        if tag_first or attempt > 1:
+            tagged["attempt"] = str(attempt)
+        try:
+            text = gw.call(template_id, tagged, **options)
+        except GatewayError as exc:
+            reject(f"gateway failure: {exc}")
+            out.error = exc
+            break
+        out.value = check(text, reject)
+        if out.value is not None:
+            break
+    return out

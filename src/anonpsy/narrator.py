@@ -17,7 +17,7 @@ from importlib import resources
 import yaml
 
 from .converter import CaseNarrative
-from .gateway import GatewayError, LlmGateway
+from .gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
 from .model import (
     SemanticGraph,
     SymptomNode,
@@ -25,7 +25,6 @@ from .model import (
 )
 from .textproc import spell_number, split_sentences
 
-_REALIZE_ATTEMPTS = 3
 _ADMISSION_SETTINGS = ("inpatient", "emergency", "hospital")
 _FAR_PAST = -(10**9)
 
@@ -444,32 +443,36 @@ def _lead_violation(text: str) -> str | None:
     return find_identifier_violation(text)
 
 
+def _lead_check(text: str, reject) -> str | None:
+    candidate = strip_meta_text(text)
+    violation = _lead_violation(candidate)
+    return candidate if violation is None else reject(violation)
+
+
 def narrate_lead(outline: NarrativeOutline, gw: LlmGateway) -> str:
     """Realize the lead paragraph; hard-fails the case after exhausted retries."""
     summary = outline.lead_summary
-    last = ""
-    for attempt in range(1, _REALIZE_ATTEMPTS + 1):
-        text = gw.call(
-            "lead_paragraph",
-            {
-                "age": str(summary.age),
-                "sex": summary.sex,
-                "setting": summary.setting,
-                "arrival_mode": summary.arrival_mode,
-                "reason": summary.reason,
-                "pathway": summary.pathway,
-                "source": summary.source,
-                "visit_episode": summary.visit_episode,
-                "attempt": str(attempt),
-            },
-            operator="generate",
-        )
-        candidate = strip_meta_text(text)
-        violation = _lead_violation(candidate)
-        if violation is None:
-            return candidate
-        last = violation
-    raise NarrationError(f"lead paragraph rejected after {_REALIZE_ATTEMPTS} attempts: {last}")
+    out = validated_call(
+        gw,
+        "lead_paragraph",
+        {
+            "age": str(summary.age),
+            "sex": summary.sex,
+            "setting": summary.setting,
+            "arrival_mode": summary.arrival_mode,
+            "reason": summary.reason,
+            "pathway": summary.pathway,
+            "source": summary.source,
+            "visit_episode": summary.visit_episode,
+        },
+        _lead_check,
+        operator="generate",
+    )
+    if out.error is not None:
+        raise out.error
+    if out.value is None:
+        raise NarrationError(f"lead paragraph rejected after {VALIDATED_ATTEMPTS} attempts: {out.reason}")
+    return out.value
 
 
 def _capitalize(phrase: str) -> str:
@@ -590,31 +593,24 @@ def narrate_history(outline: NarrativeOutline, gw: LlmGateway) -> str:
 def _symptom_sentence(node: SymptomNode, phrase: str, gw: LlmGateway) -> str:
     if not node.contexts:
         return f"{_capitalize(phrase)}, the patient experienced {node.symptom}."
-    for attempt in range(1, _REALIZE_ATTEMPTS + 1):
-        try:
-            # Episode sentences run slightly warmer than the rest of the
-            # generation operator to avoid rote phrasing.
-            text = gw.call(
-                "steb_sentence",
-                {
-                    "node_id": node.id,
-                    "symptom": node.symptom,
-                    "time_phrase": phrase,
-                    "frame": _frame_lines(node),
-                    "attempt": str(attempt),
-                },
-                operator="generate",
-                temperature=0.2,
-            )
-        except GatewayError:
-            break
+
+    def one_clean_sentence(text: str, reject) -> str | None:
         candidate = strip_meta_text(text)
-        if len(split_sentences(candidate)) != 1:
-            continue
-        if find_identifier_violation(candidate):
-            continue
-        return candidate
-    return _fallback_symptom_sentence(node, phrase)
+        if len(split_sentences(candidate)) == 1 and not find_identifier_violation(candidate):
+            return candidate
+        return None
+
+    # Episode sentences run slightly warmer than the rest of the generation
+    # operator to avoid rote phrasing. A gateway failure falls back too.
+    out = validated_call(
+        gw,
+        "steb_sentence",
+        {"node_id": node.id, "symptom": node.symptom, "time_phrase": phrase, "frame": _frame_lines(node)},
+        one_clean_sentence,
+        operator="generate",
+        temperature=0.2,
+    )
+    return out.value if out.value is not None else _fallback_symptom_sentence(node, phrase)
 
 
 def _cluster_sentences(cluster, phrase, g, ledger, claimed) -> list[str]:
@@ -680,31 +676,22 @@ def append_tail(draft: str, outline: NarrativeOutline, gw: LlmGateway) -> str:
     if not conditions and not family and not tests:
         return draft
 
-    for attempt in range(1, _REALIZE_ATTEMPTS + 1):
-        try:
-            text = gw.call(
-                "tail_append",
-                {
-                    "draft": draft,
-                    "past_history": "; ".join(conditions),
-                    "family_history": family,
-                    "tests": tests,
-                    "attempt": str(attempt),
-                },
-                operator="generate",
-            )
-        except GatewayError:
-            break
-        if not text.startswith(draft):
-            continue
-        appended = text[len(draft):].strip()
-        if not appended:
-            continue
-        if not 1 <= len(split_sentences(appended)) <= 4:
-            continue
-        if find_identifier_violation(appended):
-            continue
-        return text.rstrip()
+    def clean_tail(text: str, reject) -> str | None:
+        appended = text[len(draft):].strip() if text.startswith(draft) else ""
+        if appended and 1 <= len(split_sentences(appended)) <= 4 and not find_identifier_violation(appended):
+            return text.rstrip()
+        return None
+
+    # A gateway failure falls back to the deterministic tail too.
+    out = validated_call(
+        gw,
+        "tail_append",
+        {"draft": draft, "past_history": "; ".join(conditions), "family_history": family, "tests": tests},
+        clean_tail,
+        operator="generate",
+    )
+    if out.value is not None:
+        return out.value
     tail = _fallback_tail(outline)
     return f"{draft}\n\n{tail}" if tail else draft
 

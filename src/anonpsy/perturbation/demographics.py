@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import yaml
 
-from ..gateway import GatewayError, LlmGateway
+from ..gateway import LlmGateway, validated_call
 from ..model import SemanticGraph
 from .config import FeasibilityRule, PerturbConfig
 
@@ -164,56 +164,47 @@ def perturb_identity_fields(
     the originals with a flag.
     """
     demo = g.attributes.demographics
-    rejections: list[str] = []
-    for attempt in range(1, cfg.max_retries + 1):
-        try:
-            text = gw.call(
-                "identity_fields",
-                {
-                    "age": str(demo.age),
-                    "sex": demo.sex,
-                    "ethnicity": demo.ethnicity,
-                    "occupation": demo.occupation,
-                    "attempt": str(attempt),
-                },
-                operator="perturb",
-            )
-        except GatewayError as exc:
-            rejections.append(f"attempt {attempt}: gateway failure: {exc}")
-            break
+
+    def proposal(text: str, reject) -> tuple[str, str] | None:
         try:
             doc = yaml.safe_load(text)
         except yaml.YAMLError:
-            rejections.append(f"attempt {attempt}: unparseable response")
-            continue
+            return reject("unparseable response")
         if not isinstance(doc, dict):
-            rejections.append(f"attempt {attempt}: expected mapping")
-            continue
+            return reject("expected mapping")
         ethnicity = doc.get("ethnicity")
         occupation = doc.get("occupation")
         if not isinstance(ethnicity, str) or not isinstance(occupation, str):
-            rejections.append(f"attempt {attempt}: missing ethnicity/occupation")
-            continue
+            return reject("missing ethnicity/occupation")
         if demo.ethnicity and ethnicity.strip().lower() == demo.ethnicity.strip().lower():
-            rejections.append(f"attempt {attempt}: ethnicity unchanged")
-            continue
+            return reject("ethnicity unchanged")
         if demo.occupation and occupation.strip().lower() == demo.occupation.strip().lower():
-            rejections.append(f"attempt {attempt}: occupation unchanged")
-            continue
+            return reject("occupation unchanged")
         if demo.age < 16 and occupation.strip().lower() not in minor_occupations:
-            rejections.append(f"attempt {attempt}: occupation {occupation!r} not minor-permissible")
-            continue
-        return ethnicity.strip(), occupation.strip(), {
+            return reject(f"occupation {occupation!r} not minor-permissible")
+        return ethnicity.strip(), occupation.strip()
+
+    out = validated_call(
+        gw,
+        "identity_fields",
+        {"age": str(demo.age), "sex": demo.sex, "ethnicity": demo.ethnicity, "occupation": demo.occupation},
+        proposal,
+        attempts=cfg.max_retries,
+        operator="perturb",
+    )
+    if out.value is None:
+        return demo.ethnicity, demo.occupation, {
             "step": "identity_fields",
-            "ethnicity": {"original": demo.ethnicity, "new": ethnicity.strip()},
-            "occupation": {"original": demo.occupation, "new": occupation.strip()},
-            "attempts": attempt,
-            "rejected": rejections,
+            "ethnicity": {"original": demo.ethnicity, "new": demo.ethnicity},
+            "occupation": {"original": demo.occupation, "new": demo.occupation},
+            "rejected": out.rejected,
+            "fallback": "originals kept",
         }
-    return demo.ethnicity, demo.occupation, {
+    ethnicity, occupation = out.value
+    return ethnicity, occupation, {
         "step": "identity_fields",
-        "ethnicity": {"original": demo.ethnicity, "new": demo.ethnicity},
-        "occupation": {"original": demo.occupation, "new": demo.occupation},
-        "rejected": rejections,
-        "fallback": "originals kept",
+        "ethnicity": {"original": demo.ethnicity, "new": ethnicity},
+        "occupation": {"original": demo.occupation, "new": occupation},
+        "attempts": out.attempts,
+        "rejected": out.rejected,
     }

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import yaml
 
-from ..gateway import GatewayError, LlmGateway
+from ..gateway import LlmGateway, validated_call
 from ..model import CaseAttributes, SemanticGraph, StebContext, SymptomNode, VisitEvent
 from ..textproc import trigram_jaccard
 from .config import PerturbConfig
@@ -74,55 +74,43 @@ def rewrite_visit_episode(
     """
     visit = g.visit_event
     scaffold = derive_scaffold(visit)
-    rejections: list[str] = []
-    for attempt in range(1, cfg.max_retries + 1):
-        try:
-            text = gw.call(
-                "visit_rewrite",
-                {
-                    **scaffold,
-                    "reason_for_visit": visit.reason_for_visit,
-                    "visit_episode": visit.visit_episode,
-                    "pathway": visit.pathway or "",
-                    "attempt": str(attempt),
-                },
-                operator="perturb",
-            )
-        except GatewayError as exc:
-            rejections.append(f"attempt {attempt}: gateway failure: {exc}")
-            break
+
+    def rewrite(text: str, reject) -> VisitEvent | None:
         try:
             doc = yaml.safe_load(text)
         except yaml.YAMLError:
-            rejections.append(f"attempt {attempt}: unparseable response")
-            continue
+            return reject("unparseable response")
         if not isinstance(doc, dict) or not isinstance(doc.get("visit_episode"), str):
-            rejections.append(f"attempt {attempt}: missing visit_episode")
-            continue
+            return reject("missing visit_episode")
         episode = doc["visit_episode"].strip()
         pathway = doc.get("pathway")
         pathway = pathway.strip() if isinstance(pathway, str) and pathway.strip() else visit.pathway
         conflict = _contradiction(scaffold, lexicon, episode)
         if conflict:
-            rejections.append(f"attempt {attempt}: {conflict}")
-            continue
+            return reject(conflict)
         gate = similarity_gate(visit.visit_episode, episode, cfg.similarity_threshold, similarity_fn)
         if not gate.accepted:
-            rejections.append(f"attempt {attempt}: similarity {gate.score:.3f} above threshold")
-            continue
-        new_visit = replace(visit, visit_episode=episode, pathway=pathway)
-        return new_visit, {
-            "step": "visit_episode",
-            "attempts": attempt,
-            "rejected": rejections,
-            "scaffold": scaffold,
-        }
-    return visit, {
-        "step": "visit_episode",
-        "rejected": rejections,
-        "scaffold": scaffold,
-        "fallback": "original kept",
-    }
+            return reject(f"similarity {gate.score:.3f} above threshold")
+        return replace(visit, visit_episode=episode, pathway=pathway)
+
+    out = validated_call(
+        gw,
+        "visit_rewrite",
+        {
+            **scaffold,
+            "reason_for_visit": visit.reason_for_visit,
+            "visit_episode": visit.visit_episode,
+            "pathway": visit.pathway or "",
+        },
+        rewrite,
+        attempts=cfg.max_retries,
+        operator="perturb",
+    )
+    if out.value is None:
+        entry = {"step": "visit_episode", "rejected": out.rejected, "scaffold": scaffold, "fallback": "original kept"}
+        return visit, entry
+    entry = {"step": "visit_episode", "attempts": out.attempts, "rejected": out.rejected, "scaffold": scaffold}
+    return out.value, entry
 
 
 def _frame_text(ctx: StebContext) -> str:
@@ -169,84 +157,64 @@ def rewrite_steb_contexts(
         for frame_index, ctx in enumerate(node.contexts):
             fields = ctx.present_fields()
             original_text = _frame_text(ctx)
-            rejections: list[str] = []
-            accepted: StebContext | None = None
-            for attempt in range(1, cfg.max_retries + 1):
-                try:
-                    text = gw.call(
-                        "steb_rewrite",
-                        {
-                            "node_id": node.id,
-                            "frame_index": str(frame_index),
-                            "symptom": node.symptom,
-                            "fields": ", ".join(fields),
-                            "frame": original_text,
-                            "visit_episode": visit_episode,
-                            "recent_contexts": "\n---\n".join(recent[-cfg.steb_window_size:]),
-                            "age_at_event": str(_age_at_event(age, start)),
-                            "attempt": str(attempt),
-                        },
-                        operator="perturb",
-                    )
-                except GatewayError as exc:
-                    rejections.append(f"attempt {attempt}: gateway failure: {exc}")
-                    break
-                candidate = _parse_frame(text, fields, rejections, attempt)
+
+            def rewrite(text: str, reject) -> StebContext | None:
+                candidate = _parse_frame(text, fields, reject)
                 if candidate is None:
-                    continue
+                    return None
                 gate = similarity_gate(
                     original_text, _frame_text(candidate), cfg.similarity_threshold, similarity_fn
                 )
                 if not gate.accepted:
-                    rejections.append(f"attempt {attempt}: similarity {gate.score:.3f} above threshold")
-                    continue
-                accepted = candidate
-                break
-            if accepted is None:
-                audits.append(
-                    {
-                        "step": "steb",
-                        "node_id": node.id,
-                        "frame": frame_index,
-                        "rejected": rejections,
-                        "fallback": "original frame kept",
-                    }
-                )
+                    return reject(f"similarity {gate.score:.3f} above threshold")
+                return candidate
+
+            out = validated_call(
+                gw,
+                "steb_rewrite",
+                {
+                    "node_id": node.id,
+                    "frame_index": str(frame_index),
+                    "symptom": node.symptom,
+                    "fields": ", ".join(fields),
+                    "frame": original_text,
+                    "visit_episode": visit_episode,
+                    "recent_contexts": "\n---\n".join(recent[-cfg.steb_window_size:]),
+                    "age_at_event": str(_age_at_event(age, start)),
+                },
+                rewrite,
+                attempts=cfg.max_retries,
+                operator="perturb",
+            )
+            audit = {"step": "steb", "node_id": node.id, "frame": frame_index, "rejected": out.rejected}
+            if out.value is None:
+                audit["fallback"] = "original frame kept"
             else:
-                new_contexts[frame_index] = accepted
-                recent.append(_frame_text(accepted))
-                audits.append(
-                    {
-                        "step": "steb",
-                        "node_id": node.id,
-                        "frame": frame_index,
-                        "rejected": rejections,
-                    }
-                )
+                new_contexts[frame_index] = out.value
+                recent.append(_frame_text(out.value))
+            audits.append(audit)
         new_symptoms[index] = replace(node, contexts=new_contexts)
 
     return replace(g, symptoms=new_symptoms), audits
 
 
-def _parse_frame(text: str, fields: tuple[str, ...], rejections: list[str], attempt: int) -> StebContext | None:
+def _parse_frame(text: str, fields: tuple[str, ...], reject) -> StebContext | None:
+    """The rewritten frame, or None; extra keys are dropped with a note."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError:
-        rejections.append(f"attempt {attempt}: unparseable response")
-        return None
+        return reject("unparseable response")
     if not isinstance(doc, dict):
-        rejections.append(f"attempt {attempt}: expected mapping")
-        return None
+        return reject("expected mapping")
     values: dict[str, str] = {}
     for name in fields:
         value = doc.get(name)
         if not isinstance(value, str) or not value.strip():
-            rejections.append(f"attempt {attempt}: field {name!r} missing from rewrite")
-            return None
+            return reject(f"field {name!r} missing from rewrite")
         values[name] = value.strip()
     extras = [k for k in doc if k not in fields]
     if extras:
-        rejections.append(f"attempt {attempt}: extra fields dropped: {sorted(extras)}")
+        reject(f"extra fields dropped: {sorted(extras)}")
     return StebContext(**values)
 
 
@@ -298,32 +266,27 @@ def align_mse(
 
     source_domains = _domains_present(source, domains)
     changes = "\n".join(f"{k}: {v['from']!r} -> {v['to']!r}" for k, v in sorted(diff.items()))
-    rejections: list[str] = []
-    for attempt in range(1, cfg.max_retries + 1):
-        try:
-            text = gw.call(
-                "mse_align",
-                {
-                    "mental_status": source,
-                    "changes": changes,
-                    "thoughts": "\n".join(thoughts),
-                    "attempt": str(attempt),
-                },
-                operator="perturb",
-            )
-        except GatewayError as exc:
-            rejections.append(f"attempt {attempt}: gateway failure: {exc}")
-            break
+
+    def edit(text: str, reject) -> str | None:
         candidate = text.strip()
         if not candidate:
-            rejections.append(f"attempt {attempt}: empty rewrite")
-            continue
+            return reject("empty rewrite")
         missing = source_domains - _domains_present(candidate, domains)
         if missing:
-            rejections.append(f"attempt {attempt}: dropped domains {sorted(missing)}")
-            continue
-        return candidate, {"step": "mse", "attempts": attempt, "rejected": rejections}
-    return source, {"step": "mse", "rejected": rejections, "fallback": "original kept"}
+            return reject(f"dropped domains {sorted(missing)}")
+        return candidate
+
+    out = validated_call(
+        gw,
+        "mse_align",
+        {"mental_status": source, "changes": changes, "thoughts": "\n".join(thoughts)},
+        edit,
+        attempts=cfg.max_retries,
+        operator="perturb",
+    )
+    if out.value is None:
+        return source, {"step": "mse", "rejected": out.rejected, "fallback": "original kept"}
+    return out.value, {"step": "mse", "attempts": out.attempts, "rejected": out.rejected}
 
 
 def _domains_present(text: str, domains: dict[str, list[str]]) -> set[str]:

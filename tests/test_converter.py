@@ -10,6 +10,7 @@ from anonpsy.converter import (
     extract_entities,
     extract_episodes,
 )
+from anonpsy.gateway import MockFixtureMissing
 from anonpsy.model import validate_graph
 from anonpsy.yamlio import serialize_yaml
 
@@ -257,6 +258,27 @@ class TestConvert:
         with pytest.raises(ConversionError, match="stage validate"):
             convert(case, mock_gateway, work_dir=tmp_path)
         assert "initial current_symptom" in (tmp_path / "convert.log").read_text()
+
+    @pytest.mark.parametrize("failing", ["extract_entities", "extract_episodes"])
+    def test_early_failure_leaves_no_previous_intermediates(self, corpus_dir, mock_gateway, tmp_path, failing):
+        names = ("stage1.entities.yaml", "stage2.episodes.yaml", "convert.log")
+        for name in names:
+            (tmp_path / name).write_text("from the previous input\n")
+
+        def handler(template_id, variables):
+            if template_id == failing:
+                return MockFixtureMissing(template_id, "no mock fixture")
+            return mock_gateway.call(template_id, variables, operator="convert")
+
+        case = _load_cases(corpus_dir)[0]
+        with pytest.raises(MockFixtureMissing):
+            convert(case, FakeGateway(handler), work_dir=tmp_path)
+        left = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        if failing == "extract_entities":
+            assert left == {}
+        else:
+            assert list(left) == ["stage1.entities.yaml"]
+            assert left["stage1.entities.yaml"] == serialize_yaml(extract_entities(case, mock_gateway).graph)
 
     def test_etiology_and_causal_edges_in_case_002(self, corpus_dir, mock_gateway):
         cases = {c.case_id: c for c in _load_cases(corpus_dir)}

@@ -7,6 +7,7 @@ import yaml
 from anonpsy.evaluation.judge import JudgeError, judge_risk
 from anonpsy.evaluation.report import EvalInputError, run_eval
 from anonpsy.evaluation.embedding import HashedTfEmbedder
+from anonpsy.gateway import GatewayError
 from anonpsy.runner import run_baseline, run_pipeline
 from tests.gen_fixtures import make_config
 
@@ -128,3 +129,23 @@ class TestRunEval:
             run_eval(run_dir, gw, HashedTfEmbedder(), seed=config.seed)
         assert str(err.value) == "missing run artifacts: case_001/deid.txt, case_003/deid.txt"
         assert gw.calls == []
+
+    @pytest.mark.parametrize(
+        "template_id,message",
+        [
+            ("predict_diagnoses", "response is not a diagnoses mapping"),
+            ("diagnosis_acceptability", "response is not an acceptability mapping"),
+        ],
+    )
+    def test_malformed_reply_is_gateway_error_naming_template(self, full_run, mock_gateway, template_id, message):
+        out_dir, config = full_run
+
+        def handler(t, v):
+            if t == template_id:
+                return "diagnoses: [unclosed"
+            return mock_gateway.call(t, v, temperature=0.0)
+
+        with pytest.raises(GatewayError) as err:
+            run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        assert err.value.template_id == template_id
+        assert str(err.value) == f"[{template_id}] {message}"

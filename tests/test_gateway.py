@@ -113,6 +113,17 @@ class _FlakyBackend:
         return self.text
 
 
+class _CountingBackend:
+    name = "live"
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, req):
+        self.calls += 1
+        return f"reply {self.calls}"
+
+
 class TestRetryAndCache:
     def test_transient_failures_retried_with_backoff(self):
         sleeps = []
@@ -186,6 +197,25 @@ class TestRetryAndCache:
         assert callers == ["first", "second"]
         assert outcomes == {"first": "shared\n", "second": "shared\n"}
         assert [p.name for p in cache_dir.iterdir()] == [f"{cache_key(_request())}.txt"]
+
+    def test_retry_attempts_are_not_served_from_cache(self, tmp_path):
+        # No template renders {attempt}, so a cache keyed on the messages
+        # alone hands a retry the reply it has just rejected.
+        backend = _CountingBackend()
+        gw = LlmGateway(backend, model="m", cache_dir=tmp_path / "cache")
+        attempts = [_request(variables=(("attempt", str(n)), ("case_id", "case_001"))) for n in (1, 2, 3)]
+        assert [gw.complete(r).text for r in attempts] == ["reply 1", "reply 2", "reply 3"]
+        replayed = [gw.complete(r) for r in attempts]
+        assert [(r.backend, r.text) for r in replayed] == [("cache", f"reply {n}") for n in (1, 2, 3)]
+        assert backend.calls == 3
+
+    def test_first_attempt_cache_key_is_unchanged(self):
+        untagged = _request()
+        first = _request(variables=(("attempt", "1"), ("case_id", "case_001")))
+        second = _request(variables=(("attempt", "2"), ("case_id", "case_001")))
+        pinned = "c3813c39f08ff2653a8fabc6c86aaa1b35bfcf3fc14f236f9f1a4f1c3916358c"
+        assert cache_key(untagged) == cache_key(first) == pinned
+        assert cache_key(second) != pinned
 
     def test_distinct_temperatures_never_collide(self):
         a = cache_key(_request(temperature=0.1))
