@@ -15,6 +15,7 @@ from pathlib import Path
 
 import yaml
 
+from .fileio import write_atomic
 from .gateway import LlmGateway, validated_call
 from .model import (
     EPISODE_UNITS,
@@ -475,4 +476,4 @@ def _persist(work_dir: str | Path | None, name: str, producer) -> None:
         return
     path = Path(work_dir)
     path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(producer(), encoding="utf-8")
+    write_atomic(path / name, producer())

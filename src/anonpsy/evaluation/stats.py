@@ -2,17 +2,17 @@
 
 Wilcoxon signed-rank p-values are exact (enumeration over sign assignments,
 mid-rank ties) up to n = 25 and normal-approximated with tie and continuity
-corrections beyond. McNemar and binomial tests are exact throughout. Only
-distribution tail functions come from scipy; all combinatorics are computed
-here so they can be cross-validated against independent enumeration oracles.
+corrections beyond. McNemar and binomial tests are exact throughout. The
+chi-square tail behind Cochran's Q and Friedman is the closed form for an
+integer df (`_chi2_sf`), built on `math` alone. Everything is computed here so
+it can be cross-validated against independent enumeration oracles and
+reference implementations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.stats import chi2 as _chi2
 
 EXACT_WILCOXON_LIMIT = 25
 
@@ -32,6 +32,30 @@ class TestOutcome:
 
 def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X ~ chi-square with an integer df, in closed form.
+
+    Even df: exp(-x/2) * sum_{i < df/2} (x/2)^i / i!.
+    Odd df: erfc(sqrt(x/2)) + exp(-x/2) * sum_{i < (df-1)/2} (x/2)^(i+1/2) / Gamma(i+3/2).
+    """
+    if not isinstance(df, int) or df < 1:
+        raise ValueError(f"df must be an int >= 1, got {df!r}")
+    if x <= 0:
+        return 1.0
+    h = x / 2.0
+    if df % 2:
+        tail, term, offset = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi), 1.5
+    else:
+        tail, term, offset = 0.0, 1.0, 1.0
+    total = 0.0
+    for i in range(df // 2):
+        total += term
+        term *= h / (i + offset)
+    # exp(-h) applied in two halves stays a normal float for tails down to ~1e-300.
+    half = math.exp(-h / 2.0)
+    return tail + total * half * half
 
 
 def midranks(values: list[float]) -> list[float]:
@@ -205,7 +229,7 @@ def cochran_q(table: list[list[bool]]) -> TestOutcome:
     if denominator == 0:
         return TestOutcome(0.0, 1.0, "chi2", degenerate=True)
     q = numerator / denominator
-    p = float(_chi2.sf(q, k - 1))
+    p = _chi2_sf(q, k - 1)
     return TestOutcome(q, p, "chi2")
 
 
@@ -229,7 +253,7 @@ def friedman(table: list[list[float]]) -> TestOutcome:
         return TestOutcome(0.0, 1.0, "chi2", degenerate=True)
     ssbn = sum(s * s for s in rank_sums)
     statistic = ((12.0 / (n * k * (k + 1))) * ssbn - 3.0 * n * (k + 1)) / correction
-    p = float(_chi2.sf(statistic, k - 1))
+    p = _chi2_sf(statistic, k - 1)
     return TestOutcome(statistic, p, "chi2")
 
 

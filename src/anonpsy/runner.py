@@ -143,16 +143,16 @@ def run_convert(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) 
         narrative = narratives[case_id]
         case_dir = out_dir / case_id
         case_dir.mkdir(parents=True, exist_ok=True)
-        (case_dir / "original.txt").write_text(narrative.text, encoding="utf-8")
-        (case_dir / "meta.yaml").write_text(
+        write_atomic(case_dir / "original.txt", narrative.text)
+        write_atomic(
+            case_dir / "meta.yaml",
             yaml.safe_dump(
                 {"case_id": case_id, "diagnoses": narrative.ground_truth_diagnoses},
                 sort_keys=False,
             ),
-            encoding="utf-8",
         )
         graph = convert(narrative, gateway, work_dir=case_dir)
-        (case_dir / "graph.yaml").write_text(serialize_yaml(graph), encoding="utf-8")
+        write_atomic(case_dir / "graph.yaml", serialize_yaml(graph))
 
     result = _map_cases(sorted(narratives), config.jobs, one)
     result.stage = "convert"
@@ -185,8 +185,8 @@ def run_perturb(out_dir: str | Path, config: RunConfig) -> StageResult:
         perturbed, audit = perturb(
             graph, gateway, config.perturb, case_id=case_id, rules=rules, pools=pools
         )
-        (case_dir / "graph.perturbed.yaml").write_text(serialize_yaml(perturbed), encoding="utf-8")
-        (case_dir / "perturb.audit.yaml").write_text(audit.to_yaml(), encoding="utf-8")
+        write_atomic(case_dir / "graph.perturbed.yaml", serialize_yaml(perturbed))
+        write_atomic(case_dir / "perturb.audit.yaml", audit.to_yaml())
 
     result = _map_cases(case_ids, config.jobs, one)
     result.stage = "perturb"
@@ -204,9 +204,9 @@ def run_generate(out_dir: str | Path, config: RunConfig) -> StageResult:
         case_dir = out_dir / case_id
         graph = parse_yaml((case_dir / "graph.perturbed.yaml").read_text(encoding="utf-8"))
         outline = plan_outline(graph)
-        (case_dir / "outline.yaml").write_text(outline.to_yaml(), encoding="utf-8")
+        write_atomic(case_dir / "outline.yaml", outline.to_yaml())
         narrative = generate(graph, gateway, case_id=case_id)
-        (case_dir / "deid.txt").write_text(narrative.text, encoding="utf-8")
+        write_atomic(case_dir / "deid.txt", narrative.text)
 
     result = _map_cases(case_ids, config.jobs, one)
     result.stage = "generate"
@@ -247,24 +247,24 @@ def run_baseline(name: str, corpus_dir: str | Path, out_dir: str | Path, config:
         case_dir = out_dir / case_id
         case_dir.mkdir(parents=True, exist_ok=True)
         if not (case_dir / "original.txt").is_file():
-            (case_dir / "original.txt").write_text(narrative.text, encoding="utf-8")
+            write_atomic(case_dir / "original.txt", narrative.text)
         if not (case_dir / "meta.yaml").is_file():
-            (case_dir / "meta.yaml").write_text(
+            write_atomic(
+                case_dir / "meta.yaml",
                 yaml.safe_dump(
                     {"case_id": case_id, "diagnoses": narrative.ground_truth_diagnoses},
                     sort_keys=False,
                 ),
-                encoding="utf-8",
             )
         if name == "phi":
             masked = phi_mask(narrative.text, ner_backend=None)
-            (case_dir / "baseline.phi.txt").write_text(masked, encoding="utf-8")
+            write_atomic(case_dir / "baseline.phi.txt", masked)
         elif name == "sdc":
             rewritten = sdc_rewrite(narrative.text, gateway, temperature=config.sdc_temperature)
-            (case_dir / "baseline.sdc.txt").write_text(rewritten, encoding="utf-8")
+            write_atomic(case_dir / "baseline.sdc.txt", rewritten)
         else:
             rewritten = llm_only(narrative.text, gateway)
-            (case_dir / "baseline.llm_only.txt").write_text(rewritten, encoding="utf-8")
+            write_atomic(case_dir / "baseline.llm_only.txt", rewritten)
 
     result = _map_cases(sorted(narratives), config.jobs, one)
     result.stage = f"baseline.{name}"
@@ -287,8 +287,8 @@ def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
         )
     except EvalInputError as exc:
         raise UsageError(str(exc)) from exc
-    (out_dir / "report.yaml").write_text(report.to_yaml(), encoding="utf-8")
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    write_atomic(out_dir / "report.yaml", report.to_yaml())
+    write_atomic(out_dir / "report.csv", report.to_csv())
     result = StageResult(stage="eval", succeeded=[c.case_id for c in report.cases])
     _update_manifest(out_dir, config, "eval", result)
     return result

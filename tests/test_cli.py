@@ -1,9 +1,11 @@
+import ast
 import shutil
 from pathlib import Path
 
 import pytest
 import yaml
 
+import anonpsy
 from anonpsy.cli import main
 from anonpsy.config import ConfigError, load_config
 from anonpsy.runner import UsageError, run_evaluation, run_pipeline
@@ -195,3 +197,17 @@ class TestWorkerPool:
         parallel_tree = _tree(out_parallel)
         # The manifest records per-stage status identically; artifacts match.
         assert serial_tree == parallel_tree
+
+
+def test_files_are_written_only_through_write_atomic():
+    src_dir = Path(anonpsy.__file__).parent
+    offenders = [
+        f"{path.relative_to(src_dir)}:{node.lineno}"
+        for path in sorted(src_dir.rglob("*.py"))
+        if path != src_dir / "fileio.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("write_text", "write_bytes")
+    ]
+    assert offenders == []

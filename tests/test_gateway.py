@@ -305,9 +305,10 @@ class TestHttpBackend:
         assert len(http_stub.requests) == 1
 
 
-def test_cli_and_runner_do_not_import_requests():
+@pytest.mark.parametrize("module", ["requests", "scipy", "numpy"])
+def test_cli_and_runner_do_not_import(module):
     src_dir = Path(anonpsy.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
-    code = "import sys, anonpsy.cli, anonpsy.runner; print('requests' in sys.modules)"
+    code = f"import sys, anonpsy.cli, anonpsy.runner; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

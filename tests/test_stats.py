@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from anonpsy.evaluation.stats import (
+    _chi2_sf,
     binomial_test,
     cochran_q,
     friedman,
@@ -128,6 +130,39 @@ class TestMcNemar:
         assert mcnemar(2, 7) == mcnemar(7, 2)
 
 
+class TestChi2Sf:
+    # 0 and below, the tiny and the moderate, the 5 % critical value for df 1,
+    # tails near 1e-300 and past the underflow to 0.
+    GRID = [-5.0, -1e-9, 0.0, 1e-12, 1e-6, 0.01, 0.5, 1.0, 2.0, 3.841458820694124, 7.5,
+            15.0, 30.0, 60.0, 120.0, 250.0, 500.0, 1000.0, 1300.0, 1380.0, 1420.0, 1450.0,
+            2000.0, 1e5]
+
+    # df 20 and 40 put exp(-x/2) below the smallest normal float where the tail is
+    # still above 1e-300.
+    @pytest.mark.parametrize("df", [*range(1, 12), 20, 40])
+    def test_matches_scipy(self, df):
+        rng = random.Random(100 + df)
+        draws = [rng.expovariate(1 / rng.choice([1, 10, 100, 1000])) for _ in range(300)]
+        for x in self.GRID + draws:
+            ours, ref = _chi2_sf(x, df), float(sps.chi2.sf(x, df))
+            if ref > 1e-300:
+                assert abs(ours - ref) <= 1e-12 * ref, (x, ours, ref)
+            assert round(ours, 6) == round(ref, 6), (x, ours, ref)
+        assert _chi2_sf(2000.0, df) == 0.0 == sps.chi2.sf(2000.0, df)
+
+    @pytest.mark.parametrize("x", [1e-12, 0.3, 1.0, 7.0, 40.0, 600.0])
+    def test_df_2_is_exponential(self, x):
+        assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+
+    def test_df_1_critical_value(self):
+        assert _chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("df", [0, -1, 1.5, 2.0])
+    def test_df_must_be_positive_int(self, df):
+        with pytest.raises(ValueError, match="df must be an int >= 1"):
+            _chi2_sf(1.0, df)
+
+
 class TestCochranQ:
     def test_identical_columns_give_zero(self):
         table = [[True, True], [False, False], [True, True]]
@@ -146,6 +181,19 @@ class TestCochranQ:
                 continue
             assert result.statistic == pytest.approx(ref.statistic, abs=1e-9)
             assert result.p_value == pytest.approx(ref.pvalue, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_p_value_matches_scipy_chi2(self, k):
+        rng = random.Random(60 + k)
+        checked = 0
+        for _ in range(30):
+            table = [[rng.random() < 0.6 for _ in range(k)] for _ in range(rng.randint(4, 20))]
+            result = cochran_q(table)
+            if result.degenerate:
+                continue
+            assert result.p_value == pytest.approx(sps.chi2.sf(result.statistic, k - 1), rel=1e-12)
+            checked += 1
+        assert checked >= 20
 
     def test_rejects_ragged_table(self):
         with pytest.raises(ValueError):
