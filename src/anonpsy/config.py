@@ -15,6 +15,7 @@ from pathlib import Path
 import yaml
 
 from .perturbation.config import PerturbConfig
+from .yamlio import safe_load
 
 
 class ConfigError(ValueError):
@@ -80,7 +81,7 @@ def load_config(
     doc: dict = {}
     if path is not None:
         try:
-            doc = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+            doc = safe_load(Path(path).read_text(encoding="utf-8")) or {}
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except yaml.YAMLError as exc:

@@ -48,7 +48,7 @@ from .temporal import (
     to_days,
 )
 from .textproc import contains_normalized
-from .yamlio import serialize_yaml
+from .yamlio import safe_dump, safe_load, serialize_yaml
 
 class ConversionError(RuntimeError):
     """A case could not be converted; carries the staged error trail."""
@@ -81,7 +81,7 @@ class ConverterDraft:
 
 def _mapping(text: str, reject) -> dict | None:
     try:
-        doc = yaml.safe_load(text)
+        doc = safe_load(text)
     except yaml.YAMLError as exc:
         return reject(f"invalid YAML: {exc}")
     if isinstance(doc, dict):
@@ -468,7 +468,7 @@ def _episodes_yaml(draft: ConverterDraft) -> str:
         ]
         for node_id, eps in sorted(draft.episodes.items())
     }
-    return yaml.safe_dump(doc, sort_keys=True)
+    return safe_dump(doc, sort_keys=True)
 
 
 def _persist(work_dir: str | Path | None, name: str, producer) -> None:

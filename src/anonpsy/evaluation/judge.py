@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import yaml
 
 from ..gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
+from ..yamlio import safe_load
 
 AT_RISK_THRESHOLD = 3
 
@@ -32,7 +33,7 @@ class JudgeResult:
 
 def _parse_judgment(text: str) -> tuple[str, int, int] | None:
     try:
-        doc = yaml.safe_load(text)
+        doc = safe_load(text)
     except yaml.YAMLError:
         return None
     if not isinstance(doc, dict):

@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from ..gateway import GatewayError, LlmGateway
-from ..yamlio import load_yaml
+from ..yamlio import load_yaml, safe_dump, safe_load
 from .canon import canonical_label_set, soft_f1
 from .embedding import embedded_similarity
 from .judge import JudgeError, judge_risk
@@ -100,7 +100,7 @@ class EvalReport:
                 for c in self.cases
             ],
         }
-        return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
+        return safe_dump(doc, sort_keys=False, allow_unicode=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -126,7 +126,7 @@ def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, ki
     """Field `key` of the judge model's YAML reply; any other reply is a `GatewayError`."""
     text = gw.call(template_id, variables, temperature=0.0, model=model)
     try:
-        doc = yaml.safe_load(text)
+        doc = safe_load(text)
     except yaml.YAMLError:
         doc = None
     if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):

@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-import yaml
-
 from .converter import CaseNarrative
 from .gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
 from .model import (
@@ -24,6 +22,7 @@ from .model import (
     TreatmentNode,
 )
 from .textproc import spell_number, split_sentences
+from .yamlio import safe_dump
 
 _ADMISSION_SETTINGS = ("inpatient", "emergency", "hospital")
 _FAR_PAST = -(10**9)
@@ -183,7 +182,7 @@ class NarrativeOutline:
                 "day0_tests": dict(self.tail.day0_tests),
             },
         }
-        return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
+        return safe_dump(doc, sort_keys=False, allow_unicode=True)
 
 
 def plan_outline(g: SemanticGraph) -> NarrativeOutline:

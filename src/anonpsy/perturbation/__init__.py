@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 from ..model import SemanticGraph, validate_graph
 from ..relations import ConsistencyReport, check_consistency
+from ..yamlio import safe_dump
 from .config import (
     FeasibilityRule,
     PerturbConfig,
@@ -79,7 +78,7 @@ class PerturbAudit:
         self.entries.append(entry)
 
     def to_yaml(self) -> str:
-        return yaml.safe_dump(
+        return safe_dump(
             {"case_id": self.case_id, "seed": self.seed, "entries": self.entries},
             sort_keys=False,
             allow_unicode=True,

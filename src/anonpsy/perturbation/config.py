@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
-from ..yamlio import load_yaml
+from ..yamlio import load_yaml, safe_load
 
 CONSTRAINT_KINDS = ("min_present_age", "max_onset_age", "required_sex")
 
@@ -109,9 +107,9 @@ def _data_text(name: str) -> str:
 
 
 def _load_table(path: str | Path | None, name: str):
-    """A user's table file through the pure loader, else the packaged data/<name>."""
+    """A user's table file through `safe_load`, else the packaged data/<name>."""
     if path:
-        return yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        return safe_load(Path(path).read_text(encoding="utf-8")) or {}
     return load_yaml(_data_text(name)) or {}
 
 

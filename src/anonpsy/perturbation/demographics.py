@@ -9,6 +9,7 @@ import yaml
 
 from ..gateway import LlmGateway, validated_call
 from ..model import SemanticGraph
+from ..yamlio import safe_load
 from .config import FeasibilityRule, PerturbConfig
 
 _MAX_AGE_DRAWS = 20
@@ -167,7 +168,7 @@ def perturb_identity_fields(
 
     def proposal(text: str, reject) -> tuple[str, str] | None:
         try:
-            doc = yaml.safe_load(text)
+            doc = safe_load(text)
         except yaml.YAMLError:
             return reject("unparseable response")
         if not isinstance(doc, dict):

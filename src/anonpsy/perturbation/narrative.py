@@ -16,6 +16,7 @@ import yaml
 from ..gateway import LlmGateway, validated_call
 from ..model import CaseAttributes, SemanticGraph, StebContext, SymptomNode, VisitEvent
 from ..textproc import trigram_jaccard
+from ..yamlio import safe_load
 from .config import PerturbConfig
 
 
@@ -77,7 +78,7 @@ def rewrite_visit_episode(
 
     def rewrite(text: str, reject) -> VisitEvent | None:
         try:
-            doc = yaml.safe_load(text)
+            doc = safe_load(text)
         except yaml.YAMLError:
             return reject("unparseable response")
         if not isinstance(doc, dict) or not isinstance(doc.get("visit_episode"), str):
@@ -201,7 +202,7 @@ def rewrite_steb_contexts(
 def _parse_frame(text: str, fields: tuple[str, ...], reject) -> StebContext | None:
     """The rewritten frame, or None; extra keys are dropped with a note."""
     try:
-        doc = yaml.safe_load(text)
+        doc = safe_load(text)
     except yaml.YAMLError:
         return reject("unparseable response")
     if not isinstance(doc, dict):

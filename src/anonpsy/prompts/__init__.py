@@ -8,6 +8,7 @@ literally, so braces inside substituted values are never re-interpreted.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from importlib import resources
@@ -19,6 +20,9 @@ class TemplateError(KeyError):
     pass
 
 
+# The templates ship with the package and do not change while it runs, so each
+# file is read and hashed once per process.
+@functools.cache
 def _asset_text(template_id: str) -> str:
     try:
         return resources.files(__name__).joinpath(f"{template_id}.txt").read_text(encoding="utf-8")
@@ -26,18 +30,20 @@ def _asset_text(template_id: str) -> str:
         raise TemplateError(f"no prompt template named {template_id!r}") from exc
 
 
+@functools.cache
 def asset_hash(template_id: str) -> str:
     """SHA-256 of the raw template file, for run manifests and drift guards."""
     raw = resources.files(__name__).joinpath(f"{template_id}.txt").read_bytes()
     return hashlib.sha256(raw).hexdigest()
 
 
-def list_templates() -> list[str]:
+@functools.cache
+def list_templates() -> tuple[str, ...]:
     names = []
     for entry in resources.files(__name__).iterdir():
         if entry.name.endswith(".txt"):
             names.append(entry.name[: -len(".txt")])
-    return sorted(names)
+    return tuple(sorted(names))
 
 
 def _split_sections(text: str) -> list[tuple[str, str]]:

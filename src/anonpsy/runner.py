@@ -12,8 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from . import prompts
 from .baselines import llm_only, phi_mask, sdc_rewrite
 from .config import ConfigError, RunConfig
@@ -25,7 +23,7 @@ from .gateway import HttpBackend, LlmGateway, MockBackend
 from .narrator import generate, plan_outline
 from .perturbation import perturb
 from .perturbation.config import load_feasibility_rules, load_test_value_pools
-from .yamlio import load_yaml, parse_yaml, serialize_yaml
+from .yamlio import load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
 BASELINE_NAMES = ("phi", "sdc", "llm_only")
 
@@ -81,7 +79,7 @@ def load_corpus(corpus_dir: str | Path) -> list[CaseNarrative]:
     manifest_path = corpus_dir / "manifest.yaml"
     if not manifest_path.is_file():
         raise UsageError(f"corpus manifest not found: {manifest_path}")
-    doc = yaml.safe_load(manifest_path.read_text(encoding="utf-8")) or {}
+    doc = safe_load(manifest_path.read_text(encoding="utf-8")) or {}
     entries = doc.get("cases")
     if not isinstance(entries, list) or not entries:
         raise UsageError(f"corpus manifest {manifest_path} has no cases")
@@ -146,7 +144,7 @@ def run_convert(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) 
         write_atomic(case_dir / "original.txt", narrative.text)
         write_atomic(
             case_dir / "meta.yaml",
-            yaml.safe_dump(
+            safe_dump(
                 {"case_id": case_id, "diagnoses": narrative.ground_truth_diagnoses},
                 sort_keys=False,
             ),
@@ -251,7 +249,7 @@ def run_baseline(name: str, corpus_dir: str | Path, out_dir: str | Path, config:
         if not (case_dir / "meta.yaml").is_file():
             write_atomic(
                 case_dir / "meta.yaml",
-                yaml.safe_dump(
+                safe_dump(
                     {"case_id": case_id, "diagnoses": narrative.ground_truth_diagnoses},
                     sort_keys=False,
                 ),
@@ -313,4 +311,4 @@ def _update_manifest(out_dir: Path, config: RunConfig, stage: str, result: Stage
         "failed": {k: result.failed[k] for k in sorted(result.failed)},
     }
     doc["stages"] = {k: stages[k] for k in sorted(stages)}
-    write_atomic(path, yaml.safe_dump(doc, sort_keys=True))
+    write_atomic(path, safe_dump(doc, sort_keys=True))

@@ -6,6 +6,10 @@ produce byte-identical documents: dataclass field order, 2-space indent, LF
 line endings, one scalar per line, flow style only for string lists. The
 parser is strict: unknown keys, missing keys, type mismatches, and invariant
 violations raise with the offending path.
+
+Every other YAML read and write of the program also goes through this module:
+`load_yaml` for YAML the program wrote or ships, `safe_load` for model replies
+and user files, and `safe_dump` for the program's own documents.
 """
 
 from __future__ import annotations
@@ -48,17 +52,114 @@ _NUMBER_LIKE = re.compile(r"[-+]?\d+(\.\d+)?")
 _YAML_UNSAFE = re.compile("[\x7f-\x9f  ￾￿]")
 
 
-# libyaml parses, but its emitter and its scanner on hand-written text differ
-# from pure PyYAML (astral escapes, line folding, trailing tabs). So it reads
-# only YAML this program wrote or ships; dumps and model replies stay pure.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml (PyYAML's C binding, when installed) is several times faster than
+# pure PyYAML, but its emitter and scanner differ on some input: astral and
+# control-character escapes, line folding, empty and long keys, tags, block
+# scalar headers, trailing tabs. `load_yaml` reads only YAML this program wrote
+# or ships. `safe_load` and `safe_dump` take libyaml only where a predicate
+# says the result is the same; the differential tests in
+# tests/test_yaml_loaders.py prove each predicate.
+_CLoader = getattr(yaml, "CSafeLoader", None)
+_CDumper = getattr(yaml, "CSafeDumper", None)
 _STR_TAG = "tag:yaml.org,2002:str"
 _RESOLVER = yaml.resolver.Resolver()
 
 
 def load_yaml(text: str):
     """Load YAML the program itself wrote or packages, through libyaml if present."""
-    return yaml.load(text, Loader=_Loader)
+    return yaml.load(text, Loader=_CLoader or yaml.SafeLoader)
+
+
+class _PureLoader(yaml.SafeLoader):
+    """`SafeLoader` whose bad dates and numbers raise `ConstructorError`.
+
+    Pure PyYAML raises a bare `ValueError` for `2021-02-30` or `0b_`, which
+    gets past every `except yaml.YAMLError` that decides a retry.
+    """
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+
+
+# Any character but LF and printable ASCII, and the indicators of a tag `!`,
+# a directive `%`, a block scalar `|` `>`, a complex key `?` and the reserved
+# `@` and backtick: one character class, which searches fastest.
+_SLOW_TEXT = re.compile(r"[^\n \x22-\x24\x26-\x3d\x41-\x5f\x61-\x7b\x7d\x7e]")
+_DEEP_LINE = re.compile(r"^[ -]{64}", re.MULTILINE)
+
+
+def _reads_alike(text: str) -> bool:
+    """True when libyaml either rejects `text` or reads it as pure PyYAML does.
+
+    Each level of nesting needs a `[` or `{`, or a space or dash at the start
+    of its line, so the last two tests keep it under 200 levels. Pure PyYAML
+    raises RecursionError near 490; libyaml's composer goes on and crashes
+    the process near 25,000.
+    """
+    return not _SLOW_TEXT.search(text) and text.count("[") + text.count("{") <= 64 and not _DEEP_LINE.search(text)
+
+
+def safe_load(text: str):
+    """`yaml.safe_load(text)`, through libyaml where that gives the same value.
+
+    Any text libyaml rejects is parsed again by pure PyYAML, so every error
+    and its message come from pure PyYAML. A bad date or number raises
+    `yaml.constructor.ConstructorError`, where `yaml.safe_load` raises a bare
+    `ValueError`.
+    """
+    if _CLoader is not None and _reads_alike(text):
+        try:
+            return yaml.load(text, Loader=_CLoader)
+        except (yaml.YAMLError, ValueError):
+            pass  # pure PyYAML decides, and words the error
+    return yaml.load(text, Loader=_PureLoader)
+
+
+def _emits_alike(doc) -> bool:
+    """True when libyaml's emitter writes `doc` byte for byte as pure PyYAML.
+
+    Every string is printable ASCII (so no line break), every key a string of
+    1 to 64 characters, and no list or dict appears twice, which also ends the
+    walk on a cyclic document. PyYAML writes an empty key as `? ''` and a key
+    of 123 to 128 characters as `? key`, where libyaml writes `'':` and
+    `key:`; the two emitters fold double-quoted strings differently.
+    """
+    stack = [doc]
+    seen = set()
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is str:
+            if not (value.isascii() and value.isprintable()):
+                return False
+        elif kind is dict or kind is list:
+            if id(value) in seen:
+                return False
+            seen.add(id(value))
+            if kind is list:
+                stack.extend(value)
+                continue
+            for key in value:
+                if not (type(key) is str and 0 < len(key) <= 64 and key.isascii() and key.isprintable()):
+                    return False
+            stack.extend(value.values())
+        elif not (value is None or kind is int or kind is float or kind is bool):
+            return False
+    return True
+
+
+def safe_dump(doc, *, sort_keys: bool = True, allow_unicode: bool = False) -> str:
+    """`yaml.safe_dump(doc, ...)`, through libyaml where that gives the same bytes.
+
+    libyaml writes only a mapping at the top level (PyYAML ends a top-level
+    scalar with `...`) that `_emits_alike`; anything else goes to pure PyYAML.
+    """
+    fast = _CDumper is not None and type(doc) is dict and _emits_alike(doc)
+    dumper = _CDumper if fast else yaml.SafeDumper
+    return yaml.dump(doc, Dumper=dumper, sort_keys=sort_keys, allow_unicode=allow_unicode)
 
 
 def _plain_is_str(value: str) -> bool:

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from anonpsy.config import RunConfig
 from anonpsy.gateway import LlmGateway, MockBackend
@@ -15,6 +16,13 @@ DATA_DIR = Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
 FIXTURES_DIR = DATA_DIR / "fixtures"
 GOLDEN_DIR = DATA_DIR / "golden"
+
+# `pytest --hypothesis-profile=fuzz` runs each property that sets no example
+# count of its own 10^5 times, such as the YAML differential properties in
+# test_yaml_loaders.py.
+settings.register_profile(
+    "fuzz", max_examples=100_000, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]
+)
 
 
 @pytest.fixture(scope="session")

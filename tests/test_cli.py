@@ -211,3 +211,19 @@ def test_files_are_written_only_through_write_atomic():
         and node.func.attr in ("write_text", "write_bytes")
     ]
     assert offenders == []
+
+
+def test_yaml_is_read_and_written_only_through_yamlio():
+    src_dir = Path(anonpsy.__file__).parent
+    offenders = [
+        f"{path.relative_to(src_dir)}:{node.lineno}"
+        for path in sorted(src_dir.rglob("*.py"))
+        if path != src_dir / "yamlio.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "yaml"
+        and node.func.attr in ("safe_load", "safe_dump", "load", "dump")
+    ]
+    assert offenders == []

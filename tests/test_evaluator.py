@@ -149,3 +149,16 @@ class TestRunEval:
             run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
         assert err.value.template_id == template_id
         assert str(err.value) == f"[{template_id}] {message}"
+
+    def test_reply_with_invalid_date_is_gateway_error_naming_template(self, full_run, mock_gateway):
+        # Pure PyYAML raises a bare ValueError on this reply, which aborted the eval run.
+        out_dir, config = full_run
+
+        def handler(t, v):
+            if t == "predict_diagnoses":
+                return "diagnoses: [2021-02-30]"
+            return mock_gateway.call(t, v, temperature=0.0)
+
+        with pytest.raises(GatewayError) as err:
+            run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        assert str(err.value) == "[predict_diagnoses] response is not a diagnoses mapping"

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -64,6 +66,21 @@ class TestPromptAssets:
     def test_system_section_split(self):
         messages = prompts.render("llm_only_rewrite", {"case_text": "X"})
         assert [role for role, _ in messages] == ["system", "user"]
+
+    def test_cached_assets_equal_the_package_files(self, monkeypatch):
+        files = {p.stem: p for p in sorted(Path(prompts.__file__).parent.glob("*.txt"))}
+        assert prompts.list_templates() == tuple(files)
+        cached = {}
+        for name, path in files.items():
+            assert prompts.asset_hash(name) == hashlib.sha256(path.read_bytes()).hexdigest()
+            variables = {v: f"<{v} {name}>" for v in re.findall(r"\{([a-z][a-z0-9_]*)\}", path.read_text("utf-8"))}
+            hits = prompts._asset_text.cache_info().hits
+            cached[name] = prompts.render(name, variables), variables
+            assert prompts.render(name, variables) == cached[name][0]
+            assert prompts._asset_text.cache_info().hits > hits
+        monkeypatch.setattr(prompts, "_asset_text", lambda name: files[name].read_text(encoding="utf-8"))
+        for name, (messages, variables) in cached.items():
+            assert prompts.render(name, variables) == messages
 
 
 def _request(**overrides) -> ChatRequest:

@@ -212,6 +212,15 @@ class TestIdentityFields:
         assert occupation == "clerk"
         assert entry["fallback"] == "originals kept"
 
+    def test_reply_with_invalid_date_is_unparseable_then_falls_back(self):
+        # Pure PyYAML raises a bare ValueError on this reply, which failed the case.
+        g = minimal_graph()
+        gw = FakeGateway(lambda t, v: "ethnicity: 2021-02-30\noccupation: florist\n")
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(max_retries=2), MINORS)
+        assert (ethnicity, occupation) == ("", "clerk")
+        assert entry["rejected"] == ["attempt 1: unparseable response", "attempt 2: unparseable response"]
+        assert entry["fallback"] == "originals kept"
+
 
 class TestSimilarityGate:
     def test_identical_candidate_rejected(self):

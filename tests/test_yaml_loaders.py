@@ -1,9 +1,11 @@
-"""Where libyaml may read and where pure PyYAML must.
+"""Where libyaml may read and write, and the proof that it changes nothing.
 
-`yamlio.load_yaml` (libyaml when present) reads only YAML the program wrote
-or ships; model replies stay on `yaml.safe_load`, whose rejections drive the
-retry loops. The emitter's plain-scalar guard asks the resolver instead of
-parsing each scalar; the old parse is kept here as the reference.
+`yamlio.load_yaml` (libyaml when present) reads YAML the program wrote or
+ships. `yamlio.safe_load` and `yamlio.safe_dump` take libyaml only where a
+predicate holds; the differential properties below check them against pure
+PyYAML (`pytest --hypothesis-profile=fuzz` runs 10^5 examples each). The
+emitter's plain-scalar guard asks the resolver instead of parsing each scalar;
+the old parse is kept here as the reference.
 """
 
 from __future__ import annotations
@@ -15,10 +17,19 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonpsy import runner
+from anonpsy import runner, yamlio
 from anonpsy.config import RunConfig
 from anonpsy.converter import CaseNarrative, ConversionError, extract_entities
-from anonpsy.yamlio import _PLAIN_FLOW, _PLAIN_SCALAR, _plain_is_str, load_yaml, parse_yaml, serialize_yaml
+from anonpsy.yamlio import (
+    _PLAIN_FLOW,
+    _PLAIN_SCALAR,
+    _plain_is_str,
+    load_yaml,
+    parse_yaml,
+    safe_dump,
+    safe_load,
+    serialize_yaml,
+)
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
 from .helpers import FakeGateway, minimal_graph
@@ -75,14 +86,22 @@ def test_packaged_tables_load_equal(name, text):
     assert load_yaml(text) == yaml.safe_load(text)
 
 
-@pytest.fixture(scope="module")
-def mock_run(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("run")
+def _run(out_dir):
     config = RunConfig(seed=42, jobs=1, backend="mock", fixtures_dir=str(FIXTURES_DIR))
     assert runner.run_pipeline(CORPUS_DIR, out_dir, config).ok
     for name in runner.BASELINE_NAMES:
         assert runner.run_baseline(name, CORPUS_DIR, out_dir, config).ok
     assert runner.run_evaluation(out_dir, config).ok
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def mock_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("run")
+    _run(out_dir)
     return out_dir
 
 
@@ -105,3 +124,195 @@ def test_model_reply_with_trailing_tab_is_still_retried():
     with pytest.raises(ConversionError, match="invalid YAML"):
         extract_entities(narrative, gw)
     assert [v.get("attempt") for _, v in gw.calls] == [None, "2", "3"]
+
+
+def test_reply_with_invalid_date_is_retried():
+    # Pure PyYAML raises a bare ValueError here, which no retry loop caught.
+    gw = FakeGateway(lambda t, v: "entities:\n  - onset: 2021-02-30\n")
+    narrative = CaseNarrative(case_id="date", text="Low mood for weeks.")
+    with pytest.raises(ConversionError, match="invalid YAML: day is out of range for month"):
+        extract_entities(narrative, gw)
+    assert [v.get("attempt") for _, v in gw.calls] == [None, "2", "3"]
+
+
+@pytest.mark.parametrize("text", ["onset: 2021-02-30", "n: 0b_", "- 0000-01-01", "{a: 0x_}"])
+def test_invalid_dates_and_numbers_raise_constructor_error(text):
+    with pytest.raises(ValueError) as pure:
+        yaml.safe_load(text)
+    with pytest.raises(yaml.constructor.ConstructorError) as ours:
+        safe_load(text)
+    assert str(ours.value).startswith(str(pure.value) + "\n  in ")
+    assert ours.value.__cause__.args == pure.value.args
+
+
+def test_deep_nesting_is_left_to_pure_pyyaml():
+    # libyaml composes this; pure PyYAML gives up, and far deeper text would
+    # crash libyaml's recursive composer.
+    text = "[" * 600 + "]" * 600
+    if yaml.__with_libyaml__:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) is not None
+    assert not yamlio._reads_alike(text)
+    with pytest.raises(RecursionError):
+        safe_load(text)
+    block = "".join(" " * i + f"k{i}:\n" for i in range(70)) + " " * 70 + "v\n"
+    assert not yamlio._reads_alike(block)
+    assert safe_load(block) == yaml.safe_load(block)
+
+
+def test_fast_text_alphabet_is_printable_ascii_and_lf_without_indicators():
+    allowed = {chr(i) for i in range(0x110000) if not yamlio._SLOW_TEXT.search(chr(i))}
+    assert allowed == {"\n"} | {chr(i) for i in range(0x20, 0x7F)} - set("!%|>?@`")
+
+
+# --- differential properties: yamlio against pure PyYAML ---------------------
+
+
+def _outcome(load, text):
+    """The value `load` reads as its repr, or its error as (type, message).
+
+    `yamlio.safe_load` wraps pure PyYAML's bare ValueError; both sides report
+    it as the ValueError.
+    """
+    try:
+        return "value", repr(load(text))
+    except yaml.YAMLError as exc:
+        if isinstance(exc.__cause__, ValueError):
+            return "ValueError", str(exc.__cause__)
+        return type(exc).__name__, str(exc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+_REPLIES = sorted(p.read_text(encoding="utf-8") for p in FIXTURES_DIR.rglob("*.txt"))
+
+# Pieces with a meaning in YAML, and each difference between the two parsers
+# that the fuzz found: `!`, `|#`, `{a:}`, a trailing tab.
+_TOKENS = (
+    "a", "key", "x y", "1", "-1", "1.5", "1e5", ".inf", "0x1F", "0b_", "0o17", "012", "1_000", "1:20",
+    "2021-02-30", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "true", "No", "null", "~", "",
+    "-", "- ", ": ", ":", " ", "  ", "\n", "\n  ", "\n- ", "[", "]", "{", "}", ",", ", ", "'", '"',
+    "#", " #", "&x ", "*x", "\\", "\\n", "\\x41", "\\u263a", "\\ud800", "---", "...", "<<: ", "{a:}",
+    "/", "*", "&", ".", "=", "\t", "!", "|", "|#", ">", "?", "%", "@", "`", "\r", "\x85", "é", "\u2028",
+    "\ufeff", "\x00", "x" * 90,
+)
+
+
+@st.composite
+def _mutated_replies(draw):
+    """A real model reply with a few tokens inserted, deleted or replaced."""
+    text = draw(st.sampled_from(_REPLIES))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(_TOKENS)) + text[at + cut :]
+    return text
+
+
+_REPLY_TEXTS = st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join) | _mutated_replies() | st.text(max_size=40)
+
+
+@given(_REPLY_TEXTS)
+@example("a: !\n")
+@example("a: |#x\n  b\n")
+@example("{a:}")
+@example("entities: []\t")
+def test_safe_load_matches_pure_pyyaml(text):
+    assert _outcome(safe_load, text) == _outcome(yaml.safe_load, text)
+
+
+_ASCII = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=120)
+_WORDS = st.sampled_from(("", "null", "Yes", "0x1F", "2001-12-14", "- a", "a: b", "x #y", "'q'", "x " * 50))
+_NAMES = st.sampled_from(("case_id", "seed", "entries", "rejected", "fallback", "blocks", "tail", "stages", "variant_means"))
+_ASCII_KEYS = _NAMES | st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=64)
+_ANY_KEYS = _ASCII_KEYS | st.text(max_size=8) | st.sampled_from(("", "k" * 65, "k" * 130))
+_NUMBERS = st.none() | st.booleans() | st.integers() | st.floats()
+
+
+def _nodes(keys, strings):
+    return st.recursive(
+        _NUMBERS | strings,
+        lambda kids: st.lists(kids, max_size=5) | st.dictionaries(keys, kids, max_size=6),
+        max_leaves=24,
+    )
+
+
+# Documents shaped like the audit, outline, report and manifest (ASCII, the
+# libyaml path), and any others.
+_DOCS = (
+    st.dictionaries(_ASCII_KEYS, _nodes(_ASCII_KEYS, _ASCII | _WORDS), min_size=1, max_size=8)
+    | st.dictionaries(_ANY_KEYS, _nodes(_ANY_KEYS, _ASCII | _WORDS | st.text()), max_size=8)
+    | _nodes(_ANY_KEYS, _ASCII | st.text())
+)
+
+
+_CYCLE: dict = {"a": 1}
+_CYCLE["self"] = _CYCLE
+
+
+# Each example differs between the two emitters, or would stall the walk,
+# without one rule of `yamlio._emits_alike`.
+@given(_DOCS, st.booleans(), st.booleans())
+@example("text", True, False)
+@example({"": 1}, True, False)
+@example({"k" * 125: 1}, True, False)
+@example({"a": "ab " * 26 + "\nc"}, False, True)
+@example({"a": "a\x01" * 17}, True, False)
+@example(_CYCLE, True, False)
+def test_safe_dump_matches_pure_pyyaml(doc, sort_keys, allow_unicode):
+    expected = yaml.safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode)
+    assert safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode) == expected
+
+
+@pytest.mark.parametrize("reply", _REPLIES)
+def test_every_fixture_reply_reads_alike_through_libyaml(reply):
+    assert yamlio._reads_alike(reply)
+    assert _outcome(safe_load, reply) == _outcome(yaml.safe_load, reply)
+
+
+_DUMPED_GOLDENS = sorted(
+    p.name for p in GOLDEN_DIR.iterdir() if p.name.endswith(("outline.yaml", "perturb.audit.yaml", "report.yaml"))
+)
+
+
+@pytest.mark.parametrize("name", _DUMPED_GOLDENS)
+def test_every_dumped_golden_is_emitted_by_libyaml_unchanged(name):
+    text = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    doc = yaml.safe_load(text)
+    assert yamlio._emits_alike(doc)
+    assert safe_dump(doc, sort_keys=False, allow_unicode=True) == text
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.yaml")))
+def test_every_golden_document_reads_alike(name):
+    text = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert _outcome(safe_load, text) == _outcome(yaml.safe_load, text)
+
+
+# --- without libyaml -----------------------------------------------------------
+
+
+@pytest.fixture()
+def no_libyaml(monkeypatch):
+    monkeypatch.setattr(yamlio, "_CLoader", None)
+    monkeypatch.setattr(yamlio, "_CDumper", None)
+
+
+def test_run_without_libyaml_is_byte_identical(no_libyaml, mock_run, tmp_path):
+    out_dir = tmp_path / "run"
+    _run(out_dir)
+    assert _tree(out_dir) == _tree(mock_run)
+    for path in GOLDEN_DIR.iterdir():
+        case_id, _, artifact = path.name.partition(".")
+        produced = out_dir / path.name if path.name == "report.yaml" else out_dir / case_id / artifact
+        assert produced.read_bytes() == path.read_bytes(), path.name
+
+
+_BAD_REPLIES = ["entities: []\t", "a: !\n", "{a:}", "a: |#x\n  b\n", "onset: 2021-02-30", "diagnoses: [unclosed", "- a\nb: c"]
+
+
+def test_reply_parse_without_libyaml_is_unchanged(monkeypatch):
+    texts = _REPLIES + _BAD_REPLIES
+    expected = [_outcome(safe_load, text) for text in texts]
+    monkeypatch.setattr(yamlio, "_CLoader", None)
+    assert [_outcome(safe_load, text) for text in texts] == expected
+    assert {kind for kind, _ in expected} == {"value", "ScannerError", "ParserError", "ValueError"}
