@@ -425,27 +425,40 @@ def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None
     """Run the full conversion chain and return a validated graph.
 
     When work_dir is given, intermediate stage YAML and the warning log are
-    persisted there for debugging; those of an earlier input go first.
+    persisted there for debugging. Those the chain fails before writing are
+    removed, so none of an earlier input is left; those it rewrites unchanged
+    are not touched.
     """
-    if work_dir is not None:
-        for name in ("stage1.entities.yaml", "stage2.episodes.yaml", "convert.log"):
-            (Path(work_dir) / name).unlink(missing_ok=True)
-    draft = extract_entities(x, gw)
-    _persist(work_dir, "stage1.entities.yaml", lambda: serialize_yaml(draft.graph))
+    pending = ["stage1.entities.yaml", "stage2.episodes.yaml", "convert.log"]
 
-    draft = extract_episodes(x, draft, gw)
-    _persist(work_dir, "stage2.episodes.yaml", lambda: _episodes_yaml(draft))
+    def persist(name: str, producer) -> None:
+        if work_dir is not None:
+            Path(work_dir).mkdir(parents=True, exist_ok=True)
+            write_atomic(Path(work_dir) / name, producer())
+        pending.remove(name)
 
     try:
-        g, warnings = canonicalize_temporal(draft)
-    except Exception as exc:
-        raise ConversionError(x.case_id, "canonicalize_temporal", str(exc)) from exc
+        draft = extract_entities(x, gw)
+        persist("stage1.entities.yaml", lambda: serialize_yaml(draft.graph))
 
-    g = build_presents_with(g)
-    g = link_etiology(g, warnings)
-    g = add_causal_edges_llm(g, x.text, gw, case_id=x.case_id, warnings=warnings)
+        draft = extract_episodes(x, draft, gw)
+        persist("stage2.episodes.yaml", lambda: _episodes_yaml(draft))
 
-    _persist(work_dir, "convert.log", lambda: "".join(f"{w}\n" for w in warnings))
+        try:
+            g, warnings = canonicalize_temporal(draft)
+        except Exception as exc:
+            raise ConversionError(x.case_id, "canonicalize_temporal", str(exc)) from exc
+
+        g = build_presents_with(g)
+        g = link_etiology(g, warnings)
+        g = add_causal_edges_llm(g, x.text, gw, case_id=x.case_id, warnings=warnings)
+        persist("convert.log", lambda: "".join(f"{w}\n" for w in warnings))
+    except BaseException:
+        if work_dir is not None:
+            for name in pending:
+                (Path(work_dir) / name).unlink(missing_ok=True)
+        raise
+
     violations = validate_graph(g)
     if violations:
         raise ConversionError(
@@ -469,11 +482,3 @@ def _episodes_yaml(draft: ConverterDraft) -> str:
         for node_id, eps in sorted(draft.episodes.items())
     }
     return safe_dump(doc, sort_keys=True)
-
-
-def _persist(work_dir: str | Path | None, name: str, producer) -> None:
-    if work_dir is None:
-        return
-    path = Path(work_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    write_atomic(path / name, producer())

@@ -4,6 +4,13 @@ The fallback embedder is a deterministic hashed unigram+bigram term-frequency
 vector with L2 normalization, so the test suite and offline runs never need a
 network. An HTTP backend covers deployments with a real embedding endpoint;
 the embedding model identifier is a config string, not a code dependency.
+
+`HashedTfEmbedder` hashes each distinct term once per instance: a memo on the
+instance maps a term to its bucket. `runner.build_embedder` makes one
+instance per eval command, so the memo lives for one eval and nothing
+outlives it. The memo is cleared when it holds `MEMO_CAP` terms, about 2 MB,
+so memory does not grow with the corpus. Counts stay integer-valued floats,
+so every vector is bit-identical to hashing each term occurrence anew.
 """
 
 from __future__ import annotations
@@ -12,11 +19,14 @@ import hashlib
 import http.client
 import json
 import math
+from collections import Counter
 
 from ..gateway import post_json
 from ..textproc import tokenize
 
 FALLBACK_DIMENSIONS = 4096
+# Terms a HashedTfEmbedder remembers before it clears its memo.
+MEMO_CAP = 2**14
 
 
 def _bucket(term: str, dimensions: int) -> int:
@@ -31,16 +41,22 @@ class HashedTfEmbedder:
 
     def __init__(self, dimensions: int = FALLBACK_DIMENSIONS):
         self.dimensions = dimensions
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> dict[int, float]:
         """Sparse vector: the nonzero buckets only, in ascending bucket order."""
         tokens = tokenize(text)
-        terms = list(tokens)
-        terms.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+        terms = Counter(tokens)
+        terms.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+        memo = self._buckets
         counts: dict[int, float] = {}
-        for term in terms:
-            bucket = _bucket(term, self.dimensions)
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        for term, n in terms.items():
+            bucket = memo.get(term)
+            if bucket is None:
+                if len(memo) >= MEMO_CAP:
+                    memo.clear()
+                bucket = memo[term] = _bucket(term, self.dimensions)
+            counts[bucket] = counts.get(bucket, 0.0) + n
         buckets = sorted(counts)
         norm = math.sqrt(sum(counts[k] * counts[k] for k in buckets))
         return {k: counts[k] / norm for k in buckets}

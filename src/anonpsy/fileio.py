@@ -1,4 +1,8 @@
-"""Atomic file replacement for files that other readers or writers share."""
+"""Atomic file replacement for files that other readers or writers share.
+
+A file that already holds the exact bytes is left as it is: a rerun that
+produces the same artifact costs a read, not a write and a rename.
+"""
 
 from __future__ import annotations
 
@@ -12,12 +16,20 @@ def write_atomic(path: Path, text: str) -> None:
 
     Readers see the old file or the new one, never a partial write, and two
     writers of the same path, in one process or several, never share a
-    temporary file.
+    temporary file. When path already holds text's UTF-8 bytes, nothing is
+    written.
     """
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as current:
+            if current.read(len(data) + 1) == data:
+                return
+    except OSError:
+        pass  # missing or unreadable: write it as below
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as out:
-            out.write(text)
+        with open(tmp, "xb") as out:
+            out.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -122,12 +122,13 @@ class MockBackend:
 
     def complete(self, req: ChatRequest) -> str:
         path = self.fixture_path(req.template_id, dict(req.variables))
-        if not path.is_file():
+        try:
+            return path.read_text(encoding="utf-8")
+        except FileNotFoundError:
             raise MockFixtureMissing(
                 req.template_id,
                 f"no mock fixture at {path} (digest {path.stem})",
-            )
-        return path.read_text(encoding="utf-8")
+            ) from None
 
 
 def post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
@@ -286,9 +287,12 @@ class LlmGateway:
 
     def _cache_read(self, req: ChatRequest) -> str | None:
         path = self._cache_path(req)
-        if path is None or not path.is_file():
+        if path is None:
             return None
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
 
     def _cache_write(self, req: ChatRequest, text: str) -> None:
         path = self._cache_path(req)

@@ -70,6 +70,10 @@ def load_yaml(text: str):
     return yaml.load(text, Loader=_CLoader or yaml.SafeLoader)
 
 
+class NestingTooDeepError(yaml.YAMLError):
+    """A document nested deeper than pure PyYAML's recursive composer can follow."""
+
+
 class _PureLoader(yaml.SafeLoader):
     """`SafeLoader` whose bad dates and numbers raise `ConstructorError`.
 
@@ -96,8 +100,8 @@ def _reads_alike(text: str) -> bool:
 
     Each level of nesting needs a `[` or `{`, or a space or dash at the start
     of its line, so the last two tests keep it under 200 levels. Pure PyYAML
-    raises RecursionError near 490; libyaml's composer goes on and crashes
-    the process near 25,000.
+    raises RecursionError near 490 (`safe_load` makes it a YAML error);
+    libyaml's composer goes on and crashes the process near 25,000.
     """
     return not _SLOW_TEXT.search(text) and text.count("[") + text.count("{") <= 64 and not _DEEP_LINE.search(text)
 
@@ -106,16 +110,20 @@ def safe_load(text: str):
     """`yaml.safe_load(text)`, through libyaml where that gives the same value.
 
     Any text libyaml rejects is parsed again by pure PyYAML, so every error
-    and its message come from pure PyYAML. A bad date or number raises
-    `yaml.constructor.ConstructorError`, where `yaml.safe_load` raises a bare
-    `ValueError`.
+    and its message come from pure PyYAML. Every parse error is a `YAMLError`:
+    a bad date or number raises `yaml.constructor.ConstructorError`, where
+    `yaml.safe_load` raises a bare `ValueError`, and a document nested too
+    deeply raises `NestingTooDeepError`, where it raises `RecursionError`.
     """
     if _CLoader is not None and _reads_alike(text):
         try:
             return yaml.load(text, Loader=_CLoader)
         except (yaml.YAMLError, ValueError):
             pass  # pure PyYAML decides, and words the error
-    return yaml.load(text, Loader=_PureLoader)
+    try:
+        return yaml.load(text, Loader=_PureLoader)
+    except RecursionError as exc:
+        raise NestingTooDeepError("document nested too deeply") from exc
 
 
 def _emits_alike(doc) -> bool:

@@ -1,4 +1,5 @@
 import ast
+import os
 import shutil
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import yaml
 
 import anonpsy
 from anonpsy.cli import main
-from anonpsy.config import ConfigError, load_config
-from anonpsy.runner import UsageError, run_evaluation, run_pipeline
+from anonpsy.config import ConfigError, RunConfig, load_config
+from anonpsy.fileio import write_atomic
+from anonpsy.runner import BASELINE_NAMES, UsageError, run_baseline, run_evaluation, run_pipeline
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR
 
@@ -197,6 +199,55 @@ class TestWorkerPool:
         parallel_tree = _tree(out_parallel)
         # The manifest records per-stage status identically; artifacts match.
         assert serial_tree == parallel_tree
+
+
+def _counting_replace(monkeypatch) -> list:
+    renamed = []
+    real_replace = os.replace
+
+    def counting_replace(src, dst):
+        renamed.append(dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return renamed
+
+
+class TestWriteAtomic:
+    def test_equal_bytes_are_not_rewritten(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.txt"
+        write_atomic(path, "same\n")
+        renamed = _counting_replace(monkeypatch)
+        write_atomic(path, "same\n")
+        assert renamed == []
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    @pytest.mark.parametrize("old", ["", "same", "same\n\n", "sane\n", "ß\n"])
+    def test_other_bytes_are_replaced(self, tmp_path, monkeypatch, old):
+        path = tmp_path / "a.txt"
+        path.write_bytes(old.encode("utf-8"))
+        renamed = _counting_replace(monkeypatch)
+        write_atomic(path, "same\n")
+        assert renamed == [path]
+        assert path.read_bytes() == b"same\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_identical_workflow_rerun_renames_no_file(self, tmp_path, monkeypatch):
+        config = RunConfig(seed=42, jobs=1, backend="mock", fixtures_dir=str(FIXTURES_DIR))
+        out_dir = tmp_path / "run"
+
+        def workflow():
+            assert run_pipeline(CORPUS_DIR, out_dir, config).ok
+            for name in BASELINE_NAMES:
+                assert run_baseline(name, CORPUS_DIR, out_dir, config).ok
+            assert run_evaluation(out_dir, config).ok
+
+        workflow()
+        first = _tree(out_dir)
+        renamed = _counting_replace(monkeypatch)
+        workflow()
+        assert renamed == []
+        assert _tree(out_dir) == first
 
 
 def test_files_are_written_only_through_write_atomic():

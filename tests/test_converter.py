@@ -280,6 +280,23 @@ class TestConvert:
             assert list(left) == ["stage1.entities.yaml"]
             assert left["stage1.entities.yaml"] == serialize_yaml(extract_entities(case, mock_gateway).graph)
 
+    def test_late_failure_leaves_no_previous_warning_log(self, corpus_dir, mock_gateway, tmp_path, monkeypatch):
+        from anonpsy import converter
+
+        case = _load_cases(corpus_dir)[0]
+        convert(case, mock_gateway, work_dir=tmp_path)
+        done = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        (tmp_path / "convert.log").write_text("from the previous input\n")
+
+        def failing_pass(*args, **kwargs):
+            raise RuntimeError("causal pass failed")
+
+        monkeypatch.setattr(converter, "add_causal_edges_llm", failing_pass)
+        with pytest.raises(RuntimeError, match="causal pass failed"):
+            convert(case, mock_gateway, work_dir=tmp_path)
+        left = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert left == {name: done[name] for name in ("stage1.entities.yaml", "stage2.episodes.yaml")}
+
     def test_etiology_and_causal_edges_in_case_002(self, corpus_dir, mock_gateway):
         cases = {c.case_id: c for c in _load_cases(corpus_dir)}
         graph = convert(cases["case_002"], mock_gateway)

@@ -4,11 +4,13 @@ import shutil
 import pytest
 import yaml
 
+from anonpsy.evaluation import embedding
 from anonpsy.evaluation.judge import JudgeError, judge_risk
-from anonpsy.evaluation.report import EvalInputError, run_eval
+from anonpsy.evaluation.report import VARIANT_FILES, EvalInputError, discover_cases, run_eval
 from anonpsy.evaluation.embedding import HashedTfEmbedder
 from anonpsy.gateway import GatewayError
 from anonpsy.runner import run_baseline, run_pipeline
+from anonpsy.textproc import tokenize
 from tests.gen_fixtures import make_config
 
 from .helpers import FakeGateway
@@ -162,3 +164,36 @@ class TestRunEval:
         with pytest.raises(GatewayError) as err:
             run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
         assert str(err.value) == "[predict_diagnoses] response is not a diagnoses mapping"
+
+    def test_deeply_nested_reply_is_gateway_error_naming_template(self, full_run, mock_gateway):
+        # Pure PyYAML raises RecursionError on this reply, which aborted the eval run.
+        out_dir, config = full_run
+
+        def handler(t, v):
+            if t == "predict_diagnoses":
+                return "[" * 600 + "]" * 600
+            return mock_gateway.call(t, v, temperature=0.0)
+
+        with pytest.raises(GatewayError) as err:
+            run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        assert str(err.value) == "[predict_diagnoses] response is not a diagnoses mapping"
+
+    def test_each_distinct_term_is_hashed_once(self, full_run, mock_gateway, monkeypatch):
+        out_dir, config = full_run
+        hashed = []
+        bucket = embedding._bucket
+
+        def counting_bucket(term, dimensions):
+            hashed.append(term)
+            return bucket(term, dimensions)
+
+        monkeypatch.setattr(embedding, "_bucket", counting_bucket)
+        run_eval(out_dir, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        terms = set()
+        for _, case_dir in discover_cases(out_dir):
+            for name in ("original.txt", *VARIANT_FILES.values()):
+                tokens = tokenize((case_dir / name).read_text(encoding="utf-8"))
+                terms.update(tokens)
+                terms.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+        assert len(hashed) == len(terms)
+        assert set(hashed) == terms

@@ -114,6 +114,14 @@ class TestMockBackend:
         assert "lead_paragraph" in str(err.value)
         assert variables_digest({"case_id": "case_001"}) in str(err.value)
 
+    def test_fixture_removed_after_a_check_is_missing(self, tmp_path, monkeypatch):
+        # The fixture is read with one open: a file that passes an is_file
+        # check and is gone by the read is still a missing fixture.
+        monkeypatch.setattr(Path, "is_file", lambda self: True)
+        gw = LlmGateway(MockBackend(tmp_path), model="test-model")
+        with pytest.raises(MockFixtureMissing, match="lead_paragraph"):
+            gw.complete(_request())
+
 
 class _FlakyBackend:
     name = "live"
@@ -171,6 +179,17 @@ class TestRetryAndCache:
         assert second.backend == "cache"
         assert second.text == first.text
         assert backend.attempts == 1
+
+    def test_cache_entry_removed_after_a_check_is_a_miss(self, tmp_path, monkeypatch):
+        # The entry is read with one open: a file that passes an is_file
+        # check and is gone by the read is a miss, not a FileNotFoundError.
+        monkeypatch.setattr(Path, "is_file", lambda self: True)
+        backend = _CountingBackend()
+        gw = LlmGateway(backend, model="m", cache_dir=tmp_path / "cache")
+        response = gw.complete(_request())
+        assert (response.backend, response.text) == ("live", "reply 1")
+        assert gw.complete(_request()).backend == "cache"
+        assert backend.calls == 1
 
     def test_two_threads_writing_one_key_both_succeed(self, tmp_path, monkeypatch):
         # Hold the first writer between its write and its rename until the

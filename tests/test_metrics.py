@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from anonpsy.evaluation import embedding
 from anonpsy.evaluation.canon import canonical_label_set, canonicalize_diagnosis, soft_f1
 from anonpsy.evaluation.embedding import FALLBACK_DIMENSIONS, HashedTfEmbedder, _bucket, doc_similarity
 from anonpsy.textproc import tokenize
@@ -158,6 +161,44 @@ class TestDocSimilarity:
         embedder = HashedTfEmbedder()
         assert doc_similarity("", "", embedder) == 1.0
         assert doc_similarity("", "words here", embedder) == 0.0
+
+
+def _dense_as_sparse(text: str) -> dict[int, float]:
+    return {i: x for i, x in enumerate(_DenseEmbedder().embed(text)) if x}
+
+
+def _all_texts() -> list[str]:
+    paths = sorted(CORPUS_DIR.glob("*.txt")) + sorted(GOLDEN_DIR.glob("*.txt"))
+    return [p.read_text(encoding="utf-8") for p in paths] + ["", "alpha beta gamma"]
+
+
+class TestBucketMemo:
+    """One embedder hashes each distinct term once; its vectors stay the dense reference's."""
+
+    def _check_shared_embedder(self, cap):
+        embedder = HashedTfEmbedder()
+        for text in _all_texts() * 2:
+            vector = embedder.embed(text)
+            assert vector == _dense_as_sparse(text)
+            assert list(vector) == sorted(vector)
+            assert len(embedder._buckets) <= cap
+        return embedder
+
+    def test_shared_embedder_equals_dense_reference_bit_for_bit(self):
+        embedder = self._check_shared_embedder(embedding.MEMO_CAP)
+        assert embedder._buckets  # the corpus fits: the memo was never cleared
+
+    def test_memo_cleared_when_full_keeps_vectors_equal(self, monkeypatch):
+        monkeypatch.setattr(embedding, "MEMO_CAP", 5)
+        self._check_shared_embedder(5)
+
+    @given(st.lists(st.lists(st.sampled_from(["mood", "sleep", "Mood", "7", "low", "x y"]), max_size=40), max_size=6))
+    def test_repeated_terms_embed_as_dense_reference(self, docs):
+        embedder = HashedTfEmbedder()
+        for words in docs:
+            text = " ".join(words)
+            assert embedder.embed(text) == _dense_as_sparse(text)
+            assert len(embedder._buckets) <= embedding.MEMO_CAP
 
 
 class TestHttpEmbedder:

@@ -135,6 +135,15 @@ def test_reply_with_invalid_date_is_retried():
     assert [v.get("attempt") for _, v in gw.calls] == [None, "2", "3"]
 
 
+def test_deeply_nested_reply_is_retried_then_conversion_error():
+    # Pure PyYAML raises RecursionError here, which failed the case unretried.
+    gw = FakeGateway(lambda t, v: "[" * 600 + "]" * 600)
+    narrative = CaseNarrative(case_id="deep", text="Low mood for weeks.")
+    with pytest.raises(ConversionError, match="invalid YAML: document nested too deeply"):
+        extract_entities(narrative, gw)
+    assert [v.get("attempt") for _, v in gw.calls] == [None, "2", "3"]
+
+
 @pytest.mark.parametrize("text", ["onset: 2021-02-30", "n: 0b_", "- 0000-01-01", "{a: 0x_}"])
 def test_invalid_dates_and_numbers_raise_constructor_error(text):
     with pytest.raises(ValueError) as pure:
@@ -153,7 +162,11 @@ def test_deep_nesting_is_left_to_pure_pyyaml():
         assert yaml.load(text, Loader=yaml.CSafeLoader) is not None
     assert not yamlio._reads_alike(text)
     with pytest.raises(RecursionError):
+        yaml.safe_load(text)
+    with pytest.raises(yamlio.NestingTooDeepError, match="^document nested too deeply$") as err:
         safe_load(text)
+    assert isinstance(err.value, yaml.YAMLError)
+    assert isinstance(err.value.__cause__, RecursionError)
     block = "".join(" " * i + f"k{i}:\n" for i in range(70)) + " " * 70 + "v\n"
     assert not yamlio._reads_alike(block)
     assert safe_load(block) == yaml.safe_load(block)
