@@ -14,12 +14,9 @@ from .runner import (
     BASELINE_NAMES,
     StageResult,
     UsageError,
-    run_baseline,
-    run_convert,
     run_evaluation,
-    run_generate,
-    run_perturb,
     run_pipeline,
+    run_stage,
 )
 
 EXIT_OK = 0
@@ -85,16 +82,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, seed=args.seed, jobs=args.jobs, backend=args.backend)
-        if args.command == "convert":
-            return _report(run_convert(args.corpus_dir, args.out_dir, config))
-        if args.command == "perturb":
-            return _report(run_perturb(args.out_dir, config))
-        if args.command == "generate":
-            return _report(run_generate(args.out_dir, config))
+        if args.command in ("convert", "perturb", "generate", "baseline"):
+            stage = f"baseline.{args.name}" if args.command == "baseline" else args.command
+            return _report(run_stage(stage, args.out_dir, config, getattr(args, "corpus_dir", None)))
         if args.command == "run":
             return _report(run_pipeline(args.corpus_dir, args.out_dir, config))
-        if args.command == "baseline":
-            return _report(run_baseline(args.name, args.corpus_dir, args.out_dir, config))
         if args.command == "eval":
             return _report(run_evaluation(args.out_dir, config))
         parser.error(f"unknown command {args.command!r}")

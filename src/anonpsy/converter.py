@@ -10,7 +10,7 @@ warnings rather than kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -421,6 +421,10 @@ def canonicalize_temporal(draft: ConverterDraft) -> tuple[SemanticGraph, list[st
     return g, warnings
 
 
+# What `convert` writes into work_dir, in the order the chain produces them.
+INTERMEDIATES = ("stage1.entities.yaml", "stage2.episodes.yaml", "convert.log")
+
+
 def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None) -> SemanticGraph:
     """Run the full conversion chain and return a validated graph.
 
@@ -429,7 +433,7 @@ def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None
     removed, so none of an earlier input is left; those it rewrites unchanged
     are not touched.
     """
-    pending = ["stage1.entities.yaml", "stage2.episodes.yaml", "convert.log"]
+    pending = list(INTERMEDIATES)
 
     def persist(name: str, producer) -> None:
         if work_dir is not None:
@@ -468,17 +472,5 @@ def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None
 
 
 def _episodes_yaml(draft: ConverterDraft) -> str:
-    doc = {
-        node_id: [
-            {
-                "offset": e.offset,
-                "span": e.span,
-                "unit": e.unit,
-                "ongoing": e.ongoing,
-                "inferred": e.inferred,
-            }
-            for e in eps
-        ]
-        for node_id, eps in sorted(draft.episodes.items())
-    }
+    doc = {node_id: [asdict(e) for e in eps] for node_id, eps in sorted(draft.episodes.items())}
     return safe_dump(doc, sort_keys=True)

@@ -165,7 +165,6 @@ def run_eval(
     gw: LlmGateway,
     embedder,
     match_threshold: float = 0.8,
-    matcher=None,
     judge_model: str | None = None,
     seed: int = 0,
 ) -> EvalReport:
@@ -198,7 +197,7 @@ def run_eval(
         for variant, text in texts.items():
             predicted_raw = _predict_diagnoses(gw, text, case_id, variant, judge_model)
             predicted = canonical_label_set(predicted_raw)
-            score = soft_f1(predicted, gold, matcher=matcher, threshold=match_threshold)
+            score = soft_f1(predicted, gold, threshold=match_threshold)
             cos = (
                 1.0
                 if variant == "original"

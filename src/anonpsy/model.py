@@ -100,9 +100,6 @@ class StebContext:
     def present_fields(self) -> tuple[str, ...]:
         return tuple(name for name in self.FIELD_ORDER if getattr(self, name) is not None)
 
-    def as_dict(self) -> dict[str, str]:
-        return {name: getattr(self, name) for name in self.present_fields()}
-
 
 @dataclass
 class SymptomNode:
@@ -221,10 +218,6 @@ class SemanticGraph:
                 if node.id == node_id:
                     return type_name
         return None
-
-    def intervals_of(self, node) -> list[DurationInterval]:
-        pool = self.durations_by_id()
-        return [pool[i] for i in node.duration_ids if i in pool]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ fallbacks so a case is never emitted half-finished.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .converter import CaseNarrative
@@ -138,49 +138,10 @@ class NarrativeOutline:
     def to_yaml(self) -> str:
         doc = {
             "lexicon": self.lexicon,
-            "lead_summary": {
-                "age": self.lead_summary.age,
-                "sex": self.lead_summary.sex,
-                "setting": self.lead_summary.setting,
-                "arrival_mode": self.lead_summary.arrival_mode,
-                "reason": self.lead_summary.reason,
-                "pathway": self.lead_summary.pathway,
-                "source": self.lead_summary.source,
-                "visit_episode": self.lead_summary.visit_episode,
-            },
-            "prepass": [
-                {
-                    "node_id": p.node_id,
-                    "offset_days": p.offset_days,
-                    "treatment_ids": list(p.treatment_ids),
-                }
-                for p in self.prepass
-            ],
-            "blocks": [
-                {
-                    "duration_id": b.duration_id,
-                    "start_days": b.start_days,
-                    "end_days": b.end_days,
-                    "diagnosis_id": b.diagnosis_id,
-                    "symptom_ids": list(b.symptom_ids),
-                    "treatment_ids": list(b.treatment_ids),
-                    "induced": [
-                        {
-                            "source_id": c.source_id,
-                            "diagnosis_id": c.diagnosis_id,
-                            "symptom_ids": list(c.symptom_ids),
-                            "treatment_ids": list(c.treatment_ids),
-                        }
-                        for c in b.induced
-                    ],
-                }
-                for b in self.blocks
-            ],
-            "tail": {
-                "past_history_ids": list(self.tail.past_history_ids),
-                "family_history": list(self.tail.family_history),
-                "day0_tests": dict(self.tail.day0_tests),
-            },
+            "lead_summary": asdict(self.lead_summary),
+            "prepass": [asdict(p) for p in self.prepass],
+            "blocks": [asdict(b) for b in self.blocks],
+            "tail": asdict(self.tail),
         }
         return safe_dump(doc, sort_keys=False, allow_unicode=True)
 

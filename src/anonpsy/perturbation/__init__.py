@@ -92,7 +92,6 @@ def perturb(
     case_id: str = "case",
     rules: list[FeasibilityRule] | None = None,
     pools: list[TestValuePool] | None = None,
-    similarity_fn=None,
 ) -> tuple[SemanticGraph, PerturbAudit]:
     """Produce the perturbed graph and its audit record.
 
@@ -138,11 +137,11 @@ def perturb(
         ),
     )
 
-    new_visit, visit_entry = rewrite_visit_episode(g2, gw, cfg, lexicon, similarity_fn)
+    new_visit, visit_entry = rewrite_visit_episode(g2, gw, cfg, lexicon)
     audit.record(visit_entry)
     g2 = replace(g2, visit_event=new_visit)
 
-    g2, steb_entries = rewrite_steb_contexts(g2, gw, cfg, similarity_fn)
+    g2, steb_entries = rewrite_steb_contexts(g2, gw, cfg)
     for entry in steb_entries:
         audit.record(entry)
 

@@ -141,14 +141,14 @@ def load_test_value_pools(path: str | Path | None = None) -> list[TestValuePool]
     return pools
 
 
-def load_minor_occupations(path: str | Path | None = None) -> frozenset[str]:
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("minor_occupations.txt")
-    return frozenset(line.strip().lower() for line in text.splitlines() if line.strip())
+def load_minor_occupations() -> frozenset[str]:
+    lines = _data_text("minor_occupations.txt").splitlines()
+    return frozenset(line.strip().lower() for line in lines if line.strip())
 
 
-def load_contradiction_lexicon(path: str | Path | None = None) -> dict[str, dict[str, list[str]]]:
-    return _load_table(path, "contradiction_lexicon.yaml")
+def load_contradiction_lexicon() -> dict[str, dict[str, list[str]]]:
+    return load_yaml(_data_text("contradiction_lexicon.yaml")) or {}
 
 
-def load_mse_domains(path: str | Path | None = None) -> dict[str, list[str]]:
-    return _load_table(path, "mse_domains.yaml")
+def load_mse_domains() -> dict[str, list[str]]:
+    return load_yaml(_data_text("mse_domains.yaml")) or {}

@@ -26,10 +26,9 @@ class GateResult:
     score: float
 
 
-def similarity_gate(original: str, candidate: str, threshold: float, similarity_fn=None) -> GateResult:
-    """Reject iff similarity(original, candidate) > threshold."""
-    fn = similarity_fn or trigram_jaccard
-    score = fn(original, candidate)
+def similarity_gate(original: str, candidate: str, threshold: float) -> GateResult:
+    """Reject iff trigram_jaccard(original, candidate) > threshold."""
+    score = trigram_jaccard(original, candidate)
     return GateResult(accepted=score <= threshold, score=score)
 
 
@@ -66,7 +65,6 @@ def rewrite_visit_episode(
     gw: LlmGateway,
     cfg: PerturbConfig,
     lexicon: dict[str, dict[str, list[str]]],
-    similarity_fn=None,
 ) -> tuple[VisitEvent, dict]:
     """Rewrite the visit episode text under the immutable scaffold.
 
@@ -89,7 +87,7 @@ def rewrite_visit_episode(
         conflict = _contradiction(scaffold, lexicon, episode)
         if conflict:
             return reject(conflict)
-        gate = similarity_gate(visit.visit_episode, episode, cfg.similarity_threshold, similarity_fn)
+        gate = similarity_gate(visit.visit_episode, episode, cfg.similarity_threshold)
         if not gate.accepted:
             return reject(f"similarity {gate.score:.3f} above threshold")
         return replace(visit, visit_episode=episode, pathway=pathway)
@@ -127,7 +125,6 @@ def rewrite_steb_contexts(
     g: SemanticGraph,
     gw: LlmGateway,
     cfg: PerturbConfig,
-    similarity_fn=None,
 ) -> tuple[SemanticGraph, list[dict]]:
     """Rewrite STEB frames in chronologically retrograde order.
 
@@ -163,9 +160,7 @@ def rewrite_steb_contexts(
                 candidate = _parse_frame(text, fields, reject)
                 if candidate is None:
                     return None
-                gate = similarity_gate(
-                    original_text, _frame_text(candidate), cfg.similarity_threshold, similarity_fn
-                )
+                gate = similarity_gate(original_text, _frame_text(candidate), cfg.similarity_threshold)
                 if not gate.accepted:
                     return reject(f"similarity {gate.score:.3f} above threshold")
                 return candidate

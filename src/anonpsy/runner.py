@@ -1,16 +1,26 @@
 """Stage execution over a run directory, with per-case failure isolation.
 
+The per-case stages are the rows of one table, `STAGES`. A row names what
+selects its cases (the corpus, or an artifact each case directory must hold),
+the files it writes per case, and the work that produces their text. One
+engine, `run_stage`, runs any row: it loads the inputs and builds the gateway
+once per command, runs the work of every case on a bounded worker pool, and
+writes each output atomically. A case that fails a stage loses that stage's
+outputs and those of every stage that reads them, directly or not, so nothing
+downstream reads artifacts made from an earlier input.
+
 Each case owns one directory under the run root; all writes stay inside it,
-so cases can run on a bounded worker pool without interfering. Reruns with
-unchanged inputs and config produce byte-identical artifacts: nothing
+so cases can run on the pool without interfering. Reruns with unchanged
+inputs and config produce byte-identical artifacts: nothing
 wall-clock-dependent is ever written.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from . import prompts
 from .baselines import llm_only, phi_mask, sdc_rewrite
@@ -25,15 +35,14 @@ from .perturbation import perturb
 from .perturbation.config import load_feasibility_rules, load_test_value_pools
 from .yamlio import load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
-BASELINE_NAMES = ("phi", "sdc", "llm_only")
-
-# What each pipeline stage writes per case, in stage order. A case that fails
-# a stage loses these files for that stage and every later one, so nothing
-# downstream reads artifacts made from an earlier input.
-STAGE_OUTPUTS = {
-    "convert": ("graph.yaml",),
-    "perturb": ("graph.perturbed.yaml", "perturb.audit.yaml"),
-    "generate": ("outline.yaml", "deid.txt"),
+# A case's corpus entry, written into its directory by every stage that reads
+# the corpus: convert rewrites them, a baseline writes only the missing ones,
+# so each is rendered from the narrative only when it is written.
+CASE_INPUTS = {
+    "original.txt": lambda narrative: narrative.text,
+    "meta.yaml": lambda narrative: safe_dump(
+        {"case_id": narrative.case_id, "diagnoses": narrative.ground_truth_diagnoses}, sort_keys=False
+    ),
 }
 
 
@@ -50,6 +59,29 @@ class StageResult:
     @property
     def ok(self) -> bool:
         return not self.failed
+
+
+@dataclass(frozen=True)
+class Shared:
+    """What one command loads once for every case of its stage."""
+
+    config: RunConfig
+    gateway: LlmGateway
+    rules: list | None = None
+    pools: list | None = None
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table."""
+
+    source: str | None  # artifact a case directory must hold; None: every corpus case
+    outputs: tuple[str, ...]  # files written per case, in the order `work` returns them
+    # (case directory, source, shared) -> output texts; the source is the case's
+    # CaseNarrative for a corpus stage, else the text of its source artifact.
+    work: Callable[[Path, CaseNarrative | str, Shared], tuple[str, ...]]
+    rewrite_inputs: bool = False  # rewrite CASE_INPUTS even when present
+    tables: bool = False  # load the feasibility rules and value pools
 
 
 def build_gateway(config: RunConfig) -> LlmGateway:
@@ -100,117 +132,131 @@ def load_corpus(corpus_dir: str | Path) -> list[CaseNarrative]:
     return narratives
 
 
-def _map_cases(case_ids: list[str], jobs: int, fn) -> StageResult:
-    result = StageResult(stage=fn.__name__)
-    if jobs <= 1:
-        outcomes = [(case_id, _run_case(fn, case_id)) for case_id in case_ids]
+def _convert(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
+    return (serialize_yaml(convert(narrative, shared.gateway, work_dir=case_dir)),)
+
+
+def _perturb(case_dir: Path, graph_yaml: str, shared: Shared) -> tuple[str, ...]:
+    perturbed, audit = perturb(
+        parse_yaml(graph_yaml),
+        shared.gateway,
+        shared.config.perturb,
+        case_id=case_dir.name,
+        rules=shared.rules,
+        pools=shared.pools,
+    )
+    return serialize_yaml(perturbed), audit.to_yaml()
+
+
+def _generate(case_dir: Path, graph_yaml: str, shared: Shared) -> tuple[str, ...]:
+    graph = parse_yaml(graph_yaml)
+    outline = plan_outline(graph)
+    return outline.to_yaml(), generate(graph, shared.gateway, case_id=case_dir.name).text
+
+
+def _phi(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
+    return (phi_mask(narrative.text, ner_backend=None),)
+
+
+def _sdc(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
+    return (sdc_rewrite(narrative.text, shared.gateway, temperature=shared.config.sdc_temperature),)
+
+
+def _llm_only(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
+    return (llm_only(narrative.text, shared.gateway),)
+
+
+# Every per-case stage, keyed by its manifest name, in pipeline order: a stage
+# comes after every stage whose outputs it reads.
+STAGES = {
+    "convert": Stage(None, ("graph.yaml",), _convert, rewrite_inputs=True),
+    "perturb": Stage("graph.yaml", ("graph.perturbed.yaml", "perturb.audit.yaml"), _perturb, tables=True),
+    "generate": Stage("graph.perturbed.yaml", ("outline.yaml", "deid.txt"), _generate),
+    "baseline.phi": Stage(None, ("baseline.phi.txt",), _phi),
+    "baseline.sdc": Stage(None, ("baseline.sdc.txt",), _sdc),
+    "baseline.llm_only": Stage(None, ("baseline.llm_only.txt",), _llm_only),
+}
+BASELINE_NAMES = tuple(name.removeprefix("baseline.") for name in STAGES if name.startswith("baseline."))
+
+
+def run_stage(
+    name: str, out_dir: str | Path, config: RunConfig, corpus_dir: str | Path | None = None
+) -> StageResult:
+    """Run one row of STAGES over its cases and record it in run_manifest.yaml.
+
+    corpus_dir is read only by the stages whose cases come from the corpus.
+    """
+    stage = STAGES[name]
+    out_dir = Path(out_dir)
+    if stage.source is None:
+        sources = {n.case_id: n for n in load_corpus(corpus_dir)}
+    elif not out_dir.is_dir():
+        raise UsageError(f"run directory {out_dir} does not exist")
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(case_id, pool.submit(_run_case, fn, case_id)) for case_id in case_ids]
-            outcomes = [(case_id, future.result()) for case_id, future in futures]
-    for case_id, error in outcomes:
-        if error is None:
-            result.succeeded.append(case_id)
-        else:
-            result.failed[case_id] = error
+        sources = {p.name: p / stage.source for p in out_dir.iterdir() if (p / stage.source).is_file()}
+        if not sources:
+            raise UsageError(f"no case directories with {stage.source} under {out_dir}")
+    shared = Shared(config, build_gateway(config))
+    if stage.tables:
+        shared = replace(
+            shared,
+            rules=load_feasibility_rules(config.feasibility_rules_path),
+            pools=load_test_value_pools(config.test_value_pools_path),
+        )
+    # A failure leaves stale this stage's outputs and those of every stage that
+    # reads them, directly or not.
+    stale = list(stage.outputs)
+    for later in STAGES.values():
+        if later.source in stale:
+            stale += later.outputs
+
+    def one(case_id: str) -> str | None:
+        case_dir = out_dir / case_id
+        try:
+            if stage.source:
+                source = sources[case_id].read_text(encoding="utf-8")
+            else:
+                source = sources[case_id]
+                case_dir.mkdir(parents=True, exist_ok=True)
+                for file, render in CASE_INPUTS.items():
+                    if stage.rewrite_inputs or not (case_dir / file).is_file():
+                        write_atomic(case_dir / file, render(source))
+            for file, text in zip(stage.outputs, stage.work(case_dir, source, shared), strict=True):
+                write_atomic(case_dir / file, text)
+            return None
+        except Exception as exc:  # isolate: one bad case never sinks the run
+            for file in stale:
+                (case_dir / file).unlink(missing_ok=True)
+            return f"{type(exc).__name__}: {exc}"
+
+    result = StageResult(stage=name)
+    case_ids = sorted(sources)
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        for case_id, error in zip(case_ids, pool.map(one, case_ids)):
+            if error is None:
+                result.succeeded.append(case_id)
+            else:
+                result.failed[case_id] = error
+    _update_manifest(out_dir, config, name, result)
     return result
-
-
-def _remove_stale_outputs(out_dir: Path, result: StageResult) -> None:
-    stages = list(STAGE_OUTPUTS)
-    names = [name for stage in stages[stages.index(result.stage):] for name in STAGE_OUTPUTS[stage]]
-    for case_id in result.failed:
-        for name in names:
-            (out_dir / case_id / name).unlink(missing_ok=True)
-
-
-def _run_case(fn, case_id: str) -> str | None:
-    try:
-        fn(case_id)
-        return None
-    except Exception as exc:  # isolate: one bad case never sinks the run
-        return f"{type(exc).__name__}: {exc}"
 
 
 def run_convert(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) -> StageResult:
-    narratives = {n.case_id: n for n in load_corpus(corpus_dir)}
-    out_dir = Path(out_dir)
-    gateway = build_gateway(config)
-
-    def one(case_id: str) -> None:
-        narrative = narratives[case_id]
-        case_dir = out_dir / case_id
-        case_dir.mkdir(parents=True, exist_ok=True)
-        write_atomic(case_dir / "original.txt", narrative.text)
-        write_atomic(
-            case_dir / "meta.yaml",
-            safe_dump(
-                {"case_id": case_id, "diagnoses": narrative.ground_truth_diagnoses},
-                sort_keys=False,
-            ),
-        )
-        graph = convert(narrative, gateway, work_dir=case_dir)
-        write_atomic(case_dir / "graph.yaml", serialize_yaml(graph))
-
-    result = _map_cases(sorted(narratives), config.jobs, one)
-    result.stage = "convert"
-    _remove_stale_outputs(out_dir, result)
-    _update_manifest(out_dir, config, "convert", result)
-    return result
-
-
-def _case_dirs_with(out_dir: Path, artifact: str) -> list[str]:
-    if not out_dir.is_dir():
-        raise UsageError(f"run directory {out_dir} does not exist")
-    case_ids = sorted(
-        p.name for p in out_dir.iterdir() if p.is_dir() and (p / artifact).is_file()
-    )
-    if not case_ids:
-        raise UsageError(f"no case directories with {artifact} under {out_dir}")
-    return case_ids
+    return run_stage("convert", out_dir, config, corpus_dir)
 
 
 def run_perturb(out_dir: str | Path, config: RunConfig) -> StageResult:
-    out_dir = Path(out_dir)
-    case_ids = _case_dirs_with(out_dir, "graph.yaml")
-    gateway = build_gateway(config)
-    rules = load_feasibility_rules(config.feasibility_rules_path)
-    pools = load_test_value_pools(config.test_value_pools_path)
-
-    def one(case_id: str) -> None:
-        case_dir = out_dir / case_id
-        graph = parse_yaml((case_dir / "graph.yaml").read_text(encoding="utf-8"))
-        perturbed, audit = perturb(
-            graph, gateway, config.perturb, case_id=case_id, rules=rules, pools=pools
-        )
-        write_atomic(case_dir / "graph.perturbed.yaml", serialize_yaml(perturbed))
-        write_atomic(case_dir / "perturb.audit.yaml", audit.to_yaml())
-
-    result = _map_cases(case_ids, config.jobs, one)
-    result.stage = "perturb"
-    _remove_stale_outputs(out_dir, result)
-    _update_manifest(out_dir, config, "perturb", result)
-    return result
+    return run_stage("perturb", out_dir, config)
 
 
 def run_generate(out_dir: str | Path, config: RunConfig) -> StageResult:
-    out_dir = Path(out_dir)
-    case_ids = _case_dirs_with(out_dir, "graph.perturbed.yaml")
-    gateway = build_gateway(config)
+    return run_stage("generate", out_dir, config)
 
-    def one(case_id: str) -> None:
-        case_dir = out_dir / case_id
-        graph = parse_yaml((case_dir / "graph.perturbed.yaml").read_text(encoding="utf-8"))
-        outline = plan_outline(graph)
-        write_atomic(case_dir / "outline.yaml", outline.to_yaml())
-        narrative = generate(graph, gateway, case_id=case_id)
-        write_atomic(case_dir / "deid.txt", narrative.text)
 
-    result = _map_cases(case_ids, config.jobs, one)
-    result.stage = "generate"
-    _remove_stale_outputs(out_dir, result)
-    _update_manifest(out_dir, config, "generate", result)
-    return result
+def run_baseline(name: str, corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) -> StageResult:
+    if name not in BASELINE_NAMES:
+        raise UsageError(f"unknown baseline {name!r}; choose from {BASELINE_NAMES}")
+    return run_stage(f"baseline.{name}", out_dir, config, corpus_dir)
 
 
 def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) -> StageResult:
@@ -218,9 +264,9 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig)
     merged = StageResult(stage="run")
     convert_result = run_convert(corpus_dir, out_dir, config)
     merged.failed.update(convert_result.failed)
-    for stage_fn in (run_perturb, run_generate):
+    for stage in ("perturb", "generate"):
         try:
-            stage_result = stage_fn(out_dir, config)
+            stage_result = run_stage(stage, out_dir, config)
         except UsageError as exc:
             # Nothing survived the previous stage; report the earlier failures.
             if merged.failed:
@@ -231,43 +277,6 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig)
         c for c in convert_result.succeeded if c not in merged.failed
     ]
     return merged
-
-
-def run_baseline(name: str, corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) -> StageResult:
-    if name not in BASELINE_NAMES:
-        raise UsageError(f"unknown baseline {name!r}; choose from {BASELINE_NAMES}")
-    narratives = {n.case_id: n for n in load_corpus(corpus_dir)}
-    out_dir = Path(out_dir)
-    gateway = build_gateway(config) if name in ("sdc", "llm_only") else None
-
-    def one(case_id: str) -> None:
-        narrative = narratives[case_id]
-        case_dir = out_dir / case_id
-        case_dir.mkdir(parents=True, exist_ok=True)
-        if not (case_dir / "original.txt").is_file():
-            write_atomic(case_dir / "original.txt", narrative.text)
-        if not (case_dir / "meta.yaml").is_file():
-            write_atomic(
-                case_dir / "meta.yaml",
-                safe_dump(
-                    {"case_id": case_id, "diagnoses": narrative.ground_truth_diagnoses},
-                    sort_keys=False,
-                ),
-            )
-        if name == "phi":
-            masked = phi_mask(narrative.text, ner_backend=None)
-            write_atomic(case_dir / "baseline.phi.txt", masked)
-        elif name == "sdc":
-            rewritten = sdc_rewrite(narrative.text, gateway, temperature=config.sdc_temperature)
-            write_atomic(case_dir / "baseline.sdc.txt", rewritten)
-        else:
-            rewritten = llm_only(narrative.text, gateway)
-            write_atomic(case_dir / "baseline.llm_only.txt", rewritten)
-
-    result = _map_cases(sorted(narratives), config.jobs, one)
-    result.stage = f"baseline.{name}"
-    _update_manifest(out_dir, config, f"baseline.{name}", result)
-    return result
 
 
 def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
