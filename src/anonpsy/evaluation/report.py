@@ -69,6 +69,7 @@ class EvalReport:
     cases: list[CaseEval]
     variant_means: dict[str, dict[str, float]]  # variant -> {cosine, soft_f1}
     statistics: list[dict]
+    failed: dict[str, str] = field(default_factory=dict)  # case id -> "GatewayError: ..."; not in the report
 
     def to_yaml(self) -> str:
         doc = {
@@ -168,7 +169,11 @@ def run_eval(
     judge_model: str | None = None,
     seed: int = 0,
 ) -> EvalReport:
-    """Evaluate every case directory under run_dir and aggregate statistics."""
+    """Evaluate every case directory under run_dir and aggregate statistics.
+
+    A case whose model call raises `GatewayError` is left out of the cases and
+    the statistics and listed in the report's `failed`.
+    """
     discovered = discover_cases(run_dir)
     # Check every input before the first (possibly paid) model call.
     anonpsy_file = VARIANT_FILES["anonpsy"]
@@ -181,52 +186,60 @@ def run_eval(
         raise EvalInputError("missing run artifacts: " + ", ".join(missing))
 
     cases: list[CaseEval] = []
+    failed: dict[str, str] = {}
     for case_id, case_dir in discovered:
-        original = (case_dir / "original.txt").read_text(encoding="utf-8")
-        meta = load_yaml((case_dir / "meta.yaml").read_text(encoding="utf-8")) or {}
-        gold = canonical_label_set([str(d) for d in meta.get("diagnoses", [])])
-        case = CaseEval(case_id=case_id, gold=gold)
-
-        texts: dict[str, str] = {"original": original}
-        for variant, filename in VARIANT_FILES.items():
-            path = case_dir / filename
-            if path.is_file():
-                texts[variant] = path.read_text(encoding="utf-8")
-
-        original_vector = embedder.embed(original)
-        for variant, text in texts.items():
-            predicted_raw = _predict_diagnoses(gw, text, case_id, variant, judge_model)
-            predicted = canonical_label_set(predicted_raw)
-            score = soft_f1(predicted, gold, threshold=match_threshold)
-            cos = (
-                1.0
-                if variant == "original"
-                else embedded_similarity(original, original_vector, text, embedder.embed(text))
-            )
-            acceptable = None
-            if gold:
-                acceptable = _judge_acceptability(gw, text, gold, case_id, variant, judge_model)
-            case.variants[variant] = VariantMetrics(
-                cosine=cos, soft_f1=score, predicted=predicted, acceptable=acceptable
-            )
-
-        if "llm_only" in texts:
-            rng = random.Random(f"{seed}:{case_id}:judge")
-            try:
-                result = judge_risk(
-                    original, texts["anonpsy"], texts["llm_only"], gw, rng, model=judge_model
-                )
-            except JudgeError as exc:
-                case.flags.append(f"risk judgment excluded: {exc}")
-            else:
-                case.risk_anonpsy = result.score_a
-                case.risk_llm_only = result.score_b
-                case.more_similar = "anonpsy" if result.choice == "A" else "llm_only"
-        cases.append(case)
+        try:
+            cases.append(_eval_case(case_id, case_dir, gw, embedder, match_threshold, judge_model, seed))
+        except GatewayError as exc:  # isolate: the other cases are still reported
+            failed[case_id] = f"{type(exc).__name__}: {exc}"
 
     variant_means = _variant_means(cases)
     statistics = _corpus_statistics(cases)
-    return EvalReport(cases=cases, variant_means=variant_means, statistics=statistics)
+    return EvalReport(cases=cases, variant_means=variant_means, statistics=statistics, failed=failed)
+
+
+def _eval_case(
+    case_id: str, case_dir: Path, gw: LlmGateway, embedder, match_threshold: float, judge_model: str | None, seed: int
+) -> CaseEval:
+    original = (case_dir / "original.txt").read_text(encoding="utf-8")
+    meta = load_yaml((case_dir / "meta.yaml").read_text(encoding="utf-8")) or {}
+    gold = canonical_label_set([str(d) for d in meta.get("diagnoses", [])])
+    case = CaseEval(case_id=case_id, gold=gold)
+
+    texts: dict[str, str] = {"original": original}
+    for variant, filename in VARIANT_FILES.items():
+        path = case_dir / filename
+        if path.is_file():
+            texts[variant] = path.read_text(encoding="utf-8")
+
+    original_vector = embedder.embed(original)
+    for variant, text in texts.items():
+        predicted_raw = _predict_diagnoses(gw, text, case_id, variant, judge_model)
+        predicted = canonical_label_set(predicted_raw)
+        score = soft_f1(predicted, gold, threshold=match_threshold)
+        cos = (
+            1.0
+            if variant == "original"
+            else embedded_similarity(original, original_vector, text, embedder.embed(text))
+        )
+        acceptable = None
+        if gold:
+            acceptable = _judge_acceptability(gw, text, gold, case_id, variant, judge_model)
+        case.variants[variant] = VariantMetrics(
+            cosine=cos, soft_f1=score, predicted=predicted, acceptable=acceptable
+        )
+
+    if "llm_only" in texts:
+        rng = random.Random(f"{seed}:{case_id}:judge")
+        try:
+            result = judge_risk(original, texts["anonpsy"], texts["llm_only"], gw, rng, model=judge_model)
+        except JudgeError as exc:
+            case.flags.append(f"risk judgment excluded: {exc}")
+        else:
+            case.risk_anonpsy = result.score_a
+            case.risk_llm_only = result.score_b
+            case.more_similar = "anonpsy" if result.choice == "A" else "llm_only"
+    return case
 
 
 def _variant_means(cases: list[CaseEval]) -> dict[str, dict[str, float]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -208,7 +209,7 @@ class LlmGateway:
     ):
         self.backend = backend
         self.model = model
-        self.cache_dir = Path(cache_dir) if cache_dir else None
+        self.cache_dir = os.fspath(cache_dir) if cache_dir else None
         self.retries = retries
         self.backoff_seconds = backoff_seconds
         self._sleep = sleep
@@ -280,17 +281,19 @@ class LlmGateway:
 
     # -- cache -----------------------------------------------------------
 
-    def _cache_path(self, req: ChatRequest) -> Path | None:
+    def _cache_path(self, req: ChatRequest) -> str | None:
+        # A str path: pathlib passes every path part, here a 64-hex key, through sys.intern.
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"{cache_key(req)}.txt"
+        return os.path.join(self.cache_dir, f"{cache_key(req)}.txt")
 
     def _cache_read(self, req: ChatRequest) -> str | None:
         path = self._cache_path(req)
         if path is None:
             return None
         try:
-            return path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as cached:
+                return cached.read()
         except FileNotFoundError:
             return None
 
@@ -298,7 +301,7 @@ class LlmGateway:
         path = self._cache_path(req)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(self.cache_dir, exist_ok=True)
         write_atomic(path, text)
 
 

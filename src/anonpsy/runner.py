@@ -3,10 +3,13 @@
 The per-case stages are the rows of one table, `STAGES`. A row names what
 selects its cases (the corpus, or an artifact each case directory must hold),
 the files it writes per case, and the work that produces their text. One
-engine, `run_stage`, runs any row: it loads the inputs and builds the gateway
-once per command, runs the work of every case on a bounded worker pool, and
-writes each output atomically. A case that fails a stage loses that stage's
-outputs and those of every stage that reads them, directly or not, so nothing
+engine, `run_stage`, runs one row or a chain of rows (`run` is the chain
+convert -> perturb -> generate): it loads the inputs and builds the gateway
+once per command, runs each case's rows one after another on one task of a
+bounded worker pool, hands each row's product (a graph) to the next row in
+memory, writes each output atomically and records every row in
+run_manifest.yaml once. A case that fails a stage loses that stage's outputs
+and those of every stage that reads them, directly or not, so nothing
 downstream reads artifacts made from an earlier input.
 
 Each case owns one directory under the run root; all writes stay inside it,
@@ -20,24 +23,25 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from . import prompts
 from .baselines import llm_only, phi_mask, sdc_rewrite
 from .config import ConfigError, RunConfig
-from .converter import CaseNarrative, convert
+from .converter import INTERMEDIATES, CaseNarrative, convert
 from .evaluation.embedding import HashedTfEmbedder, HttpEmbedder
 from .evaluation.report import EvalInputError, run_eval
 from .fileio import write_atomic
 from .gateway import HttpBackend, LlmGateway, MockBackend
+from .model import SemanticGraph
 from .narrator import generate, plan_outline
 from .perturbation import perturb
 from .perturbation.config import load_feasibility_rules, load_test_value_pools
 from .yamlio import load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
 # A case's corpus entry, written into its directory by every stage that reads
-# the corpus: convert rewrites them, a baseline writes only the missing ones,
-# so each is rendered from the narrative only when it is written.
+# the corpus, each file rendered from the narrative. A stage that finds them
+# changed removes what the other corpus stages made from the earlier input.
 CASE_INPUTS = {
     "original.txt": lambda narrative: narrative.text,
     "meta.yaml": lambda narrative: safe_dump(
@@ -77,11 +81,12 @@ class Stage:
 
     source: str | None  # artifact a case directory must hold; None: every corpus case
     outputs: tuple[str, ...]  # files written per case, in the order `work` returns them
-    # (case directory, source, shared) -> output texts; the source is the case's
-    # CaseNarrative for a corpus stage, else the text of its source artifact.
-    work: Callable[[Path, CaseNarrative | str, Shared], tuple[str, ...]]
-    rewrite_inputs: bool = False  # rewrite CASE_INPUTS even when present
+    # (case directory, source, shared) -> (output texts, product). The source is
+    # the case's CaseNarrative for a corpus stage, else the graph its source
+    # artifact holds; the product is what a stage reading outputs[0] takes.
+    work: Callable[[Path, Any, Shared], tuple[tuple[str, ...], Any]]
     tables: bool = False  # load the feasibility rules and value pools
+    side_outputs: tuple[str, ...] = ()  # files `work` writes into the case directory itself
 
 
 def build_gateway(config: RunConfig) -> LlmGateway:
@@ -132,44 +137,44 @@ def load_corpus(corpus_dir: str | Path) -> list[CaseNarrative]:
     return narratives
 
 
-def _convert(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
-    return (serialize_yaml(convert(narrative, shared.gateway, work_dir=case_dir)),)
+def _convert(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
+    graph = convert(narrative, shared.gateway, work_dir=case_dir)
+    return (serialize_yaml(graph),), graph
 
 
-def _perturb(case_dir: Path, graph_yaml: str, shared: Shared) -> tuple[str, ...]:
+def _perturb(case_dir: Path, graph: SemanticGraph, shared: Shared) -> tuple[tuple[str, ...], Any]:
     perturbed, audit = perturb(
-        parse_yaml(graph_yaml),
+        graph,
         shared.gateway,
         shared.config.perturb,
         case_id=case_dir.name,
         rules=shared.rules,
         pools=shared.pools,
     )
-    return serialize_yaml(perturbed), audit.to_yaml()
+    return (serialize_yaml(perturbed), audit.to_yaml()), perturbed
 
 
-def _generate(case_dir: Path, graph_yaml: str, shared: Shared) -> tuple[str, ...]:
-    graph = parse_yaml(graph_yaml)
+def _generate(case_dir: Path, graph: SemanticGraph, shared: Shared) -> tuple[tuple[str, ...], Any]:
     outline = plan_outline(graph)
-    return outline.to_yaml(), generate(graph, shared.gateway, case_id=case_dir.name).text
+    return (outline.to_yaml(), generate(graph, shared.gateway, case_id=case_dir.name).text), None
 
 
-def _phi(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
-    return (phi_mask(narrative.text, ner_backend=None),)
+def _phi(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
+    return (phi_mask(narrative.text, ner_backend=None),), None
 
 
-def _sdc(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
-    return (sdc_rewrite(narrative.text, shared.gateway, temperature=shared.config.sdc_temperature),)
+def _sdc(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
+    return (sdc_rewrite(narrative.text, shared.gateway, temperature=shared.config.sdc_temperature),), None
 
 
-def _llm_only(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[str, ...]:
-    return (llm_only(narrative.text, shared.gateway),)
+def _llm_only(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
+    return (llm_only(narrative.text, shared.gateway),), None
 
 
 # Every per-case stage, keyed by its manifest name, in pipeline order: a stage
 # comes after every stage whose outputs it reads.
 STAGES = {
-    "convert": Stage(None, ("graph.yaml",), _convert, rewrite_inputs=True),
+    "convert": Stage(None, ("graph.yaml",), _convert, side_outputs=INTERMEDIATES),
     "perturb": Stage("graph.yaml", ("graph.perturbed.yaml", "perturb.audit.yaml"), _perturb, tables=True),
     "generate": Stage("graph.perturbed.yaml", ("outline.yaml", "deid.txt"), _generate),
     "baseline.phi": Stage(None, ("baseline.phi.txt",), _phi),
@@ -177,67 +182,112 @@ STAGES = {
     "baseline.llm_only": Stage(None, ("baseline.llm_only.txt",), _llm_only),
 }
 BASELINE_NAMES = tuple(name.removeprefix("baseline.") for name in STAGES if name.startswith("baseline."))
+PIPELINE = ("convert", "perturb", "generate")
+
+
+def _with_readers(files: list[str]) -> list[str]:
+    """files, and the outputs of every stage that reads them, directly or not."""
+    files = list(files)
+    for stage in STAGES.values():
+        if stage.source in files:
+            files += stage.outputs
+    return files
+
+
+# What a case loses when a stage fails for it: that stage's outputs and
+# everything made from them.
+STALE_ON_FAILURE = {name: _with_readers(stage.outputs) for name, stage in STAGES.items()}
+# What a case loses when a corpus stage finds its CASE_INPUTS changed: what
+# every other corpus stage made from the earlier input.
+STALE_ON_NEW_INPUT = {
+    name: _with_readers(
+        [f for other, s in STAGES.items() if s.source is None and other != name for f in s.outputs + s.side_outputs]
+    )
+    for name, stage in STAGES.items()
+    if stage.source is None
+}
 
 
 def run_stage(
-    name: str, out_dir: str | Path, config: RunConfig, corpus_dir: str | Path | None = None
+    names: str | tuple[str, ...], out_dir: str | Path, config: RunConfig, corpus_dir: str | Path | None = None
 ) -> StageResult:
-    """Run one row of STAGES over its cases and record it in run_manifest.yaml.
+    """Run one row of STAGES, or a chain of rows, over their cases; record each row in run_manifest.yaml.
 
-    corpus_dir is read only by the stages whose cases come from the corpus.
+    In a chain each row's source is the previous row's first output, which it
+    takes as the previous row's product, in memory. A case starts at the first
+    row whose source it holds (the corpus for a corpus row), runs every later
+    row on the same pool task, and stops at its first failure. corpus_dir is
+    read only when the first row's cases come from the corpus. The result
+    lists a case as succeeded when it ran every row from its start, else with
+    the error of the row it failed.
     """
-    stage = STAGES[name]
+    chain = (names,) if isinstance(names, str) else tuple(names)
+    rows = [STAGES[name] for name in chain]
     out_dir = Path(out_dir)
-    if stage.source is None:
-        sources = {n.case_id: n for n in load_corpus(corpus_dir)}
+    # case id -> (index of its first row in the chain, its source there)
+    starts: dict[str, tuple[int, CaseNarrative | Path]] = {}
+    if rows[0].source is None:
+        starts = {n.case_id: (0, n) for n in load_corpus(corpus_dir)}
     elif not out_dir.is_dir():
         raise UsageError(f"run directory {out_dir} does not exist")
-    else:
-        sources = {p.name: p / stage.source for p in out_dir.iterdir() if (p / stage.source).is_file()}
-        if not sources:
-            raise UsageError(f"no case directories with {stage.source} under {out_dir}")
+    if out_dir.is_dir():
+        for case_dir in out_dir.iterdir():
+            if case_dir.name not in starts:
+                held = (i for i, row in enumerate(rows) if row.source and (case_dir / row.source).is_file())
+                index = next(held, None)
+                if index is not None:
+                    starts[case_dir.name] = (index, case_dir / rows[index].source)
+    if not starts:
+        raise UsageError(f"no case directories with {rows[0].source} under {out_dir}")
     shared = Shared(config, build_gateway(config))
-    if stage.tables:
+    if any(row.tables for row in rows):
         shared = replace(
             shared,
             rules=load_feasibility_rules(config.feasibility_rules_path),
             pools=load_test_value_pools(config.test_value_pools_path),
         )
-    # A failure leaves stale this stage's outputs and those of every stage that
-    # reads them, directly or not.
-    stale = list(stage.outputs)
-    for later in STAGES.values():
-        if later.source in stale:
-            stale += later.outputs
 
-    def one(case_id: str) -> str | None:
+    def one(case_id: str) -> dict[str, str | None]:
+        """Each row this case ran, with its error or None."""
+        first, source = starts[case_id]
         case_dir = out_dir / case_id
-        try:
-            if stage.source:
-                source = sources[case_id].read_text(encoding="utf-8")
-            else:
-                source = sources[case_id]
-                case_dir.mkdir(parents=True, exist_ok=True)
-                for file, render in CASE_INPUTS.items():
-                    if stage.rewrite_inputs or not (case_dir / file).is_file():
-                        write_atomic(case_dir / file, render(source))
-            for file, text in zip(stage.outputs, stage.work(case_dir, source, shared), strict=True):
-                write_atomic(case_dir / file, text)
-            return None
-        except Exception as exc:  # isolate: one bad case never sinks the run
-            for file in stale:
-                (case_dir / file).unlink(missing_ok=True)
-            return f"{type(exc).__name__}: {exc}"
+        ran: dict[str, str | None] = {}
+        for name in chain[first:]:
+            stage = STAGES[name]
+            try:
+                if stage.source is None:
+                    case_dir.mkdir(parents=True, exist_ok=True)
+                    changed = [write_atomic(case_dir / f, render(source)) for f, render in CASE_INPUTS.items()]
+                    if any(changed):
+                        for file in STALE_ON_NEW_INPUT[name]:
+                            (case_dir / file).unlink(missing_ok=True)
+                elif name == chain[first]:
+                    source = parse_yaml(source.read_text(encoding="utf-8"))
+                texts, source = stage.work(case_dir, source, shared)
+                for file, text in zip(stage.outputs, texts, strict=True):
+                    write_atomic(case_dir / file, text)
+                ran[name] = None
+            except Exception as exc:  # isolate: one bad case never sinks the run
+                for file in STALE_ON_FAILURE[name]:
+                    (case_dir / file).unlink(missing_ok=True)
+                ran[name] = f"{type(exc).__name__}: {exc}"
+                break
+        return ran
 
-    result = StageResult(stage=name)
-    case_ids = sorted(sources)
+    result = StageResult(stage="+".join(chain))
+    by_stage = {name: StageResult(stage=name) for name in chain}
+    case_ids = sorted(starts)
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        for case_id, error in zip(case_ids, pool.map(one, case_ids)):
-            if error is None:
+        for case_id, ran in zip(case_ids, pool.map(one, case_ids)):
+            for name, error in ran.items():
+                if error is None:
+                    by_stage[name].succeeded.append(case_id)
+                else:
+                    by_stage[name].failed[case_id] = result.failed[case_id] = error
+            if case_id not in result.failed:
                 result.succeeded.append(case_id)
-            else:
-                result.failed[case_id] = error
-    _update_manifest(out_dir, config, name, result)
+    # A stage no case reached gets no entry, as when it is run on its own and finds no case.
+    _update_manifest(out_dir, config, [r for r in by_stage.values() if r.succeeded or r.failed])
     return result
 
 
@@ -260,23 +310,8 @@ def run_baseline(name: str, corpus_dir: str | Path, out_dir: str | Path, config:
 
 
 def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig) -> StageResult:
-    """convert -> perturb -> generate, end to end."""
-    merged = StageResult(stage="run")
-    convert_result = run_convert(corpus_dir, out_dir, config)
-    merged.failed.update(convert_result.failed)
-    for stage in ("perturb", "generate"):
-        try:
-            stage_result = run_stage(stage, out_dir, config)
-        except UsageError as exc:
-            # Nothing survived the previous stage; report the earlier failures.
-            if merged.failed:
-                return merged
-            raise exc
-        merged.failed.update(stage_result.failed)
-    merged.succeeded = [
-        c for c in convert_result.succeeded if c not in merged.failed
-    ]
-    return merged
+    """convert -> perturb -> generate, end to end, one pass per case."""
+    return replace(run_stage(PIPELINE, out_dir, config, corpus_dir), stage="run")
 
 
 def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
@@ -296,12 +331,12 @@ def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
         raise UsageError(str(exc)) from exc
     write_atomic(out_dir / "report.yaml", report.to_yaml())
     write_atomic(out_dir / "report.csv", report.to_csv())
-    result = StageResult(stage="eval", succeeded=[c.case_id for c in report.cases])
-    _update_manifest(out_dir, config, "eval", result)
+    result = StageResult(stage="eval", succeeded=[c.case_id for c in report.cases], failed=report.failed)
+    _update_manifest(out_dir, config, [result])
     return result
 
 
-def _update_manifest(out_dir: Path, config: RunConfig, stage: str, result: StageResult) -> None:
+def _update_manifest(out_dir: Path, config: RunConfig, results: list[StageResult]) -> None:
     """Record config digest, seeds, model ids, prompt hashes, and stage status."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "run_manifest.yaml"
@@ -315,9 +350,10 @@ def _update_manifest(out_dir: Path, config: RunConfig, stage: str, result: Stage
     doc["judge_model"] = config.judge_model or config.model
     doc["prompt_assets"] = {name: prompts.asset_hash(name) for name in prompts.list_templates()}
     stages = doc.setdefault("stages", {})
-    stages[stage] = {
-        "succeeded": sorted(result.succeeded),
-        "failed": {k: result.failed[k] for k in sorted(result.failed)},
-    }
+    for result in results:
+        stages[result.stage] = {
+            "succeeded": sorted(result.succeeded),
+            "failed": {k: result.failed[k] for k in sorted(result.failed)},
+        }
     doc["stages"] = {k: stages[k] for k in sorted(stages)}
     write_atomic(path, safe_dump(doc, sort_keys=True))

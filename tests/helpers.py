@@ -7,6 +7,7 @@ implementations they check can never be their own source of truth.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -424,3 +425,54 @@ def random_narration_graph(rng: random.Random) -> SemanticGraph:
         relations=relations,
         durations=durations,
     )
+
+
+def assert_same_typed(a, b, path: str = "graph") -> None:
+    """a equals b field by field, in the same order and with identical types.
+
+    `==` alone takes True for 1 and 1 for 1.0; a graph handed from one stage
+    to the next in memory must not differ from its parsed YAML even there.
+    """
+    assert type(a) is type(b), f"{path}: {type(a).__name__} {a!r} vs {type(b).__name__} {b!r}"
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_typed(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), f"{path}: length {len(a)} vs {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_typed(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), f"{path}: keys {list(a)} vs {list(b)}"
+        for key in a:
+            assert_same_typed(a[key], b[key], f"{path}[{key!r}]")
+    else:
+        assert a == b, f"{path}: {a!r} vs {b!r}"
+
+
+def shared_containers(g) -> list[str]:
+    """Paths at which a list, dict or dataclass of g is reached a second time.
+
+    A parsed graph shares none, so an in-memory graph that does could diverge
+    from it under an in-place edit.
+    """
+    seen: set[int] = set()
+    shared: list[str] = []
+
+    def walk(value, path: str) -> None:
+        if isinstance(value, dict):
+            children = [(repr(k), v) for k, v in value.items()]
+        elif isinstance(value, list):
+            children = list(enumerate(value))
+        elif dataclasses.is_dataclass(value):
+            children = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+        else:
+            return
+        if id(value) in seen:
+            shared.append(path)
+            return
+        seen.add(id(value))
+        for key, child in children:
+            walk(child, f"{path}.{key}")
+
+    walk(g, "graph")
+    return shared

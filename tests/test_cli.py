@@ -1,6 +1,7 @@
 import ast
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import anonpsy
 from anonpsy.cli import main
 from anonpsy.config import ConfigError, RunConfig, load_config
 from anonpsy.fileio import write_atomic
+from anonpsy.gateway import MockBackend
 from anonpsy.runner import BASELINE_NAMES, UsageError, run_baseline, run_evaluation, run_pipeline
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR
@@ -117,6 +119,28 @@ class TestBaselineAndEval:
         assert {"anonpsy", "phi", "sdc", "llm_only", "original"} <= set(report["variant_means"])
         assert (out_dir / "report.csv").read_text().startswith("case_id,variant")
 
+    def test_eval_reports_the_other_cases_when_one_reply_is_malformed(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        config = _write_config(tmp_path, gateway={"backend": "mock", "fixtures_dir": str(fixtures)})
+        out_dir = tmp_path / "run"
+        assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 0
+        variables = {
+            "case_id": "case_002",
+            "variant": "original",
+            "narrative": (CORPUS_DIR / "case_002.txt").read_text(encoding="utf-8"),
+        }
+        MockBackend(fixtures).fixture_path("predict_diagnoses", variables).write_text("diagnoses: [unclosed")
+
+        assert main(["eval", str(out_dir), "--config", str(config)]) == 1
+        error = "GatewayError: [predict_diagnoses] response is not a diagnoses mapping"
+        assert f"eval: case_002: FAILED: {error}" in capsys.readouterr().err
+        report = yaml.safe_load((out_dir / "report.yaml").read_text())
+        assert [case["case_id"] for case in report["cases"]] == ["case_001", "case_003"]
+        assert "case_002" not in (out_dir / "report.csv").read_text()
+        manifest = yaml.safe_load((out_dir / "run_manifest.yaml").read_text())
+        assert manifest["stages"]["eval"] == {"succeeded": ["case_001", "case_003"], "failed": {"case_002": error}}
+
     def test_eval_without_run_outputs_fails_with_names(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         missing = tmp_path / "never_ran"
@@ -199,6 +223,23 @@ class TestWorkerPool:
         parallel_tree = _tree(out_parallel)
         # The manifest records per-stage status identically; artifacts match.
         assert serial_tree == parallel_tree
+
+    def test_chained_stages_interleave_safely(self, tmp_path):
+        # More workers than cores, and a thread switch every few microseconds,
+        # so cases sit at different stages of the chain while sharing the gateway.
+        config = _write_config(tmp_path, seed=42, jobs=1)
+        out_serial, out_parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["run", str(CORPUS_DIR), str(out_serial), "--config", str(config)]) == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                code = main(["run", str(CORPUS_DIR), str(out_parallel), "--config", str(config), "--jobs", "4"])
+                assert code == 0
+                assert _tree(out_parallel) == _tree(out_serial)
+                shutil.rmtree(out_parallel)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _counting_replace(monkeypatch) -> list:

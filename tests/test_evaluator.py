@@ -8,12 +8,13 @@ from anonpsy.evaluation import embedding
 from anonpsy.evaluation.judge import JudgeError, judge_risk
 from anonpsy.evaluation.report import VARIANT_FILES, EvalInputError, discover_cases, run_eval
 from anonpsy.evaluation.embedding import HashedTfEmbedder
-from anonpsy.gateway import GatewayError
 from anonpsy.runner import run_baseline, run_pipeline
 from anonpsy.textproc import tokenize
 from tests.gen_fixtures import make_config
 
 from .helpers import FakeGateway
+
+CASE_IDS = ["case_001", "case_002", "case_003"]
 
 
 class TestJudgeRisk:
@@ -147,13 +148,30 @@ class TestRunEval:
                 return "diagnoses: [unclosed"
             return mock_gateway.call(t, v, temperature=0.0)
 
-        with pytest.raises(GatewayError) as err:
-            run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
-        assert err.value.template_id == template_id
-        assert str(err.value) == f"[{template_id}] {message}"
+        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        assert report.cases == []
+        assert report.failed == {case_id: f"GatewayError: [{template_id}] {message}" for case_id in CASE_IDS}
+
+    def test_failed_case_is_left_out_of_the_report(self, full_run, mock_gateway, tmp_path):
+        out_dir, config = full_run
+
+        def handler(t, v):
+            if t == "predict_diagnoses" and v["case_id"] == "case_002" and v["variant"] == "sdc":
+                return "diagnoses: [unclosed"
+            return mock_gateway.call(t, v, temperature=0.0)
+
+        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        assert report.failed == {"case_002": "GatewayError: [predict_diagnoses] response is not a diagnoses mapping"}
+        others = tmp_path / "others"
+        for case_id in ("case_001", "case_003"):
+            shutil.copytree(out_dir / case_id, others / case_id)
+        expected = run_eval(others, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        assert [c.case_id for c in report.cases] == ["case_001", "case_003"]
+        assert (report.to_yaml(), report.to_csv()) == (expected.to_yaml(), expected.to_csv())
 
     def test_reply_with_invalid_date_is_gateway_error_naming_template(self, full_run, mock_gateway):
-        # Pure PyYAML raises a bare ValueError on this reply, which aborted the eval run.
+        # Pure PyYAML raises a bare ValueError on this reply, which aborted the eval run;
+        # now each case fails on it alone.
         out_dir, config = full_run
 
         def handler(t, v):
@@ -161,12 +179,14 @@ class TestRunEval:
                 return "diagnoses: [2021-02-30]"
             return mock_gateway.call(t, v, temperature=0.0)
 
-        with pytest.raises(GatewayError) as err:
-            run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
-        assert str(err.value) == "[predict_diagnoses] response is not a diagnoses mapping"
+        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        assert report.failed == {
+            case_id: "GatewayError: [predict_diagnoses] response is not a diagnoses mapping" for case_id in CASE_IDS
+        }
 
     def test_deeply_nested_reply_is_gateway_error_naming_template(self, full_run, mock_gateway):
-        # Pure PyYAML raises RecursionError on this reply, which aborted the eval run.
+        # Pure PyYAML raises RecursionError on this reply, which aborted the eval run;
+        # now each case fails on it alone.
         out_dir, config = full_run
 
         def handler(t, v):
@@ -174,9 +194,10 @@ class TestRunEval:
                 return "[" * 600 + "]" * 600
             return mock_gateway.call(t, v, temperature=0.0)
 
-        with pytest.raises(GatewayError) as err:
-            run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
-        assert str(err.value) == "[predict_diagnoses] response is not a diagnoses mapping"
+        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        assert report.failed == {
+            case_id: "GatewayError: [predict_diagnoses] response is not a diagnoses mapping" for case_id in CASE_IDS
+        }
 
     def test_each_distinct_term_is_hashed_once(self, full_run, mock_gateway, monkeypatch):
         out_dir, config = full_run

@@ -253,6 +253,25 @@ class TestRetryAndCache:
         assert cache_key(untagged) == cache_key(first) == pinned
         assert cache_key(second) != pinned
 
+    def test_cache_lookups_intern_no_file_name(self, tmp_path, monkeypatch):
+        # pathlib passes every path part through sys.intern; the table of
+        # interned strings grows with one 64-hex key per cached call.
+        req = _request()
+        gw = LlmGateway(_FlakyBackend(failures=0, text="reply\n"), model="m", cache_dir=tmp_path / "cache")
+        interned = []
+        real_intern = sys.intern
+
+        def recording_intern(text):
+            interned.append(text)
+            return real_intern(text)
+
+        monkeypatch.setattr(sys, "intern", recording_intern)
+        assert gw.complete(req).backend != "cache"
+        assert gw.complete(req).backend == "cache"
+        monkeypatch.undo()
+        assert [text for text in interned if cache_key(req) in text] == []
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{cache_key(req)}.txt"]
+
     def test_distinct_temperatures_never_collide(self):
         a = cache_key(_request(temperature=0.1))
         b = cache_key(_request(temperature=0.7))

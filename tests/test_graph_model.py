@@ -16,7 +16,7 @@ from anonpsy.model import (
 )
 from anonpsy.yamlio import GraphParseError, GraphSerializationError, parse_yaml, serialize_yaml
 
-from .helpers import minimal_graph, random_valid_graph
+from .helpers import assert_same_typed, minimal_graph, random_valid_graph, shared_containers
 
 
 class TestValidateGraph:
@@ -197,6 +197,17 @@ class TestParseYaml:
             assert parse_yaml(text) == g
             assert serialize_yaml(parse_yaml(text)) == text
 
+
+    def test_round_trip_is_type_strict(self):
+        # The stage engine hands a graph to the next stage in memory where the
+        # staged commands parse it back: the two must not differ, not even as
+        # True vs 1 or 1 vs 1.0.
+        rng = random.Random(992)
+        for _ in range(60):
+            g = random_valid_graph(rng)
+            parsed = parse_yaml(serialize_yaml(g))
+            assert_same_typed(parsed, g)
+            assert shared_containers(parsed) == []
 
 @settings(max_examples=150)
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80))

@@ -1,7 +1,10 @@
 """The stage engine: case selection, stale-output removal, and the hooks the traced bench patches."""
 
 import ast
+import copy
+import inspect
 import shutil
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,13 +15,18 @@ from anonpsy.config import RunConfig
 from anonpsy.converter import INTERMEDIATES
 from anonpsy.gateway import MockBackend
 
-from .conftest import CORPUS_DIR, FIXTURES_DIR
+from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
+from .helpers import assert_same_typed, shared_containers
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
 
 
 def _config(fixtures_dir: Path = FIXTURES_DIR) -> RunConfig:
     return RunConfig(seed=42, jobs=1, backend="mock", fixtures_dir=str(fixtures_dir))
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _case_files(out_dir: Path) -> dict[str, set[str]]:
@@ -80,7 +88,7 @@ def test_each_stage_adds_exactly_its_declared_outputs(tmp_path):
         before = after
 
 
-def test_baselines_write_missing_inputs_only_and_convert_rewrites_them(tmp_path):
+def test_every_corpus_stage_rewrites_changed_inputs(tmp_path):
     config = _config()
     out_dir = tmp_path / "run"
     assert runner.run_baseline("phi", CORPUS_DIR, out_dir, config).ok
@@ -88,11 +96,56 @@ def test_baselines_write_missing_inputs_only_and_convert_rewrites_them(tmp_path)
     assert _case_files(out_dir) == {case_id: expected for case_id in CASE_IDS}
 
     original = out_dir / "case_001" / "original.txt"
-    original.write_text("edited\n", encoding="utf-8")
-    assert runner.run_baseline("phi", CORPUS_DIR, out_dir, config).ok
-    assert original.read_text(encoding="utf-8") == "edited\n"
-    assert runner.run_convert(CORPUS_DIR, out_dir, config).ok
-    assert original.read_bytes() == (CORPUS_DIR / "case_001.txt").read_bytes()
+    for command in (
+        lambda: runner.run_baseline("phi", CORPUS_DIR, out_dir, config),
+        lambda: runner.run_convert(CORPUS_DIR, out_dir, config),
+    ):
+        original.write_text("edited\n", encoding="utf-8")
+        assert command().ok
+        assert original.read_bytes() == (CORPUS_DIR / "case_001.txt").read_bytes()
+
+
+def _full_run(corpus: Path, out_dir: Path, config: RunConfig) -> None:
+    assert runner.run_pipeline(corpus, out_dir, config).ok
+    for name in runner.BASELINE_NAMES:
+        assert runner.run_baseline(name, corpus, out_dir, config).ok
+
+
+def test_changed_corpus_text_clears_what_other_stages_made_from_the_old_one(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    config = _config()
+    out_dir = tmp_path / "run"
+    _full_run(corpus, out_dir, config)
+    others = {case_id: _tree(out_dir / case_id) for case_id in ("case_002", "case_003")}
+
+    (corpus / "case_001.txt").write_text("Seen on 2020-01-02. A new narrative.", encoding="utf-8")
+    assert runner.run_baseline("phi", corpus, out_dir, config).ok
+
+    case_dir = out_dir / "case_001"
+    assert _case_files(out_dir)["case_001"] == {"original.txt", "meta.yaml", "baseline.phi.txt"}
+    assert (case_dir / "original.txt").read_text(encoding="utf-8") == "Seen on 2020-01-02. A new narrative."
+    assert (case_dir / "baseline.phi.txt").read_text(encoding="utf-8") == "Seen on [DATE]. A new narrative."
+    assert {case_id: _tree(out_dir / case_id) for case_id in others} == others
+
+
+def test_changed_diagnoses_clear_the_baselines_at_convert(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    config = _config()
+    out_dir = tmp_path / "run"
+    _full_run(corpus, out_dir, config)
+    before = _tree(out_dir / "case_001")
+
+    manifest = corpus / "manifest.yaml"
+    manifest.write_text(
+        manifest.read_text(encoding="utf-8").replace("major depressive disorder", "dysthymia"), encoding="utf-8"
+    )
+    assert runner.run_convert(corpus, out_dir, config).ok
+
+    after = _tree(out_dir / "case_001")
+    assert set(before) - set(after) == {f"baseline.{name}.txt" for name in runner.BASELINE_NAMES}
+    assert b"dysthymia" in after["meta.yaml"]
 
 
 def test_perturb_without_a_run_directory_is_a_usage_error(tmp_path):
@@ -101,6 +154,116 @@ def test_perturb_without_a_run_directory_is_a_usage_error(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(runner.UsageError, match="graph.yaml"):
         runner.run_perturb(tmp_path / "empty", _config())
+
+
+def _staged(corpus: Path, out_dir: Path, config: RunConfig) -> dict[str, str]:
+    """`anonpsy convert`; `anonpsy perturb`; `anonpsy generate`, each failure by case."""
+    failed = dict(runner.run_convert(corpus, out_dir, config).failed)
+    for command in (runner.run_perturb, runner.run_generate):
+        try:
+            failed.update(command(out_dir, config).failed)
+        except runner.UsageError:
+            pass  # no case left for this stage: the command exits 2 and records nothing
+    return failed
+
+
+def _fail_for(monkeypatch, name: str, case_id: str) -> None:
+    """Make the operator `name` fail for one case, through the runner's module name."""
+    real = getattr(runner, name)
+
+    def failing(*args, **kwargs):
+        if (kwargs.get("case_id") or args[0].case_id) == case_id:
+            raise RuntimeError(f"{name} refused {case_id}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, name, failing)
+
+
+def _seed_foreign_cases(out_dir: Path) -> None:
+    """Case directories the corpus does not name: one holds a graph, one only a perturbed graph."""
+    (out_dir / "case_002").mkdir(parents=True)
+    (out_dir / "case_002" / "graph.yaml").write_bytes((GOLDEN_DIR / "case_002.graph.yaml").read_bytes())
+    (out_dir / "case_003").mkdir()
+    perturbed = (GOLDEN_DIR / "case_003.graph.perturbed.yaml").read_bytes()
+    (out_dir / "case_003" / "graph.perturbed.yaml").write_bytes(perturbed)
+
+
+@pytest.mark.parametrize("scenario", ["fail:convert", "fail:perturb", "fail:generate", "foreign", "all-fail"])
+def test_run_matches_the_staged_commands(tmp_path, monkeypatch, scenario):
+    corpus, config, seed = CORPUS_DIR, _config(), None
+    if scenario.startswith("fail:"):
+        _fail_for(monkeypatch, scenario.removeprefix("fail:"), "case_002")
+    elif scenario == "foreign":
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        (corpus / "manifest.yaml").write_text(
+            runner.safe_dump({"cases": [{"case_id": "case_001", "diagnoses": ["major depressive disorder"]}]}),
+            encoding="utf-8",
+        )
+        seed = _seed_foreign_cases
+    else:
+        (tmp_path / "no-fixtures").mkdir()
+        config = _config(tmp_path / "no-fixtures")
+    staged, direct = tmp_path / "staged", tmp_path / "direct"
+    if seed:
+        seed(staged)
+        seed(direct)
+
+    staged_failed = _staged(corpus, staged, config)
+    result = runner.run_pipeline(corpus, direct, config)
+
+    assert _tree(direct) == _tree(staged)
+    assert result.failed == staged_failed
+    stages = runner.safe_load((direct / "run_manifest.yaml").read_text(encoding="utf-8"))["stages"]
+    if scenario == "all-fail":
+        assert sorted(result.failed) == CASE_IDS and list(stages) == ["convert"]
+    elif scenario == "foreign":
+        assert result.ok and result.succeeded == CASE_IDS
+        assert [stages[name]["succeeded"] for name in runner.PIPELINE] == [["case_001"], CASE_IDS[:2], CASE_IDS]
+    else:
+        assert list(result.failed) == ["case_002"] and result.succeeded == ["case_001", "case_003"]
+
+
+def test_run_parses_no_graph_and_writes_the_manifest_once(tmp_path, monkeypatch):
+    parsed, manifests = [], []
+    real_parse, real_write = runner.parse_yaml, runner.write_atomic
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    def counting_write(path, text):
+        if Path(path).name == "run_manifest.yaml":
+            manifests.append(path)
+        return real_write(path, text)
+
+    monkeypatch.setattr(runner, "parse_yaml", counting_parse)
+    monkeypatch.setattr(runner, "write_atomic", counting_write)
+    config = _config()
+    out_dir = tmp_path / "run"
+    assert runner.run_pipeline(CORPUS_DIR, out_dir, config).ok
+    assert (len(parsed), len(manifests)) == (0, 1)
+
+    # The staged commands read each graph back from disk.
+    assert runner.run_perturb(out_dir, config).ok and runner.run_generate(out_dir, config).ok
+    assert (len(parsed), len(manifests)) == (2 * len(CASE_IDS), 3)
+
+
+def test_graphs_handed_over_in_memory_equal_their_parsed_yaml(tmp_path):
+    config = _config()
+    gateway = runner.build_gateway(config)
+    for narrative in runner.load_corpus(CORPUS_DIR):
+        case_dir = tmp_path / narrative.case_id
+        case_dir.mkdir()
+        graph = runner.convert(narrative, gateway, work_dir=case_dir)
+        assert_same_typed(runner.parse_yaml(runner.serialize_yaml(graph)), graph)
+        assert shared_containers(graph) == []
+
+        before = copy.deepcopy(graph)
+        perturbed, _ = runner.perturb(graph, gateway, config.perturb, case_id=narrative.case_id)
+        assert_same_typed(graph, before)  # perturb leaves its input as it found it
+        assert_same_typed(runner.parse_yaml(runner.serialize_yaml(perturbed)), perturbed)
+        assert shared_containers(perturbed) == []
 
 
 # The traced bench replaces these module names of `anonpsy.runner` for the
@@ -161,3 +324,14 @@ def test_thread_pool_is_created_only_by_the_stage_engine():
     (engine,) = [n for n in runner_tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_stage"]
     assert pools == [f"runner.py:{line}" for line in _calls_to(engine, "ThreadPoolExecutor")]
     assert len(pools) == 1
+
+
+def test_only_the_stage_engine_decodes_a_graph():
+    # A stage's work takes its source decoded: the engine parses a graph read
+    # from disk, and a chain hands the previous stage's graph over in memory.
+    for name, stage in runner.STAGES.items():
+        work = ast.parse(textwrap.dedent(inspect.getsource(stage.work)))
+        assert _calls_to(work, "parse_yaml") == [], name
+    runner_tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    (engine,) = [n for n in runner_tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_stage"]
+    assert _calls_to(runner_tree, "parse_yaml") == _calls_to(engine, "parse_yaml") != []
