@@ -3,7 +3,7 @@
 from .canon import canonical_label_set, canonicalize_diagnosis, soft_f1
 from .embedding import HashedTfEmbedder, HttpEmbedder, cosine, doc_similarity
 from .judge import AT_RISK_THRESHOLD, JudgeError, JudgeResult, judge_risk
-from .report import EvalInputError, EvalReport, run_eval
+from .report import EvalReport, run_eval
 from .stats import (
     TestOutcome,
     binomial_test,
@@ -18,7 +18,6 @@ from .stats import (
 
 __all__ = [
     "AT_RISK_THRESHOLD",
-    "EvalInputError",
     "EvalReport",
     "HashedTfEmbedder",
     "HttpEmbedder",

@@ -11,6 +11,11 @@ instance per eval command, so the memo lives for one eval and nothing
 outlives it. The memo is cleared when it holds `MEMO_CAP` terms, about 2 MB,
 so memory does not grow with the corpus. Counts stay integer-valued floats,
 so every vector is bit-identical to hashing each term occurrence anew.
+
+The eval cases of one command run on the worker pool and share that memo.
+Each dict read, write and clear is atomic, and a term's bucket depends on
+the term alone, so the worst a race does is hash a term twice, or after a
+clear hash it again, into the same bucket: every vector stays bit-identical.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Corpus-level privacy/utility evaluation over a run directory.
 
-Per case and variant: diagnosis prediction (scored with soft-F1 against the
-gold labels), cosine similarity to the original, and a binary diagnosis
-acceptability judgment. Across the corpus: signed-rank, rank-sum, binomial,
-Cochran/McNemar, and Friedman tests with Holm correction where tests are
-pairwise. The per-variant (cosine, soft-F1) means are the coordinates in the
-recallability vs structure plane.
+Per case and variant (`eval_case`, the work of the runner's `eval` row):
+diagnosis prediction (scored with soft-F1 against the gold labels), cosine
+similarity to the original, and a binary diagnosis acceptability judgment.
+Across the corpus (`run_eval`, over the cases' scores): signed-rank,
+rank-sum, binomial, Cochran/McNemar, and Friedman tests with Holm correction
+where tests are pairwise. The per-variant (cosine, soft-F1) means are the
+coordinates in the recallability vs structure plane.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from pathlib import Path
 
 import yaml
 
+from ..converter import CaseNarrative
 from ..gateway import GatewayError, LlmGateway
-from ..yamlio import load_yaml, safe_dump, safe_load
+from ..yamlio import safe_dump, safe_load
 from .canon import canonical_label_set, soft_f1
 from .embedding import embedded_similarity
 from .judge import JudgeError, judge_risk
@@ -39,10 +41,6 @@ VARIANT_FILES = {
     "sdc": "baseline.sdc.txt",
     "llm_only": "baseline.llm_only.txt",
 }
-
-
-class EvalInputError(RuntimeError):
-    """Raised when required run artifacts are missing."""
 
 
 @dataclass
@@ -69,7 +67,6 @@ class EvalReport:
     cases: list[CaseEval]
     variant_means: dict[str, dict[str, float]]  # variant -> {cosine, soft_f1}
     statistics: list[dict]
-    failed: dict[str, str] = field(default_factory=dict)  # case id -> "GatewayError: ..."; not in the report
 
     def to_yaml(self) -> str:
         doc = {
@@ -148,62 +145,23 @@ def _judge_acceptability(
     return _reply_field(gw, "diagnosis_acceptability", variables, "acceptable", bool, "an acceptability", model)
 
 
-def discover_cases(run_dir: str | Path) -> list[tuple[str, Path]]:
-    run_dir = Path(run_dir)
-    if not run_dir.is_dir():
-        raise EvalInputError(f"run directory {run_dir} does not exist")
-    cases = []
-    for case_dir in sorted(p for p in run_dir.iterdir() if p.is_dir()):
-        if (case_dir / "original.txt").is_file() and (case_dir / "meta.yaml").is_file():
-            cases.append((case_dir.name, case_dir))
-    if not cases:
-        raise EvalInputError(f"no case directories with original.txt + meta.yaml under {run_dir}")
-    return cases
+def run_eval(cases: list[CaseEval]) -> EvalReport:
+    """The corpus report over the cases' scores, in the order given."""
+    return EvalReport(cases=cases, variant_means=_variant_means(cases), statistics=_corpus_statistics(cases))
 
 
-def run_eval(
-    run_dir: str | Path,
+def eval_case(
+    narrative: CaseNarrative,
+    case_dir: Path,
     gw: LlmGateway,
     embedder,
-    match_threshold: float = 0.8,
-    judge_model: str | None = None,
-    seed: int = 0,
-) -> EvalReport:
-    """Evaluate every case directory under run_dir and aggregate statistics.
-
-    A case whose model call raises `GatewayError` is left out of the cases and
-    the statistics and listed in the report's `failed`.
-    """
-    discovered = discover_cases(run_dir)
-    # Check every input before the first (possibly paid) model call.
-    anonpsy_file = VARIANT_FILES["anonpsy"]
-    missing = [
-        f"{case_id}/{anonpsy_file}"
-        for case_id, case_dir in discovered
-        if not (case_dir / anonpsy_file).is_file()
-    ]
-    if missing:
-        raise EvalInputError("missing run artifacts: " + ", ".join(missing))
-
-    cases: list[CaseEval] = []
-    failed: dict[str, str] = {}
-    for case_id, case_dir in discovered:
-        try:
-            cases.append(_eval_case(case_id, case_dir, gw, embedder, match_threshold, judge_model, seed))
-        except GatewayError as exc:  # isolate: the other cases are still reported
-            failed[case_id] = f"{type(exc).__name__}: {exc}"
-
-    variant_means = _variant_means(cases)
-    statistics = _corpus_statistics(cases)
-    return EvalReport(cases=cases, variant_means=variant_means, statistics=statistics, failed=failed)
-
-
-def _eval_case(
-    case_id: str, case_dir: Path, gw: LlmGateway, embedder, match_threshold: float, judge_model: str | None, seed: int
+    match_threshold: float,
+    judge_model: str | None,
+    seed: int,
 ) -> CaseEval:
-    original = (case_dir / "original.txt").read_text(encoding="utf-8")
-    meta = load_yaml((case_dir / "meta.yaml").read_text(encoding="utf-8")) or {}
-    gold = canonical_label_set([str(d) for d in meta.get("diagnoses", [])])
+    """Score the original and every variant file case_dir holds against the case's gold diagnoses."""
+    case_id, original = narrative.case_id, narrative.text
+    gold = canonical_label_set(narrative.ground_truth_diagnoses)
     case = CaseEval(case_id=case_id, gold=gold)
 
     texts: dict[str, str] = {"original": original}

@@ -116,20 +116,20 @@ class MockBackend:
     name = "mock"
 
     def __init__(self, fixtures_dir: str | Path):
-        self.fixtures_dir = Path(fixtures_dir)
+        self.fixtures_dir = os.fspath(fixtures_dir)
 
-    def fixture_path(self, template_id: str, variables: dict[str, str]) -> Path:
-        return self.fixtures_dir / template_id / f"{variables_digest(variables)}.txt"
+    def fixture_path(self, template_id: str, variables: dict[str, str]) -> str:
+        # A str path: pathlib passes every path part, here a fixture file name, through sys.intern.
+        return os.path.join(self.fixtures_dir, template_id, f"{variables_digest(variables)}.txt")
 
     def complete(self, req: ChatRequest) -> str:
         path = self.fixture_path(req.template_id, dict(req.variables))
         try:
-            return path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fixture:
+                return fixture.read()
         except FileNotFoundError:
-            raise MockFixtureMissing(
-                req.template_id,
-                f"no mock fixture at {path} (digest {path.stem})",
-            ) from None
+            digest = os.path.basename(path).removesuffix(".txt")
+            raise MockFixtureMissing(req.template_id, f"no mock fixture at {path} (digest {digest})") from None
 
 
 def post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:

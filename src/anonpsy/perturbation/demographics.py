@@ -54,6 +54,11 @@ def _age_feasible(
     """Return the first violated rule description, or None when feasible."""
     if candidate_age < 0:
         return "age would become negative"
+    shift = -age_offset * 365
+    for d in g.durations:
+        sides = (d.offset_days > 0, d.end_days > 0)
+        if d.age_anchored and sides != (d.offset_days + shift > 0, d.end_days + shift > 0):
+            return "age offset moves an age-anchored interval across day 0"
     for diagnosis in g.diagnoses:
         for rule in rules:
             if not rule.matches(diagnosis.label):

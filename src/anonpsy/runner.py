@@ -1,16 +1,17 @@
 """Stage execution over a run directory, with per-case failure isolation.
 
 The per-case stages are the rows of one table, `STAGES`. A row names what
-selects its cases (the corpus, or an artifact each case directory must hold),
-the files it writes per case, and the work that produces their text. One
-engine, `run_stage`, runs one row or a chain of rows (`run` is the chain
-convert -> perturb -> generate): it loads the inputs and builds the gateway
-once per command, runs each case's rows one after another on one task of a
-bounded worker pool, hands each row's product (a graph) to the next row in
-memory, writes each output atomically and records every row in
-run_manifest.yaml once. A case that fails a stage loses that stage's outputs
-and those of every stage that reads them, directly or not, so nothing
-downstream reads artifacts made from an earlier input.
+selects its cases (the corpus, or the files each case directory must hold),
+the files it writes per case, and the work that produces their text and its
+product. One engine, `run_stage`, runs one row or a chain of rows (`run` is
+the chain convert -> perturb -> generate; `eval` is one row whose product is
+a case's scores): it loads the inputs and builds the gateway once per
+command, runs each case's rows one after another on one task of a bounded
+worker pool, hands each row's product (a graph) to the next row in memory,
+writes each output atomically, records every row in run_manifest.yaml once
+and returns each case's last product. A case that fails a stage loses that
+stage's outputs and those of every stage that reads them, directly or not,
+so nothing downstream reads artifacts made from an earlier input.
 
 Each case owns one directory under the run root; all writes stay inside it,
 so cases can run on the pool without interfering. Reruns with unchanged
@@ -30,7 +31,7 @@ from .baselines import llm_only, phi_mask, sdc_rewrite
 from .config import ConfigError, RunConfig
 from .converter import INTERMEDIATES, CaseNarrative, convert
 from .evaluation.embedding import HashedTfEmbedder, HttpEmbedder
-from .evaluation.report import EvalInputError, run_eval
+from .evaluation.report import eval_case, run_eval
 from .fileio import write_atomic
 from .gateway import HttpBackend, LlmGateway, MockBackend
 from .model import SemanticGraph
@@ -59,6 +60,8 @@ class StageResult:
     stage: str
     succeeded: list[str] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
+    # case id -> the product of the last row, for each succeeded case
+    products: dict[str, Any] = field(default_factory=dict, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -73,20 +76,25 @@ class Shared:
     gateway: LlmGateway
     rules: list | None = None
     pools: list | None = None
+    embedder: Any = None
 
 
 @dataclass(frozen=True)
 class Stage:
     """One row of the stage table."""
 
-    source: str | None  # artifact a case directory must hold; None: every corpus case
+    # None: every corpus case, whose source is its CaseNarrative. A file name:
+    # the case directories holding that artifact, whose source is the graph it
+    # holds. The CASE_INPUTS file names: the case directories holding them,
+    # whose source is the corpus entry read back from them.
+    source: str | tuple[str, ...] | None
     outputs: tuple[str, ...]  # files written per case, in the order `work` returns them
-    # (case directory, source, shared) -> (output texts, product). The source is
-    # the case's CaseNarrative for a corpus stage, else the graph its source
-    # artifact holds; the product is what a stage reading outputs[0] takes.
+    # (case directory, source, shared) -> (output texts, product); the product
+    # is what a stage reading outputs[0] takes.
     work: Callable[[Path, Any, Shared], tuple[tuple[str, ...], Any]]
-    tables: bool = False  # load the feasibility rules and value pools
+    loads: tuple[str, ...] = ()  # the `Shared` fields its command loads once, keys of LOADERS
     side_outputs: tuple[str, ...] = ()  # files `work` writes into the case directory itself
+    requires: tuple[str, ...] = ()  # files each of its cases must hold before any case runs
 
 
 def build_gateway(config: RunConfig) -> LlmGateway:
@@ -109,6 +117,14 @@ def build_embedder(config: RunConfig):
             raise ConfigError("embedder http requires eval.embedding_endpoint")
         return HttpEmbedder(config.embedding_endpoint, config.embedding_model)
     return HashedTfEmbedder()
+
+
+# What a row may ask its command to load once for every case, by `Shared` field.
+LOADERS = {
+    "rules": lambda config: load_feasibility_rules(config.feasibility_rules_path),
+    "pools": lambda config: load_test_value_pools(config.test_value_pools_path),
+    "embedder": build_embedder,
+}
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CaseNarrative]:
@@ -135,6 +151,13 @@ def load_corpus(corpus_dir: str | Path) -> list[CaseNarrative]:
             )
         )
     return narratives
+
+
+def read_case_inputs(case_dir: Path) -> CaseNarrative:
+    """The corpus entry that CASE_INPUTS wrote into case_dir, read back."""
+    meta = load_yaml((case_dir / "meta.yaml").read_text(encoding="utf-8")) or {}
+    text = (case_dir / "original.txt").read_text(encoding="utf-8")
+    return CaseNarrative(case_dir.name, text, [str(d) for d in meta.get("diagnoses", [])])
 
 
 def _convert(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
@@ -171,15 +194,24 @@ def _llm_only(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple
     return (llm_only(narrative.text, shared.gateway),), None
 
 
+def _eval(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
+    config = shared.config
+    scores = eval_case(
+        narrative, case_dir, shared.gateway, shared.embedder, config.match_threshold, config.judge_model, config.seed
+    )
+    return (), scores
+
+
 # Every per-case stage, keyed by its manifest name, in pipeline order: a stage
 # comes after every stage whose outputs it reads.
 STAGES = {
     "convert": Stage(None, ("graph.yaml",), _convert, side_outputs=INTERMEDIATES),
-    "perturb": Stage("graph.yaml", ("graph.perturbed.yaml", "perturb.audit.yaml"), _perturb, tables=True),
+    "perturb": Stage("graph.yaml", ("graph.perturbed.yaml", "perturb.audit.yaml"), _perturb, loads=("rules", "pools")),
     "generate": Stage("graph.perturbed.yaml", ("outline.yaml", "deid.txt"), _generate),
     "baseline.phi": Stage(None, ("baseline.phi.txt",), _phi),
     "baseline.sdc": Stage(None, ("baseline.sdc.txt",), _sdc),
     "baseline.llm_only": Stage(None, ("baseline.llm_only.txt",), _llm_only),
+    "eval": Stage(tuple(CASE_INPUTS), (), _eval, loads=("embedder",), requires=("deid.txt",)),
 }
 BASELINE_NAMES = tuple(name.removeprefix("baseline.") for name in STAGES if name.startswith("baseline."))
 PIPELINE = ("convert", "perturb", "generate")
@@ -218,14 +250,16 @@ def run_stage(
     row whose source it holds (the corpus for a corpus row), runs every later
     row on the same pool task, and stops at its first failure. corpus_dir is
     read only when the first row's cases come from the corpus. The result
-    lists a case as succeeded when it ran every row from its start, else with
-    the error of the row it failed.
+    lists a case as succeeded, with the product of its last row, when it ran
+    every row from its start, else with the error of the row it failed.
     """
     chain = (names,) if isinstance(names, str) else tuple(names)
     rows = [STAGES[name] for name in chain]
+    # The files a case directory holds to start at each row; none for a corpus row.
+    held = [(row.source,) if isinstance(row.source, str) else row.source or () for row in rows]
     out_dir = Path(out_dir)
-    # case id -> (index of its first row in the chain, its source there)
-    starts: dict[str, tuple[int, CaseNarrative | Path]] = {}
+    # case id -> (index of its first row in the chain, its CaseNarrative when that row is a corpus row)
+    starts: dict[str, tuple[int, CaseNarrative | None]] = {}
     if rows[0].source is None:
         starts = {n.case_id: (0, n) for n in load_corpus(corpus_dir)}
     elif not out_dir.is_dir():
@@ -233,22 +267,27 @@ def run_stage(
     if out_dir.is_dir():
         for case_dir in out_dir.iterdir():
             if case_dir.name not in starts:
-                held = (i for i, row in enumerate(rows) if row.source and (case_dir / row.source).is_file())
-                index = next(held, None)
+                index = next(
+                    (i for i, files in enumerate(held) if files and all((case_dir / f).is_file() for f in files)), None
+                )
                 if index is not None:
-                    starts[case_dir.name] = (index, case_dir / rows[index].source)
+                    starts[case_dir.name] = (index, None)
     if not starts:
-        raise UsageError(f"no case directories with {rows[0].source} under {out_dir}")
-    shared = Shared(config, build_gateway(config))
-    if any(row.tables for row in rows):
-        shared = replace(
-            shared,
-            rules=load_feasibility_rules(config.feasibility_rules_path),
-            pools=load_test_value_pools(config.test_value_pools_path),
-        )
+        raise UsageError(f"no case directories with {' + '.join(held[0])} under {out_dir}")
+    # Check every input before the first (possibly paid) model call.
+    missing = [
+        f"{case_id}/{file}"
+        for case_id, (first, _) in sorted(starts.items())
+        for file in rows[first].requires
+        if not (out_dir / case_id / file).is_file()
+    ]
+    if missing:
+        raise UsageError("missing run artifacts: " + ", ".join(missing))
+    loads = {key: LOADERS[key](config) for row in rows for key in row.loads}
+    shared = Shared(config, build_gateway(config), **loads)
 
-    def one(case_id: str) -> dict[str, str | None]:
-        """Each row this case ran, with its error or None."""
+    def one(case_id: str) -> tuple[dict[str, str | None], Any]:
+        """Each row this case ran, with its error or None; and the last row's product."""
         first, source = starts[case_id]
         case_dir = out_dir / case_id
         ran: dict[str, str | None] = {}
@@ -261,8 +300,10 @@ def run_stage(
                     if any(changed):
                         for file in STALE_ON_NEW_INPUT[name]:
                             (case_dir / file).unlink(missing_ok=True)
+                elif name == chain[first] and isinstance(stage.source, str):
+                    source = parse_yaml((case_dir / stage.source).read_text(encoding="utf-8"))
                 elif name == chain[first]:
-                    source = parse_yaml(source.read_text(encoding="utf-8"))
+                    source = read_case_inputs(case_dir)
                 texts, source = stage.work(case_dir, source, shared)
                 for file, text in zip(stage.outputs, texts, strict=True):
                     write_atomic(case_dir / file, text)
@@ -272,13 +313,13 @@ def run_stage(
                     (case_dir / file).unlink(missing_ok=True)
                 ran[name] = f"{type(exc).__name__}: {exc}"
                 break
-        return ran
+        return ran, source
 
     result = StageResult(stage="+".join(chain))
     by_stage = {name: StageResult(stage=name) for name in chain}
     case_ids = sorted(starts)
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        for case_id, ran in zip(case_ids, pool.map(one, case_ids)):
+        for case_id, (ran, product) in zip(case_ids, pool.map(one, case_ids)):
             for name, error in ran.items():
                 if error is None:
                     by_stage[name].succeeded.append(case_id)
@@ -286,6 +327,7 @@ def run_stage(
                     by_stage[name].failed[case_id] = result.failed[case_id] = error
             if case_id not in result.failed:
                 result.succeeded.append(case_id)
+                result.products[case_id] = product
     # A stage no case reached gets no entry, as when it is run on its own and finds no case.
     _update_manifest(out_dir, config, [r for r in by_stage.values() if r.succeeded or r.failed])
     return result
@@ -315,24 +357,11 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, config: RunConfig)
 
 
 def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
-    out_dir = Path(out_dir)
-    gateway = build_gateway(config)
-    embedder = build_embedder(config)
-    try:
-        report = run_eval(
-            out_dir,
-            gateway,
-            embedder,
-            match_threshold=config.match_threshold,
-            judge_model=config.judge_model,
-            seed=config.seed,
-        )
-    except EvalInputError as exc:
-        raise UsageError(str(exc)) from exc
-    write_atomic(out_dir / "report.yaml", report.to_yaml())
-    write_atomic(out_dir / "report.csv", report.to_csv())
-    result = StageResult(stage="eval", succeeded=[c.case_id for c in report.cases], failed=report.failed)
-    _update_manifest(out_dir, config, [result])
+    """Score every case on the pool, then report the succeeded ones in case-id order."""
+    result = run_stage("eval", out_dir, config)
+    report = run_eval([result.products[case_id] for case_id in result.succeeded])
+    write_atomic(Path(out_dir) / "report.yaml", report.to_yaml())
+    write_atomic(Path(out_dir) / "report.csv", report.to_csv())
     return result
 
 

@@ -281,13 +281,19 @@ def temporal_signature(g: SemanticGraph) -> dict[str, tuple[tuple[int, int], ...
     """Canonical node_id -> sorted (start, end) tuples map.
 
     Pure function of graph content: node order permutations do not change it,
-    any offset change does.
+    any offset change does. An age-anchored interval is keyed by onset age,
+    its days plus 365 x age, so an age change that keeps its onset age (see
+    `apply_age_offset`) leaves it unchanged.
     """
     pool = g.durations_by_id()
+    age_days = 365 * g.attributes.demographics.age
+
+    def span(d: DurationInterval) -> tuple[int, int]:
+        shift = age_days if d.age_anchored else 0
+        return d.offset_days + shift, d.end_days + shift
+
     signature: dict[str, tuple[tuple[int, int], ...]] = {}
     for node in g.timed_nodes():
-        spans = sorted(
-            (pool[i].offset_days, pool[i].end_days) for i in node.duration_ids if i in pool
-        )
+        spans = sorted(span(pool[i]) for i in node.duration_ids if i in pool)
         signature[node.id] = tuple(spans)
     return dict(sorted(signature.items()))

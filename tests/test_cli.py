@@ -130,7 +130,7 @@ class TestBaselineAndEval:
             "variant": "original",
             "narrative": (CORPUS_DIR / "case_002.txt").read_text(encoding="utf-8"),
         }
-        MockBackend(fixtures).fixture_path("predict_diagnoses", variables).write_text("diagnoses: [unclosed")
+        Path(MockBackend(fixtures).fixture_path("predict_diagnoses", variables)).write_text("diagnoses: [unclosed")
 
         assert main(["eval", str(out_dir), "--config", str(config)]) == 1
         error = "GatewayError: [predict_diagnoses] response is not a diagnoses mapping"

@@ -1,20 +1,25 @@
 import random
+import re
 import shutil
+import sys
 
 import pytest
 import yaml
 
+import anonpsy.runner as runner
+from anonpsy import prompts
 from anonpsy.evaluation import embedding
 from anonpsy.evaluation.judge import JudgeError, judge_risk
-from anonpsy.evaluation.report import VARIANT_FILES, EvalInputError, discover_cases, run_eval
-from anonpsy.evaluation.embedding import HashedTfEmbedder
-from anonpsy.runner import run_baseline, run_pipeline
+from anonpsy.evaluation.report import VARIANT_FILES
+from anonpsy.runner import UsageError, run_baseline, run_pipeline
 from anonpsy.textproc import tokenize
 from tests.gen_fixtures import make_config
 
 from .helpers import FakeGateway
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
+# Template variables that carry a narrative or the gold diagnoses.
+TEXT_VARIABLES = {"narrative", "diagnoses", "original", "version_a", "version_b"}
 
 
 class TestJudgeRisk:
@@ -69,10 +74,28 @@ def full_run(tmp_path_factory, corpus_dir=None):
     return out_dir, config
 
 
+def _evaluate(out_dir, config, gateway=None):
+    """`run_evaluation`, with `gateway` injected through `runner.build_gateway`: its result and report."""
+    reports = []
+    reduce = runner.run_eval
+    with pytest.MonkeyPatch.context() as patch:
+        if gateway is not None:
+            patch.setattr(runner, "build_gateway", lambda _config: gateway)
+        patch.setattr(runner, "run_eval", lambda cases: reports.append(reduce(cases)) or reports[-1])
+        result = runner.run_evaluation(out_dir, config)
+    assert (out_dir / "report.yaml").read_text(encoding="utf-8") == reports[0].to_yaml()
+    return result, reports[0]
+
+
+def _replying(mock_gateway, template_id, reply):
+    """A gateway that answers `template_id` with `reply` and every other call from the mock fixtures."""
+    return FakeGateway(lambda t, v: reply if t == template_id else mock_gateway.call(t, v, temperature=0.0))
+
+
 class TestRunEval:
-    def test_report_contents(self, full_run, mock_gateway):
+    def test_report_contents(self, full_run):
         out_dir, config = full_run
-        report = run_eval(out_dir, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        _, report = _evaluate(out_dir, config)
         assert [c.case_id for c in report.cases] == ["case_001", "case_002", "case_003"]
         for case in report.cases:
             assert set(case.variants) == {"original", "anonpsy", "phi", "sdc", "llm_only"}
@@ -84,16 +107,16 @@ class TestRunEval:
         for name in ("anonpsy", "phi", "sdc"):
             assert {"cosine", "soft_f1"} <= set(report.variant_means[name])
 
-    def test_phi_sits_above_anonpsy_on_the_recallability_axis(self, full_run, mock_gateway):
+    def test_phi_sits_above_anonpsy_on_the_recallability_axis(self, full_run):
         out_dir, config = full_run
-        report = run_eval(out_dir, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        _, report = _evaluate(out_dir, config)
         assert report.variant_means["phi"]["cosine"] > report.variant_means["anonpsy"]["cosine"]
         for case in report.cases:
             assert case.variants["phi"].cosine > case.variants["anonpsy"].cosine
 
-    def test_statistics_present(self, full_run, mock_gateway):
+    def test_statistics_present(self, full_run):
         out_dir, config = full_run
-        report = run_eval(out_dir, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        _, report = _evaluate(out_dir, config)
         tests = {record["test"] for record in report.statistics}
         assert {"wilcoxon_signed_rank", "binomial", "friedman", "cochran_q", "mcnemar", "mann_whitney_u"} <= tests
         for record in report.statistics:
@@ -102,24 +125,25 @@ class TestRunEval:
             if record.get("correction") == "holm":
                 assert record["p_holm"] >= record["p"] - 1e-12
 
-    def test_csv_has_row_per_case_variant(self, full_run, mock_gateway):
+    def test_csv_has_row_per_case_variant(self, full_run):
         out_dir, config = full_run
-        report = run_eval(out_dir, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        _, report = _evaluate(out_dir, config)
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "case_id,variant,cosine,soft_f1,acceptable,risk"
         assert len(lines) == 1 + 3 * 5
+        assert (out_dir / "report.csv").read_text(encoding="utf-8") == report.to_csv()
 
-    def test_missing_run_dir_is_input_error(self, tmp_path, mock_gateway):
-        with pytest.raises(EvalInputError, match="does not exist"):
-            run_eval(tmp_path / "never_ran", mock_gateway, HashedTfEmbedder())
+    def test_missing_run_dir_is_input_error(self, tmp_path):
+        with pytest.raises(UsageError, match="does not exist"):
+            runner.run_evaluation(tmp_path / "never_ran", make_config())
 
-    def test_missing_deid_artifact_named(self, tmp_path, mock_gateway):
+    def test_missing_deid_artifact_named(self, tmp_path):
         case_dir = tmp_path / "case_009"
         case_dir.mkdir()
         (case_dir / "original.txt").write_text("text")
         (case_dir / "meta.yaml").write_text("case_id: case_009\ndiagnoses: []\n")
-        with pytest.raises(EvalInputError, match="case_009/deid.txt"):
-            run_eval(tmp_path, mock_gateway, HashedTfEmbedder())
+        with pytest.raises(UsageError, match="case_009/deid.txt"):
+            runner.run_evaluation(tmp_path, make_config())
 
     def test_missing_deid_raised_before_any_model_call(self, full_run, mock_gateway, tmp_path):
         out_dir, config = full_run
@@ -128,8 +152,8 @@ class TestRunEval:
         (run_dir / "case_001" / "deid.txt").unlink()
         (run_dir / "case_003" / "deid.txt").unlink()
         gw = FakeGateway(lambda template_id, variables: mock_gateway.call(template_id, variables, temperature=0.0))
-        with pytest.raises(EvalInputError) as err:
-            run_eval(run_dir, gw, HashedTfEmbedder(), seed=config.seed)
+        with pytest.raises(UsageError) as err:
+            _evaluate(run_dir, config, gw)
         assert str(err.value) == "missing run artifacts: case_001/deid.txt, case_003/deid.txt"
         assert gw.calls == []
 
@@ -142,15 +166,10 @@ class TestRunEval:
     )
     def test_malformed_reply_is_gateway_error_naming_template(self, full_run, mock_gateway, template_id, message):
         out_dir, config = full_run
-
-        def handler(t, v):
-            if t == template_id:
-                return "diagnoses: [unclosed"
-            return mock_gateway.call(t, v, temperature=0.0)
-
-        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
+        gw = _replying(mock_gateway, template_id, "diagnoses: [unclosed")
+        result, report = _evaluate(out_dir, config, gw)
         assert report.cases == []
-        assert report.failed == {case_id: f"GatewayError: [{template_id}] {message}" for case_id in CASE_IDS}
+        assert result.failed == {case_id: f"GatewayError: [{template_id}] {message}" for case_id in CASE_IDS}
 
     def test_failed_case_is_left_out_of_the_report(self, full_run, mock_gateway, tmp_path):
         out_dir, config = full_run
@@ -160,12 +179,12 @@ class TestRunEval:
                 return "diagnoses: [unclosed"
             return mock_gateway.call(t, v, temperature=0.0)
 
-        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
-        assert report.failed == {"case_002": "GatewayError: [predict_diagnoses] response is not a diagnoses mapping"}
+        result, report = _evaluate(out_dir, config, FakeGateway(handler))
+        assert result.failed == {"case_002": "GatewayError: [predict_diagnoses] response is not a diagnoses mapping"}
         others = tmp_path / "others"
         for case_id in ("case_001", "case_003"):
             shutil.copytree(out_dir / case_id, others / case_id)
-        expected = run_eval(others, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        _, expected = _evaluate(others, config)
         assert [c.case_id for c in report.cases] == ["case_001", "case_003"]
         assert (report.to_yaml(), report.to_csv()) == (expected.to_yaml(), expected.to_csv())
 
@@ -173,14 +192,9 @@ class TestRunEval:
         # Pure PyYAML raises a bare ValueError on this reply, which aborted the eval run;
         # now each case fails on it alone.
         out_dir, config = full_run
-
-        def handler(t, v):
-            if t == "predict_diagnoses":
-                return "diagnoses: [2021-02-30]"
-            return mock_gateway.call(t, v, temperature=0.0)
-
-        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
-        assert report.failed == {
+        gw = _replying(mock_gateway, "predict_diagnoses", "diagnoses: [2021-02-30]")
+        result, _ = _evaluate(out_dir, config, gw)
+        assert result.failed == {
             case_id: "GatewayError: [predict_diagnoses] response is not a diagnoses mapping" for case_id in CASE_IDS
         }
 
@@ -188,18 +202,61 @@ class TestRunEval:
         # Pure PyYAML raises RecursionError on this reply, which aborted the eval run;
         # now each case fails on it alone.
         out_dir, config = full_run
-
-        def handler(t, v):
-            if t == "predict_diagnoses":
-                return "[" * 600 + "]" * 600
-            return mock_gateway.call(t, v, temperature=0.0)
-
-        report = run_eval(out_dir, FakeGateway(handler), HashedTfEmbedder(), seed=config.seed)
-        assert report.failed == {
+        gw = _replying(mock_gateway, "predict_diagnoses", "[" * 600 + "]" * 600)
+        result, _ = _evaluate(out_dir, config, gw)
+        assert result.failed == {
             case_id: "GatewayError: [predict_diagnoses] response is not a diagnoses mapping" for case_id in CASE_IDS
         }
 
-    def test_each_distinct_term_is_hashed_once(self, full_run, mock_gateway, monkeypatch):
+    def test_baseline_that_is_not_utf8_fails_its_case_alone(self, full_run, tmp_path):
+        out_dir, config = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out_dir, run_dir)
+        (run_dir / "case_002" / "baseline.sdc.txt").write_bytes(b"Seen on \xff 2020.\n")
+        result, report = _evaluate(run_dir, config)
+        assert list(result.failed) == ["case_002"]
+        assert result.failed["case_002"].startswith("UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff")
+        assert result.succeeded == [c.case_id for c in report.cases] == ["case_001", "case_003"]
+        assert runner.safe_load((run_dir / "run_manifest.yaml").read_text(encoding="utf-8"))["stages"]["eval"] == {
+            "succeeded": ["case_001", "case_003"],
+            "failed": result.failed,
+        }
+
+    @pytest.mark.parametrize("jobs,memo_cap", [(2, embedding.MEMO_CAP), (4, 8)])
+    def test_pool_writes_the_bytes_of_one_job(self, full_run, monkeypatch, tmp_path, jobs, memo_cap):
+        # At jobs 4: more workers than cores, a thread switch every few microseconds,
+        # and a memo cleared every few terms, so the tasks race on the shared embedder.
+        out_dir, _ = full_run
+        files = ("report.yaml", "report.csv", "run_manifest.yaml")
+        for run_dir in (tmp_path / "serial", tmp_path / "pool"):
+            shutil.copytree(out_dir, run_dir)
+        assert runner.run_evaluation(tmp_path / "serial", make_config()).ok
+        monkeypatch.setattr(embedding, "MEMO_CAP", memo_cap)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert runner.run_evaluation(tmp_path / "pool", make_config(jobs=jobs)).ok
+        finally:
+            sys.setswitchinterval(interval)
+        for name in files:
+            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
+
+    def test_no_eval_prompt_names_a_variant(self, full_run, mock_gateway):
+        # The model that scores a text must not be told which system wrote it.
+        out_dir, config = full_run
+        gw = FakeGateway(lambda t, v: mock_gateway.call(t, v, temperature=0.0))
+        _evaluate(out_dir, config, gw)
+        variants = ["original", *VARIANT_FILES]
+        assert {variables.get("variant") for _, variables in gw.calls} == {None, *variants}
+        name = re.compile(r"\b(" + "|".join(variants) + r")\b")
+        for template_id, variables in gw.calls:
+            # The narratives may use these words; every other part of the prompt may not.
+            shown = {k: "" if k in TEXT_VARIABLES else v for k, v in variables.items()}
+            for _, content in prompts.render(template_id, shown):
+                assert not name.search(content), (template_id, content)
+
+    def test_each_distinct_term_is_hashed_once(self, full_run, monkeypatch):
+        # At jobs 1: two pool tasks may each hash a term that both miss at once.
         out_dir, config = full_run
         hashed = []
         bucket = embedding._bucket
@@ -209,11 +266,12 @@ class TestRunEval:
             return bucket(term, dimensions)
 
         monkeypatch.setattr(embedding, "_bucket", counting_bucket)
-        run_eval(out_dir, mock_gateway, HashedTfEmbedder(), seed=config.seed)
+        assert config.jobs == 1
+        runner.run_evaluation(out_dir, config)
         terms = set()
-        for _, case_dir in discover_cases(out_dir):
+        for case_id in CASE_IDS:
             for name in ("original.txt", *VARIANT_FILES.values()):
-                tokens = tokenize((case_dir / name).read_text(encoding="utf-8"))
+                tokens = tokenize((out_dir / case_id / name).read_text(encoding="utf-8"))
                 terms.update(tokens)
                 terms.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
         assert len(hashed) == len(terms)

@@ -99,13 +99,33 @@ class TestMockBackend:
     def test_fixture_hit_returns_text_verbatim(self, tmp_path):
         backend = MockBackend(tmp_path)
         variables = {"case_id": "case_001"}
-        path = backend.fixture_path("lead_paragraph", variables)
+        path = Path(backend.fixture_path("lead_paragraph", variables))
         path.parent.mkdir(parents=True)
         path.write_text("canned lead\n", encoding="utf-8")
         gw = LlmGateway(backend, model="test-model")
         response = gw.complete(_request())
         assert response.text == "canned lead\n"
         assert response.backend == "mock"
+
+    def test_fixture_lookups_intern_no_file_name(self, tmp_path, monkeypatch):
+        # pathlib passes every path part through sys.intern, here one digest per distinct call.
+        backend = MockBackend(tmp_path)
+        path = Path(backend.fixture_path("lead_paragraph", {"case_id": "case_001"}))
+        path.parent.mkdir(parents=True)
+        path.write_text("canned lead\n", encoding="utf-8")
+        interned = []
+        real_intern = sys.intern
+
+        def recording_intern(text):
+            interned.append(text)
+            return real_intern(text)
+
+        monkeypatch.setattr(sys, "intern", recording_intern)
+        assert backend.complete(_request()) == "canned lead\n"
+        with pytest.raises(MockFixtureMissing):
+            backend.complete(_request(variables=(("case_id", "case_002"),)))
+        monkeypatch.undo()
+        assert interned == []
 
     def test_missing_fixture_names_key(self, tmp_path):
         gw = LlmGateway(MockBackend(tmp_path), model="test-model")

@@ -35,10 +35,12 @@ from anonpsy.perturbation.config import (
 )
 from anonpsy.perturbation.demographics import apply_age_offset
 from anonpsy.perturbation.narrative import align_mse, derive_scaffold
+from anonpsy.relations import check_consistency
 from anonpsy.yamlio import parse_yaml, serialize_yaml
 
 from .conftest import golden_text
-from .helpers import FakeGateway, minimal_graph
+from .helpers import FakeGateway, minimal_graph, random_valid_graph
+from .synthesis import synthesize
 
 RULES = load_feasibility_rules()
 POOLS = load_test_value_pools()
@@ -153,6 +155,63 @@ class TestApplyAgeOffset:
         g = minimal_graph()
         out = apply_age_offset(g, g.attributes.demographics.age + 2)
         assert out.durations == g.durations
+
+
+def _anchored_graphs(seeds):
+    for seed in seeds:
+        g = random_valid_graph(random.Random(seed))
+        if any(d.age_anchored for d in g.durations):
+            yield seed, g
+
+
+def _sides_of_day0(g):
+    """For each age-anchored interval: whether its start and its end lie after day 0."""
+    return {d.id: (d.offset_days > 0, d.end_days > 0) for d in g.durations if d.age_anchored}
+
+
+class TestAnchoredIntervals:
+    def test_shift_that_keeps_onset_age_is_consistent(self):
+        g = random_valid_graph(random.Random(6))
+        out = apply_age_offset(g, g.attributes.demographics.age + 2)
+        assert [d.id for d in out.durations if d.age_anchored] == ["d_004"]
+        assert check_consistency(g, out).discrepancies == []
+
+    def test_consistency_compares_anchored_intervals_by_onset_age(self):
+        g = random_valid_graph(random.Random(6))
+        moved = replace(g, durations=[replace(d, offset_days=d.offset_days - 1) for d in g.durations])
+        assert not check_consistency(g, moved).passed  # a moved interval still breaks the backbone
+        for _, g in _anchored_graphs(range(100)):
+            for offset in (-5, -2, -1, 1, 3, 5):
+                out = apply_age_offset(g, g.attributes.demographics.age + offset)
+                assert check_consistency(g, out).passed
+
+    def test_offset_moving_an_anchored_interval_across_day0_is_redrawn(self):
+        g = minimal_graph()
+        g.durations = [DurationInterval("d_001", -100, 50, age_anchored=True)]
+        g.symptoms[0].duration_ids = ["d_001"]
+        rejected = []
+        for seed in range(20):
+            new_age, entry = perturb_age(g, _cfg(age_offset_bound_years=1), random.Random(seed), [])
+            assert entry["offset_years"] == 1 and new_age == g.attributes.demographics.age + 1
+            rejected += entry["rejected"]
+        crossing = {"offset_years": -1, "reason": "age offset moves an age-anchored interval across day 0"}
+        assert rejected and all(rejection == crossing for rejection in rejected)
+
+    def test_interval_over_day0_keeps_the_age(self):
+        g = minimal_graph()
+        g.durations = [DurationInterval("d_001", -10, 20, age_anchored=True)]
+        g.symptoms[0].duration_ids = ["d_001"]
+        new_age, entry = perturb_age(g, _cfg(), random.Random(0), [])
+        assert new_age == g.attributes.demographics.age and entry["fallback"]
+
+    def test_random_anchored_graphs_keep_their_backbone_through_perturb(self):
+        graphs = list(_anchored_graphs(range(100)))
+        assert len(graphs) >= 20
+        for seed, g in graphs:
+            gw = FakeGateway(synthesize)
+            out, audit = perturb(g, gw, _cfg(), case_id=f"case_{seed:03d}", rules=RULES, pools=POOLS)
+            assert check_consistency(g, out).passed
+            assert _sides_of_day0(out) == _sides_of_day0(g), seed
 
 
 class TestPerturbSex:

@@ -48,7 +48,7 @@ def test_failed_baseline_removes_its_previous_output(tmp_path):
     assert stale.is_file()
 
     text = (CORPUS_DIR / "case_001.txt").read_text(encoding="utf-8")
-    fixture = MockBackend(fixtures).fixture_path("sdc_rewrite", {"case_text": text})
+    fixture = Path(MockBackend(fixtures).fixture_path("sdc_rewrite", {"case_text": text}))
     fixture.unlink()
     result = runner.run_baseline("sdc", CORPUS_DIR, out_dir, config)
 
@@ -73,7 +73,7 @@ def test_each_stage_adds_exactly_its_declared_outputs(tmp_path):
     ] + [
         (f"baseline.{name}", lambda name=name: runner.run_baseline(name, CORPUS_DIR, out_dir, config))
         for name in runner.BASELINE_NAMES
-    ]
+    ] + [("eval", lambda: runner.run_evaluation(out_dir, config))]
     assert [stage for stage, _ in commands] == list(runner.STAGES)
     before = {case_id: set() for case_id in CASE_IDS}
     for stage, command in commands:
@@ -324,6 +324,22 @@ def test_thread_pool_is_created_only_by_the_stage_engine():
     (engine,) = [n for n in runner_tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_stage"]
     assert pools == [f"runner.py:{line}" for line in _calls_to(engine, "ThreadPoolExecutor")]
     assert len(pools) == 1
+
+
+def test_only_the_stage_engine_lists_a_run_directory():
+    # One loop over a run's cases: a second one would select and isolate cases its own way.
+    src_dir = Path(anonpsy.__file__).parent
+    listers = ("iterdir", "glob", "rglob", "listdir", "scandir", "walk")
+    listings = [
+        f"{path.relative_to(src_dir)}:{line}"
+        for path in sorted(src_dir.rglob("*.py"))
+        if path != src_dir / "prompts" / "__init__.py"  # lists the package's own template files
+        for name in listers
+        for line in _calls_to(ast.parse(path.read_text(encoding="utf-8")), name)
+    ]
+    runner_tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    (engine,) = [n for n in runner_tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_stage"]
+    assert listings == [f"runner.py:{line}" for line in _calls_to(engine, "iterdir")] != []
 
 
 def test_only_the_stage_engine_decodes_a_graph():
