@@ -1,7 +1,9 @@
 """Run configuration: one YAML file, environment overrides, stable digest.
 
 The resolved configuration is digested into the run manifest so every
-artifact can be traced back to the exact settings that produced it.
+artifact can be traced back to the exact settings that produced it. It holds
+the perturbation's rule and value-pool tables themselves, so the digest
+changes with their contents.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ class RunConfig:
     embedding_model: str = "all-mpnet-base-v2"
     embedding_endpoint: str | None = None
     judge_model: str | None = None
-    feasibility_rules_path: str | None = None
-    test_value_pools_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("mock", "live"):
@@ -52,6 +52,8 @@ class RunConfig:
             raise ConfigError("jobs must be >= 1")
         if self.backend == "mock" and not self.fixtures_dir:
             raise ConfigError("mock backend requires gateway.fixtures_dir")
+        if self.embedder == "http" and not self.embedding_endpoint:
+            raise ConfigError("embedder http requires eval.embedding_endpoint")
         if self.perturb.seed != self.seed:
             # One run seed drives everything, including perturbation RNG.
             object.__setattr__(self, "perturb", replace(self.perturb, seed=self.seed))
@@ -59,7 +61,8 @@ class RunConfig:
     def digest(self) -> str:
         doc = asdict(self)
         doc.pop("jobs")  # concurrency knob; cannot affect artifact bytes
-        canon = json.dumps(doc, sort_keys=True, ensure_ascii=False)
+        # default=str: a YAML date in a user's table or setting digests as its text
+        canon = json.dumps(doc, sort_keys=True, ensure_ascii=False, default=str)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -106,14 +109,6 @@ def load_config(
             raise ConfigError(f"unknown gateway key: {key}")
     kwargs.update({k: gateway_doc[k] for k in _GATEWAY_KEYS if k in gateway_doc})
 
-    perturb_doc = dict(doc.get("perturb") or {})
-    rules_path = perturb_doc.pop("feasibility_rules", None)
-    pools_path = perturb_doc.pop("test_value_pools", None)
-    if rules_path:
-        kwargs["feasibility_rules_path"] = str(rules_path)
-    if pools_path:
-        kwargs["test_value_pools_path"] = str(pools_path)
-
     baselines_doc = doc.get("baselines") or {}
     if "sdc_temperature" in baselines_doc:
         kwargs["sdc_temperature"] = float(baselines_doc["sdc_temperature"])
@@ -136,8 +131,6 @@ def load_config(
         kwargs["backend"] = backend
 
     try:
-        config = RunConfig(**kwargs)
-        perturb_cfg = PerturbConfig.from_dict({**perturb_doc, "seed": config.seed})
+        return RunConfig(**kwargs, perturb=PerturbConfig.from_dict(doc.get("perturb") or {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(config, perturb=perturb_cfg)

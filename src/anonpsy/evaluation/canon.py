@@ -8,8 +8,8 @@ variation.
 
 from __future__ import annotations
 
+import functools
 import re
-from functools import lru_cache
 from importlib import resources
 
 from ..textproc import normalize_ws
@@ -18,7 +18,7 @@ from ..yamlio import load_yaml
 _PARENTHETICAL = re.compile(r"\s*\(([^)]*)\)")
 
 
-@lru_cache(maxsize=1)
+@functools.cache
 def load_specifier_patterns() -> tuple[re.Pattern[str], ...]:
     text = resources.files("anonpsy").joinpath("data/specifier_patterns.txt").read_text(encoding="utf-8")
     patterns = []
@@ -30,7 +30,7 @@ def load_specifier_patterns() -> tuple[re.Pattern[str], ...]:
     return tuple(patterns)
 
 
-@lru_cache(maxsize=1)
+@functools.cache
 def load_synonyms() -> dict[str, str]:
     text = resources.files("anonpsy").joinpath("data/diagnosis_synonyms.yaml").read_text(encoding="utf-8")
     doc = load_yaml(text) or {}
@@ -42,14 +42,10 @@ def _is_specifier(clause: str, patterns: tuple[re.Pattern[str], ...]) -> bool:
     return bool(clause) and any(p.fullmatch(clause) for p in patterns)
 
 
-def canonicalize_diagnosis(
-    label: str,
-    synonyms: dict[str, str] | None = None,
-    patterns: tuple[re.Pattern[str], ...] | None = None,
-) -> str:
+def canonicalize_diagnosis(label: str) -> str:
     """Canonical form: lowercase, specifier-stripped, synonym-mapped."""
-    synonyms = load_synonyms() if synonyms is None else synonyms
-    patterns = load_specifier_patterns() if patterns is None else patterns
+    synonyms = load_synonyms()
+    patterns = load_specifier_patterns()
 
     text = normalize_ws(label).lower()
     if text in synonyms:  # surface forms may be mapped before any stripping
@@ -66,9 +62,9 @@ def canonicalize_diagnosis(
     return synonyms.get(text, text)
 
 
-def canonical_label_set(labels: list[str], synonyms: dict[str, str] | None = None) -> list[str]:
+def canonical_label_set(labels: list[str]) -> list[str]:
     """Sorted, deduplicated canonical labels (the DiagnosisLabelSet form)."""
-    canon = {canonicalize_diagnosis(label, synonyms) for label in labels if label.strip()}
+    canon = {canonicalize_diagnosis(label) for label in labels if label.strip()}
     return sorted(c for c in canon if c)
 
 

@@ -7,7 +7,7 @@ the embedding model identifier is a config string, not a code dependency.
 
 `HashedTfEmbedder` hashes each distinct term once per instance: a memo on the
 instance maps a term to its bucket. `runner.build_embedder` makes one
-instance per eval command, so the memo lives for one eval and nothing
+instance per command, so the memo lives for one command and nothing
 outlives it. The memo is cleared when it holds `MEMO_CAP` terms, about 2 MB,
 so memory does not grow with the corpus. Counts stay integer-valued floats,
 so every vector is bit-identical to hashing each term occurrence anew.

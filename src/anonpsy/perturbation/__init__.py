@@ -21,10 +21,8 @@ from .config import (
     TestValuePool,
     case_seed,
     load_contradiction_lexicon,
-    load_feasibility_rules,
     load_minor_occupations,
     load_mse_domains,
-    load_test_value_pools,
 )
 from .demographics import apply_age_offset, perturb_age, perturb_identity_fields, perturb_sex
 from .narrative import (
@@ -85,38 +83,27 @@ class PerturbAudit:
         )
 
 
-def perturb(
-    g: SemanticGraph,
-    gw,
-    cfg: PerturbConfig,
-    case_id: str = "case",
-    rules: list[FeasibilityRule] | None = None,
-    pools: list[TestValuePool] | None = None,
-) -> tuple[SemanticGraph, PerturbAudit]:
+def perturb(g: SemanticGraph, gw, cfg: PerturbConfig, case_id: str = "case") -> tuple[SemanticGraph, PerturbAudit]:
     """Produce the perturbed graph and its audit record.
 
-    The input must be valid; the output is re-validated and checked for
-    consistency against the input before being returned.
+    The feasibility rules and value pools are the config's; the other tables
+    are the packaged ones. The input must be valid; the output is
+    re-validated and checked for consistency against the input before being
+    returned.
     """
     violations = validate_graph(g)
     if violations:
         raise PerturbationError(case_id, None, f"input graph invalid: {violations[0]}")
 
-    rules = load_feasibility_rules() if rules is None else rules
-    pools = load_test_value_pools() if pools is None else pools
-    minors = load_minor_occupations()
-    lexicon = load_contradiction_lexicon()
-    domains = load_mse_domains()
-
     seed = case_seed(cfg.seed, case_id)
     rng = random.Random(seed)
     audit = PerturbAudit(case_id=case_id, seed=cfg.seed)
 
-    new_age, age_entry = perturb_age(g, cfg, rng, rules)
+    new_age, age_entry = perturb_age(g, cfg, rng, cfg.rules)
     audit.record(age_entry)
     g2 = apply_age_offset(g, new_age)
 
-    new_sex, sex_entry = perturb_sex(g2, cfg, rng, rules)
+    new_sex, sex_entry = perturb_sex(g2, cfg, rng, cfg.rules)
     audit.record(sex_entry)
     g2 = replace(
         g2,
@@ -125,7 +112,7 @@ def perturb(
         ),
     )
 
-    ethnicity, occupation, identity_entry = perturb_identity_fields(g2, gw, cfg, minors)
+    ethnicity, occupation, identity_entry = perturb_identity_fields(g2, gw, cfg, load_minor_occupations())
     audit.record(identity_entry)
     g2 = replace(
         g2,
@@ -137,7 +124,7 @@ def perturb(
         ),
     )
 
-    new_visit, visit_entry = rewrite_visit_episode(g2, gw, cfg, lexicon)
+    new_visit, visit_entry = rewrite_visit_episode(g2, gw, cfg, load_contradiction_lexicon())
     audit.record(visit_entry)
     g2 = replace(g2, visit_event=new_visit)
 
@@ -145,14 +132,14 @@ def perturb(
     for entry in steb_entries:
         audit.record(entry)
 
-    new_attrs, value_entries = perturb_test_values(g2.attributes, pools, rng)
+    new_attrs, value_entries = perturb_test_values(g2.attributes, cfg.pools, rng)
     for entry in value_entries:
         audit.record(entry)
     g2 = replace(g2, attributes=new_attrs)
 
     diff = essence_diff(g, g2)
     thoughts = rewritten_thoughts(g, g2)
-    new_mse, mse_entry = align_mse(g2.attributes, diff, thoughts, gw, cfg, domains)
+    new_mse, mse_entry = align_mse(g2.attributes, diff, thoughts, gw, cfg, load_mse_domains())
     audit.record(mse_entry)
     results = dict(g2.attributes.test_results)
     results["mental_status"] = new_mse

@@ -1,15 +1,21 @@
 """Perturbation configuration, feasibility rules, and test-value pools.
 
 Rule tables and value-pool inventories ship as data files so deployments can
-extend them without code changes.
+extend them without code changes. The packaged files are read once per
+process. A config's `feasibility_rules` / `test_value_pools` file is read and
+checked once, by `PerturbConfig.from_dict`, and its tables become the
+config's `rules` / `pools`, so the config digest covers their contents.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+
+import yaml
 
 from ..yamlio import load_yaml, safe_load
 
@@ -23,7 +29,9 @@ class PerturbConfig:
     steb_window_size: int = 3
     similarity_threshold: float = 0.85
     max_retries: int = 3
-    seed: int = 0
+    seed: int = 0  # set from the run's seed by RunConfig
+    rules: tuple[FeasibilityRule, ...] = field(default_factory=lambda: load_feasibility_rules(), repr=False)
+    pools: tuple[TestValuePool, ...] = field(default_factory=lambda: load_test_value_pools(), repr=False)
 
     def __post_init__(self) -> None:
         if self.age_offset_bound_years < 1:
@@ -39,11 +47,18 @@ class PerturbConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PerturbConfig":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
+        """The config's perturb section; a table file it names is read and checked here."""
+        if "seed" in doc:
+            raise ValueError("perturb.seed is not a key: the top-level seed drives the perturbation")
+        known = set(cls.__dataclass_fields__) - {"seed", "rules", "pools"} | set(_TABLE_KEYS)  # type: ignore[attr-defined]
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown perturb config keys: {sorted(unknown)}")
-        return cls(**doc)
+        kwargs = {k: v for k, v in doc.items() if k not in _TABLE_KEYS}
+        for key, (name, parse) in _TABLE_KEYS.items():
+            if doc.get(key):
+                kwargs[name] = _read_table(key, str(doc[key]), parse)
+        return cls(**kwargs)
 
 
 def case_seed(global_seed: int, case_id: str) -> int:
@@ -102,53 +117,73 @@ class TestValuePool:
         return None
 
 
+def _rules(doc: dict) -> tuple[FeasibilityRule, ...]:
+    return tuple(
+        FeasibilityRule(
+            diagnosis_pattern=entry["diagnosis_pattern"],
+            constraint_kind=entry["constraint_kind"],
+            value=entry["value"],
+        )
+        for entry in doc.get("rules", [])
+    )
+
+
+def _pools(doc: dict) -> tuple[TestValuePool, ...]:
+    return tuple(
+        TestValuePool(
+            canonical_test=entry["canonical_test"],
+            aliases=tuple(entry["aliases"]),
+            bands=tuple((b["low"], b["high"], b["label"]) for b in entry["bands"]),
+        )
+        for entry in doc.get("pools", [])
+    )
+
+
+# The packaged data files do not change while the program runs, so each is
+# read and parsed once per process. The cached values are shared: callers
+# only read them.
 def _data_text(name: str) -> str:
     return resources.files("anonpsy").joinpath(f"data/{name}").read_text(encoding="utf-8")
 
 
-def _load_table(path: str | Path | None, name: str):
-    """A user's table file through `safe_load`, else the packaged data/<name>."""
-    if path:
-        return safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    return load_yaml(_data_text(name)) or {}
+@functools.cache
+def load_feasibility_rules() -> tuple[FeasibilityRule, ...]:
+    return _rules(load_yaml(_data_text("feasibility_rules.yaml")) or {})
 
 
-def load_feasibility_rules(path: str | Path | None = None) -> list[FeasibilityRule]:
-    doc = _load_table(path, "feasibility_rules.yaml")
-    rules = []
-    for entry in doc.get("rules", []):
-        rules.append(
-            FeasibilityRule(
-                diagnosis_pattern=entry["diagnosis_pattern"],
-                constraint_kind=entry["constraint_kind"],
-                value=entry["value"],
-            )
-        )
-    return rules
+@functools.cache
+def load_test_value_pools() -> tuple[TestValuePool, ...]:
+    return _pools(load_yaml(_data_text("test_value_pools.yaml")) or {})
 
 
-def load_test_value_pools(path: str | Path | None = None) -> list[TestValuePool]:
-    doc = _load_table(path, "test_value_pools.yaml")
-    pools = []
-    for entry in doc.get("pools", []):
-        pools.append(
-            TestValuePool(
-                canonical_test=entry["canonical_test"],
-                aliases=tuple(entry["aliases"]),
-                bands=tuple((b["low"], b["high"], b["label"]) for b in entry["bands"]),
-            )
-        )
-    return pools
-
-
+@functools.cache
 def load_minor_occupations() -> frozenset[str]:
     lines = _data_text("minor_occupations.txt").splitlines()
     return frozenset(line.strip().lower() for line in lines if line.strip())
 
 
+@functools.cache
 def load_contradiction_lexicon() -> dict[str, dict[str, list[str]]]:
     return load_yaml(_data_text("contradiction_lexicon.yaml")) or {}
 
 
+@functools.cache
 def load_mse_domains() -> dict[str, list[str]]:
     return load_yaml(_data_text("mse_domains.yaml")) or {}
+
+
+def _read_table(key: str, path: str, parse):
+    """The tables of a user's table file; any fault in it is a ValueError naming the key."""
+    try:
+        doc = safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        if not isinstance(doc, dict):
+            raise TypeError("the file's root is not a mapping")
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"perturb.{key} {path}: an entry lacks {exc}") from exc
+    except (OSError, yaml.YAMLError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"perturb.{key} {path}: {exc}") from exc
+
+
+# YAML keys of the perturb section that name a table file, and the field each fills.
+_TABLE_KEYS = {"feasibility_rules": ("rules", _rules), "test_value_pools": ("pools", _pools)}

@@ -5,13 +5,14 @@ selects its cases (the corpus, or the files each case directory must hold),
 the files it writes per case, and the work that produces their text and its
 product. One engine, `run_stage`, runs one row or a chain of rows (`run` is
 the chain convert -> perturb -> generate; `eval` is one row whose product is
-a case's scores): it loads the inputs and builds the gateway once per
-command, runs each case's rows one after another on one task of a bounded
-worker pool, hands each row's product (a graph) to the next row in memory,
-writes each output atomically, records every row in run_manifest.yaml once
-and returns each case's last product. A case that fails a stage loses that
-stage's outputs and those of every stage that reads them, directly or not,
-so nothing downstream reads artifacts made from an earlier input.
+a case's scores): it loads the inputs and builds the gateway and embedder
+once per command, runs each case's rows one after another on one task of a
+bounded worker pool, hands each row's product (a graph) to the next row in
+memory, writes each output atomically, records every row in
+run_manifest.yaml once and returns each case's last product. A case that
+fails a stage loses that stage's outputs and those of every stage that
+reads them, directly or not, so nothing downstream reads artifacts made
+from an earlier input.
 
 Each case owns one directory under the run root; all writes stay inside it,
 so cases can run on the pool without interfering. Reruns with unchanged
@@ -28,7 +29,7 @@ from typing import Any, Callable
 
 from . import prompts
 from .baselines import llm_only, phi_mask, sdc_rewrite
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .converter import INTERMEDIATES, CaseNarrative, convert
 from .evaluation.embedding import HashedTfEmbedder, HttpEmbedder
 from .evaluation.report import eval_case, run_eval
@@ -37,7 +38,6 @@ from .gateway import HttpBackend, LlmGateway, MockBackend
 from .model import SemanticGraph
 from .narrator import generate, plan_outline
 from .perturbation import perturb
-from .perturbation.config import load_feasibility_rules, load_test_value_pools
 from .yamlio import load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
 # A case's corpus entry, written into its directory by every stage that reads
@@ -70,13 +70,15 @@ class StageResult:
 
 @dataclass(frozen=True)
 class Shared:
-    """What one command loads once for every case of its stage."""
+    """What one command builds once for every case of its stages.
+
+    The tables the stages read come with the config: `config.perturb` holds
+    the feasibility rules and value pools, resolved by `load_config`.
+    """
 
     config: RunConfig
     gateway: LlmGateway
-    rules: list | None = None
-    pools: list | None = None
-    embedder: Any = None
+    embedder: Any
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,6 @@ class Stage:
     # (case directory, source, shared) -> (output texts, product); the product
     # is what a stage reading outputs[0] takes.
     work: Callable[[Path, Any, Shared], tuple[tuple[str, ...], Any]]
-    loads: tuple[str, ...] = ()  # the `Shared` fields its command loads once, keys of LOADERS
     side_outputs: tuple[str, ...] = ()  # files `work` writes into the case directory itself
     requires: tuple[str, ...] = ()  # files each of its cases must hold before any case runs
 
@@ -113,18 +114,8 @@ def build_gateway(config: RunConfig) -> LlmGateway:
 
 def build_embedder(config: RunConfig):
     if config.embedder == "http":
-        if not config.embedding_endpoint:
-            raise ConfigError("embedder http requires eval.embedding_endpoint")
         return HttpEmbedder(config.embedding_endpoint, config.embedding_model)
     return HashedTfEmbedder()
-
-
-# What a row may ask its command to load once for every case, by `Shared` field.
-LOADERS = {
-    "rules": lambda config: load_feasibility_rules(config.feasibility_rules_path),
-    "pools": lambda config: load_test_value_pools(config.test_value_pools_path),
-    "embedder": build_embedder,
-}
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CaseNarrative]:
@@ -166,14 +157,7 @@ def _convert(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[
 
 
 def _perturb(case_dir: Path, graph: SemanticGraph, shared: Shared) -> tuple[tuple[str, ...], Any]:
-    perturbed, audit = perturb(
-        graph,
-        shared.gateway,
-        shared.config.perturb,
-        case_id=case_dir.name,
-        rules=shared.rules,
-        pools=shared.pools,
-    )
+    perturbed, audit = perturb(graph, shared.gateway, shared.config.perturb, case_id=case_dir.name)
     return (serialize_yaml(perturbed), audit.to_yaml()), perturbed
 
 
@@ -206,12 +190,12 @@ def _eval(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tup
 # comes after every stage whose outputs it reads.
 STAGES = {
     "convert": Stage(None, ("graph.yaml",), _convert, side_outputs=INTERMEDIATES),
-    "perturb": Stage("graph.yaml", ("graph.perturbed.yaml", "perturb.audit.yaml"), _perturb, loads=("rules", "pools")),
+    "perturb": Stage("graph.yaml", ("graph.perturbed.yaml", "perturb.audit.yaml"), _perturb),
     "generate": Stage("graph.perturbed.yaml", ("outline.yaml", "deid.txt"), _generate),
     "baseline.phi": Stage(None, ("baseline.phi.txt",), _phi),
     "baseline.sdc": Stage(None, ("baseline.sdc.txt",), _sdc),
     "baseline.llm_only": Stage(None, ("baseline.llm_only.txt",), _llm_only),
-    "eval": Stage(tuple(CASE_INPUTS), (), _eval, loads=("embedder",), requires=("deid.txt",)),
+    "eval": Stage(tuple(CASE_INPUTS), (), _eval, requires=("deid.txt",)),
 }
 BASELINE_NAMES = tuple(name.removeprefix("baseline.") for name in STAGES if name.startswith("baseline."))
 PIPELINE = ("convert", "perturb", "generate")
@@ -283,8 +267,7 @@ def run_stage(
     ]
     if missing:
         raise UsageError("missing run artifacts: " + ", ".join(missing))
-    loads = {key: LOADERS[key](config) for row in rows for key in row.loads}
-    shared = Shared(config, build_gateway(config), **loads)
+    shared = Shared(config, build_gateway(config), build_embedder(config))
 
     def one(case_id: str) -> tuple[dict[str, str | None], Any]:
         """Each row this case ran, with its error or None; and the last row's product."""

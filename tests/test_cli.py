@@ -12,7 +12,15 @@ from anonpsy.cli import main
 from anonpsy.config import ConfigError, RunConfig, load_config
 from anonpsy.fileio import write_atomic
 from anonpsy.gateway import MockBackend
-from anonpsy.runner import BASELINE_NAMES, UsageError, run_baseline, run_evaluation, run_pipeline
+from anonpsy.runner import (
+    BASELINE_NAMES,
+    UsageError,
+    run_baseline,
+    run_convert,
+    run_evaluation,
+    run_perturb,
+    run_pipeline,
+)
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR
 
@@ -176,6 +184,35 @@ class TestUsageErrors:
         assert code == 2
         assert "fixtures_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("key", "text", "message"),
+        [
+            ("feasibility_rules", None, "No such file"),
+            ("feasibility_rules", "rules: [unclosed", "perturb.feasibility_rules"),
+            ("feasibility_rules", "rules:\n- {constraint_kind: min_present_age, value: 18}", "diagnosis_pattern"),
+            ("feasibility_rules", "rules:\n- {diagnosis_pattern: autism, constraint_kind: max_onset_age}", "value"),
+            ("feasibility_rules", "rules:\n- {diagnosis_pattern: autism, constraint_kind: max_onset_age, value: 300}", "range"),
+            (
+                "test_value_pools",
+                "pools:\n- canonical_test: mmse\n  aliases: [mmse]\n  bands:\n"
+                "  - {low: 0, high: 10, label: low}\n  - {low: 5, high: 30, label: high}",
+                "overlap",
+            ),
+        ],
+        ids=["missing", "not-yaml", "no-pattern", "no-value", "value-out-of-range", "overlapping-bands"],
+    )
+    def test_bad_table_file_exits_two_before_any_case(self, tmp_path, capsys, key, text, message):
+        table = tmp_path / "table.yaml"
+        if text is not None:
+            table.write_text(text, encoding="utf-8")
+        config = _write_config(tmp_path, perturb={key: str(table)})
+        out_dir = tmp_path / "out"
+        code = main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"perturb.{key}" in err and message in err
+        assert not out_dir.exists()
+
 
 class TestConfigLoading:
     def test_flag_overrides_beat_file(self, tmp_path):
@@ -210,6 +247,53 @@ class TestConfigLoading:
         config = load_config(config_path)
         assert config.perturb.similarity_threshold == 0.5
         assert config.perturb.max_retries == 2
+
+    def test_perturb_seed_is_refused_for_the_top_level_seed(self, tmp_path):
+        config_path = _write_config(tmp_path, seed=42, perturb={"seed": 5})
+        with pytest.raises(ConfigError, match="top-level seed"):
+            load_config(config_path)
+
+    def test_http_embedder_requires_an_endpoint(self, tmp_path):
+        with pytest.raises(ConfigError, match="embedding_endpoint"):
+            load_config(_write_config(tmp_path, eval={"embedder": "http"}))
+        config = load_config(_write_config(tmp_path, eval={"embedder": "http", "embedding_endpoint": "http://e:1"}))
+        assert config.embedder == "http"
+
+    def test_digest_covers_the_contents_of_a_table_file(self, tmp_path):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text(_PIN_CASE_001, encoding="utf-8")
+        config_path = _write_config(tmp_path, perturb={"feasibility_rules": str(rules)})
+        before = load_config(config_path)
+        rules.write_text(_PIN_CASE_001.replace("value: male", "value: female"), encoding="utf-8")
+        after = load_config(config_path)
+        assert before.digest() != after.digest()
+        assert before.digest() != load_config(_write_config(tmp_path)).digest()
+        rules.write_text(_PIN_CASE_001.replace("value: male", "value: 2020-01-01"), encoding="utf-8")
+        assert load_config(config_path).digest() != after.digest()
+
+
+# A user rule table pinning the sex of case_001 (major depressive disorder),
+# which the packaged rules leave free to flip.
+_PIN_CASE_001 = "rules:\n- {diagnosis_pattern: major depressive, constraint_kind: required_sex, value: male}\n"
+
+
+class TestUserTables:
+    def test_user_rules_reach_perturb_in_run_and_staged(self, tmp_path):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text(_PIN_CASE_001, encoding="utf-8")
+        config = load_config(_write_config(tmp_path, perturb={"feasibility_rules": str(rules)}))
+        direct, staged = tmp_path / "direct", tmp_path / "staged"
+        # The pinned sex changes what generate asks for, which the mock fixtures lack.
+        result = run_pipeline(CORPUS_DIR, direct, config)
+        assert set(result.failed) == {"case_001"}
+        assert run_convert(CORPUS_DIR, staged, config).ok and run_perturb(staged, config).ok
+
+        audit = yaml.safe_load((direct / "case_001" / "perturb.audit.yaml").read_text(encoding="utf-8"))
+        (sex,) = [entry for entry in audit["entries"] if entry["step"] == "sex"]
+        assert sex == {"step": "sex", "original": "male", "new": "male", "pinned_by": "major depressive disorder"}
+        for case_id in ("case_001", "case_002", "case_003"):
+            for name in ("graph.perturbed.yaml", "perturb.audit.yaml"):
+                assert (direct / case_id / name).read_bytes() == (staged / case_id / name).read_bytes()
 
 
 class TestWorkerPool:

@@ -209,7 +209,7 @@ class TestAnchoredIntervals:
         assert len(graphs) >= 20
         for seed, g in graphs:
             gw = FakeGateway(synthesize)
-            out, audit = perturb(g, gw, _cfg(), case_id=f"case_{seed:03d}", rules=RULES, pools=POOLS)
+            out, audit = perturb(g, gw, _cfg(), case_id=f"case_{seed:03d}")
             assert check_consistency(g, out).passed
             assert _sides_of_day0(out) == _sides_of_day0(g), seed
 

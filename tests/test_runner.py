@@ -5,6 +5,7 @@ import copy
 import inspect
 import shutil
 import textwrap
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import anonpsy.runner as runner
 from anonpsy.config import RunConfig
 from anonpsy.converter import INTERMEDIATES
 from anonpsy.gateway import MockBackend
+from anonpsy.perturbation import config as perturb_tables
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
 from .helpers import assert_same_typed, shared_containers
@@ -27,6 +29,26 @@ def _config(fixtures_dir: Path = FIXTURES_DIR) -> RunConfig:
 
 def _tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _count_data_reads(monkeypatch) -> list[str]:
+    """The package files read through importlib.resources from here on, one entry per read."""
+    reads = []
+    real_files = resources.files
+
+    class Counting:
+        def __init__(self, root):
+            self.root = root
+
+        def joinpath(self, *parts):
+            reads.append("/".join(parts))
+            return self.root.joinpath(*parts)
+
+        def __getattr__(self, name):
+            return getattr(self.root, name)
+
+    monkeypatch.setattr(resources, "files", lambda package: Counting(real_files(package)))
+    return reads
 
 
 def _case_files(out_dir: Path) -> dict[str, set[str]]:
@@ -239,10 +261,22 @@ def test_run_parses_no_graph_and_writes_the_manifest_once(tmp_path, monkeypatch)
 
     monkeypatch.setattr(runner, "parse_yaml", counting_parse)
     monkeypatch.setattr(runner, "write_atomic", counting_write)
+    for load in (
+        perturb_tables.load_feasibility_rules,
+        perturb_tables.load_test_value_pools,
+        perturb_tables.load_minor_occupations,
+        perturb_tables.load_contradiction_lexicon,
+        perturb_tables.load_mse_domains,
+    ):
+        load.cache_clear()
+    reads = _count_data_reads(monkeypatch)
     config = _config()
     out_dir = tmp_path / "run"
     assert runner.run_pipeline(CORPUS_DIR, out_dir, config).ok
     assert (len(parsed), len(manifests)) == (0, 1)
+    # Each packaged table is loaded at most once per process, not once per case.
+    tables = [name for name in reads if name.startswith("data/")]
+    assert "data/mse_domains.yaml" in tables and len(tables) == len(set(tables)), tables
 
     # The staged commands read each graph back from disk.
     assert runner.run_perturb(out_dir, config).ok and runner.run_generate(out_dir, config).ok
@@ -264,6 +298,17 @@ def test_graphs_handed_over_in_memory_equal_their_parsed_yaml(tmp_path):
         assert_same_typed(graph, before)  # perturb leaves its input as it found it
         assert_same_typed(runner.parse_yaml(runner.serialize_yaml(perturbed)), perturbed)
         assert shared_containers(perturbed) == []
+
+
+def test_a_second_perturb_call_reads_no_packaged_file(monkeypatch):
+    config = _config()
+    gateway = runner.build_gateway(config)
+    graph = runner.parse_yaml((GOLDEN_DIR / "case_001.graph.yaml").read_text(encoding="utf-8"))
+    first, _ = runner.perturb(graph, gateway, config.perturb, case_id="case_001")
+    reads = _count_data_reads(monkeypatch)
+    second, _ = runner.perturb(graph, gateway, config.perturb, case_id="case_001")
+    assert reads == []
+    assert runner.serialize_yaml(second) == runner.serialize_yaml(first)
 
 
 # The traced bench replaces these module names of `anonpsy.runner` for the
