@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _report(result: StageResult) -> int:
     for case_id in result.succeeded:
-        print(f"{result.stage}: {case_id}: ok")
+        skipped = result.skipped.get(case_id)
+        print(f"{result.stage}: {case_id}: ok" + (f" (unchanged, skipped: {', '.join(skipped)})" if skipped else ""))
     for case_id, error in sorted(result.failed.items()):
         print(f"{result.stage}: {case_id}: FAILED: {error}", file=sys.stderr)
     return EXIT_OK if result.ok else EXIT_CASE_FAILURES

@@ -8,6 +8,7 @@ changes with their contents.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -59,6 +60,12 @@ class RunConfig:
             object.__setattr__(self, "perturb", replace(self.perturb, seed=self.seed))
 
     def digest(self) -> str:
+        return self._digest
+
+    # The config is frozen, so its digest, a JSON pass over every field and
+    # table, is computed once per instance.
+    @functools.cached_property
+    def _digest(self) -> str:
         doc = asdict(self)
         doc.pop("jobs")  # concurrency knob; cannot affect artifact bytes
         # default=str: a YAML date in a user's table or setting digests as its text

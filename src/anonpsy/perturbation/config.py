@@ -20,6 +20,7 @@ import yaml
 from ..yamlio import load_yaml, safe_load
 
 CONSTRAINT_KINDS = ("min_present_age", "max_onset_age", "required_sex")
+SEXES = ("male", "female")  # the values a required_sex rule may pin
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ class FeasibilityRule:
         if self.constraint_kind in ("min_present_age", "max_onset_age"):
             if not isinstance(self.value, int) or not 0 <= self.value <= 130:
                 raise ValueError(f"{self.constraint_kind} value out of clinical range: {self.value!r}")
+        elif self.value not in SEXES:
+            raise ValueError(f"required_sex value must be male or female, got {self.value!r}")
 
     def matches(self, diagnosis_label: str) -> bool:
         return self.diagnosis_pattern.lower() in diagnosis_label.lower()

@@ -138,15 +138,15 @@ def perturb_sex(
     rng: random.Random,
     rules: list[FeasibilityRule],
 ) -> tuple[str, dict]:
-    """Flip sex with the configured probability unless a rule pins it."""
+    """Flip sex with the configured probability unless a rule pins it to its value."""
     sex = g.attributes.demographics.sex
     for diagnosis in g.diagnoses:
         for rule in rules:
             if rule.constraint_kind == "required_sex" and rule.matches(diagnosis.label):
-                return sex, {
+                return rule.value, {
                     "step": "sex",
                     "original": sex,
-                    "new": sex,
+                    "new": rule.value,
                     "pinned_by": diagnosis.label,
                 }
     if sex.lower() not in _FLIP:

@@ -14,6 +14,15 @@ fails a stage loses that stage's outputs and those of every stage that
 reads them, directly or not, so nothing downstream reads artifacts made
 from an earlier input.
 
+The rows of `run` (PIPELINE) keep a verifying trace per case in the
+manifest's `provenance` section: one digest over the row name, the case id,
+the command's base key (config digest, prompt asset hashes and the
+package's own files), the row's input bytes and its outputs as written. A
+row whose recorded trace matches the files on disk is skipped: no work, no
+model call, no write, no parse. A row that reruns and writes the same bytes
+leaves the next row's input unchanged, so that row is skipped too (early
+cutoff).
+
 Each case owns one directory under the run root; all writes stay inside it,
 so cases can run on the pool without interfering. Reruns with unchanged
 inputs and config produce byte-identical artifacts: nothing
@@ -22,6 +31,9 @@ wall-clock-dependent is ever written.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -60,6 +72,8 @@ class StageResult:
     stage: str
     succeeded: list[str] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
+    # case id -> the rows it skipped because their trace matched
+    skipped: dict[str, list[str]] = field(default_factory=dict)
     # case id -> the product of the last row, for each succeeded case
     products: dict[str, Any] = field(default_factory=dict, repr=False)
 
@@ -224,6 +238,66 @@ STALE_ON_NEW_INPUT = {
 }
 
 
+# The package's data files, under anonpsy/data/, as the loaders name them.
+DATA_FILES = (
+    "contradiction_lexicon.yaml",
+    "diagnosis_synonyms.yaml",
+    "feasibility_rules.yaml",
+    "minor_occupations.txt",
+    "mse_domains.yaml",
+    "name_whitelist.txt",
+    "specifier_patterns.txt",
+    "test_value_pools.yaml",
+)
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the package's own files: its loaded modules but the CLI, and DATA_FILES.
+
+    Importing this module loads every other module of the package but
+    `anonpsy.cli`, and nothing is imported later, so every process digests
+    the same files. The CLI only picks the command and the config, which the
+    base key covers. The prompt templates are covered by their asset hashes.
+    The files do not change while the program runs: computed once per process.
+    """
+    package = Path(sys.modules[__package__].__file__).parent
+    files = sorted(
+        Path(module.__file__).relative_to(package).as_posix()
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == __package__ and name != f"{__package__}.cli"
+    )
+    h = hashlib.sha256()
+    for file in files + [f"data/{name}" for name in DATA_FILES]:
+        data = (package / file).read_bytes()
+        h.update(f"{file}\0{len(data)}\0".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _trace(*parts: str) -> str:
+    """One trace: 32 hex digits over parts, which are names and digests."""
+    return _digest("\0".join(parts).encode("utf-8"))[:32]
+
+
+def _base_key(config_digest: str, prompt_assets: dict[str, str]) -> str:
+    """What every traced row of one command reads besides its input: config, prompts and the package."""
+    return _trace(config_digest, *(f"{name}={h}" for name, h in sorted(prompt_assets.items())), source_digest())
+
+
+def _remove(case_dir: Path, files: list[str], traces: dict[str, str | None]) -> None:
+    """Delete files from case_dir and drop the trace of every row that wrote one of them."""
+    for file in files:
+        (case_dir / file).unlink(missing_ok=True)
+    for name in PIPELINE:
+        if not set(files).isdisjoint(STAGES[name].outputs + STAGES[name].side_outputs):
+            traces[name] = None
+
+
 def run_stage(
     names: str | tuple[str, ...], out_dir: str | Path, config: RunConfig, corpus_dir: str | Path | None = None
 ) -> StageResult:
@@ -235,7 +309,10 @@ def run_stage(
     row on the same pool task, and stops at its first failure. corpus_dir is
     read only when the first row's cases come from the corpus. The result
     lists a case as succeeded, with the product of its last row, when it ran
-    every row from its start, else with the error of the row it failed.
+    every row from its start, else with the error of the row it failed. A
+    row of PIPELINE whose trace matches its entry in the manifest is skipped
+    and counts as succeeded; its product is then None, and the next row that
+    runs parses its source from disk.
     """
     chain = (names,) if isinstance(names, str) else tuple(names)
     rows = [STAGES[name] for name in chain]
@@ -268,41 +345,80 @@ def run_stage(
     if missing:
         raise UsageError("missing run artifacts: " + ", ".join(missing))
     shared = Shared(config, build_gateway(config), build_embedder(config))
+    manifest_path = out_dir / "run_manifest.yaml"
+    manifest = (load_yaml(manifest_path.read_text(encoding="utf-8")) or {}) if manifest_path.is_file() else {}
+    # case id -> row -> trace, as recorded; the tasks only read it
+    recorded: dict[str, dict[str, str]] = manifest.pop("provenance", None) or {}
+    prompt_assets = {name: prompts.asset_hash(name) for name in prompts.list_templates()}
+    base = _base_key(config.digest(), prompt_assets)
 
-    def one(case_id: str) -> tuple[dict[str, str | None], Any]:
-        """Each row this case ran, with its error or None; and the last row's product."""
+    def one(case_id: str) -> tuple[dict[str, str | None], list[str], dict[str, str | None], Any]:
+        """Each row this case reached, with its error or None; the rows it skipped; its new
+        traces (None: drop the entry); and the last row's product."""
         first, source = starts[case_id]
         case_dir = out_dir / case_id
         ran: dict[str, str | None] = {}
+        skipped: list[str] = []
+        traces: dict[str, str | None] = {}
+        entries = recorded.get(case_id) or {}
+        digests: dict[str, str] = {}  # file -> digest of its bytes as this task last read or wrote them
+
+        def digest_of(file: str) -> str:
+            if file not in digests:
+                try:
+                    digests[file] = _digest((case_dir / file).read_bytes())
+                except FileNotFoundError:
+                    digests[file] = "-"
+            return digests[file]
+
         for name in chain[first:]:
             stage = STAGES[name]
+            written = stage.outputs + stage.side_outputs
             try:
                 if stage.source is None:
                     case_dir.mkdir(parents=True, exist_ok=True)
-                    changed = [write_atomic(case_dir / f, render(source)) for f, render in CASE_INPUTS.items()]
-                    if any(changed):
-                        for file in STALE_ON_NEW_INPUT[name]:
-                            (case_dir / file).unlink(missing_ok=True)
-                elif name == chain[first] and isinstance(stage.source, str):
+                    inputs = [render(source) for render in CASE_INPUTS.values()]
+                    if any([write_atomic(case_dir / f, text) for f, text in zip(CASE_INPUTS, inputs)]):
+                        _remove(case_dir, STALE_ON_NEW_INPUT[name], traces)
+                key = None
+                if name in PIPELINE:
+                    input_digests = (
+                        [_digest(text.encode("utf-8")) for text in inputs]
+                        if stage.source is None
+                        else [digest_of(stage.source)]
+                    )
+                    key = (name, case_id, base, *input_digests)
+                    if name in entries and entries[name] == _trace(*key, *map(digest_of, written)):
+                        ran[name] = None
+                        skipped.append(name)
+                        source = None  # not in memory: a later row that runs reads it from disk
+                        continue
+                # None: the first row of a file-selected case, or the row after a skipped one
+                if source is None and isinstance(stage.source, str):
                     source = parse_yaml((case_dir / stage.source).read_text(encoding="utf-8"))
-                elif name == chain[first]:
+                elif source is None:
                     source = read_case_inputs(case_dir)
                 texts, source = stage.work(case_dir, source, shared)
                 for file, text in zip(stage.outputs, texts, strict=True):
                     write_atomic(case_dir / file, text)
                 ran[name] = None
+                if key is not None:
+                    for file in stage.side_outputs:
+                        digests.pop(file, None)
+                    digests.update((file, _digest(text.encode("utf-8"))) for file, text in zip(stage.outputs, texts))
+                    traces[name] = _trace(*key, *map(digest_of, written))
             except Exception as exc:  # isolate: one bad case never sinks the run
-                for file in STALE_ON_FAILURE[name]:
-                    (case_dir / file).unlink(missing_ok=True)
+                _remove(case_dir, STALE_ON_FAILURE[name], traces)
                 ran[name] = f"{type(exc).__name__}: {exc}"
                 break
-        return ran, source
+        return ran, skipped, traces, source
 
     result = StageResult(stage="+".join(chain))
     by_stage = {name: StageResult(stage=name) for name in chain}
+    provenance = dict(recorded)
     case_ids = sorted(starts)
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        for case_id, (ran, product) in zip(case_ids, pool.map(one, case_ids)):
+        for case_id, (ran, skipped, traces, product) in zip(case_ids, pool.map(one, case_ids)):
             for name, error in ran.items():
                 if error is None:
                     by_stage[name].succeeded.append(case_id)
@@ -311,8 +427,18 @@ def run_stage(
             if case_id not in result.failed:
                 result.succeeded.append(case_id)
                 result.products[case_id] = product
+            if skipped:
+                result.skipped[case_id] = skipped
+            merged = {name: t for name, t in {**recorded.get(case_id, {}), **traces}.items() if t is not None}
+            if merged:
+                provenance[case_id] = merged
+            else:
+                provenance.pop(case_id, None)
+    if provenance:  # none until a traced row has run here
+        manifest["provenance"] = provenance
     # A stage no case reached gets no entry, as when it is run on its own and finds no case.
-    _update_manifest(out_dir, config, [r for r in by_stage.values() if r.succeeded or r.failed])
+    reached = [r for r in by_stage.values() if r.succeeded or r.failed]
+    _update_manifest(out_dir, manifest, config, prompt_assets, reached)
     return result
 
 
@@ -348,19 +474,17 @@ def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
     return result
 
 
-def _update_manifest(out_dir: Path, config: RunConfig, results: list[StageResult]) -> None:
-    """Record config digest, seeds, model ids, prompt hashes, and stage status."""
+def _update_manifest(
+    out_dir: Path, doc: dict, config: RunConfig, prompt_assets: dict[str, str], results: list[StageResult]
+) -> None:
+    """Record config digest, seeds, model ids, prompt hashes, and stage status into doc; write it."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "run_manifest.yaml"
-    doc = {}
-    if path.is_file():
-        doc = load_yaml(path.read_text(encoding="utf-8")) or {}
     doc["config_digest"] = config.digest()
     doc["seed"] = config.seed
     doc["backend"] = config.backend
     doc["model"] = config.model
     doc["judge_model"] = config.judge_model or config.model
-    doc["prompt_assets"] = {name: prompts.asset_hash(name) for name in prompts.list_templates()}
+    doc["prompt_assets"] = prompt_assets
     stages = doc.setdefault("stages", {})
     for result in results:
         stages[result.stage] = {
@@ -368,4 +492,4 @@ def _update_manifest(out_dir: Path, config: RunConfig, results: list[StageResult
             "failed": {k: result.failed[k] for k in sorted(result.failed)},
         }
     doc["stages"] = {k: stages[k] for k in sorted(stages)}
-    write_atomic(path, safe_dump(doc, sort_keys=True))
+    write_atomic(out_dir / "run_manifest.yaml", safe_dump(doc, sort_keys=True))

@@ -14,7 +14,12 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import yaml
+
+import anonpsy
+from anonpsy import runner
 from anonpsy.model import (
     CaseAttributes,
     Demographics,
@@ -476,3 +481,59 @@ def shared_containers(g) -> list[str]:
 
     walk(g, "graph")
     return shared
+
+
+# --- run directory checks ------------------------------------------------------
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def package_digest() -> str:
+    """SHA-256 over every file of the anonpsy package but the CLI, found by listing it.
+
+    The engine names its files without listing a directory (its loaded
+    modules and `runner.DATA_FILES`); this is the listing it must agree with.
+    """
+    package = Path(anonpsy.__file__).parent
+    files = sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py") if p.name != "cli.py")
+    files += sorted(f"data/{p.name}" for p in (package / "data").iterdir())
+    h = hashlib.sha256()
+    for file in files:
+        data = (package / file).read_bytes()
+        h.update(f"{file}\0{len(data)}\0".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def assert_provenance(run_dir) -> None:
+    """Every provenance entry in run_dir's manifest matches the files on disk.
+
+    Each trace is derived again from the recipe in the README: the first 32
+    hex digits of SHA-256 over the row name, the case id, the base key, and
+    the SHA-256 of each input and each output file ("-" for a missing one),
+    joined by NUL. No entry outlives the outputs of its row.
+    """
+    run_dir = Path(run_dir)
+    doc = yaml.safe_load((run_dir / "run_manifest.yaml").read_text(encoding="utf-8"))
+
+    def trace(*parts: str) -> str:
+        return _sha("\0".join(parts).encode("utf-8"))[:32]
+
+    prompts = (f"{name}={h}" for name, h in sorted(doc["prompt_assets"].items()))
+    base = trace(doc["config_digest"], *prompts, package_digest())
+    for case_id, entries in doc.get("provenance", {}).items():
+        assert entries, f"{case_id}: an empty provenance entry"
+        case_dir = run_dir / case_id
+        for name, recorded in entries.items():
+            assert name in runner.PIPELINE, f"{case_id}: {name} is not a traced row"
+            stage = runner.STAGES[name]
+            for file in stage.outputs:
+                assert (case_dir / file).is_file(), f"{case_id}/{name}: the entry outlived {file}"
+            inputs = tuple(runner.CASE_INPUTS) if stage.source is None else (stage.source,)
+            digests = [
+                _sha((case_dir / file).read_bytes()) if (case_dir / file).is_file() else "-"
+                for file in inputs + stage.outputs + stage.side_outputs
+            ]
+            assert recorded == trace(name, case_id, base, *digests), f"{case_id}/{name}: the trace does not match"

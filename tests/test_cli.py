@@ -23,6 +23,7 @@ from anonpsy.runner import (
 )
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR
+from .helpers import assert_provenance
 
 
 def _write_config(tmp_path: Path, **overrides) -> Path:
@@ -57,12 +58,23 @@ class TestRunCommand:
         manifest = yaml.safe_load((out_dir / "run_manifest.yaml").read_text())
         assert manifest["seed"] == 42
         assert manifest["prompt_assets"]
+        assert_provenance(out_dir)
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(CORPUS_DIR), str(out_a), "--config", str(config)]) == 0
         assert main(["run", str(CORPUS_DIR), str(out_b), "--config", str(config)]) == 0
+        assert _tree(out_a) == _tree(out_b)
+        assert_provenance(out_a)
+
+        # A rerun into a completed directory skips every row and says so.
+        capsys.readouterr()
+        assert main(["run", str(CORPUS_DIR), str(out_a), "--config", str(config)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"run: {case_id}: ok (unchanged, skipped: convert, perturb, generate)"
+            for case_id in ("case_001", "case_002", "case_003")
+        ]
         assert _tree(out_a) == _tree(out_b)
 
     def test_staged_commands_match_run(self, tmp_path):
@@ -73,6 +85,7 @@ class TestRunCommand:
         assert main(["generate", str(staged), "--config", str(config)]) == 0
         assert main(["run", str(CORPUS_DIR), str(direct), "--config", str(config)]) == 0
         assert _tree(staged) == _tree(direct)
+        assert_provenance(direct)
 
     def test_case_failures_isolate_and_exit_one(self, tmp_path, capsys):
         broken_corpus = tmp_path / "corpus"
@@ -92,6 +105,7 @@ class TestRunCommand:
         assert (out_dir / "case_001" / "deid.txt").is_file()
         err = capsys.readouterr().err
         assert "case_999" in err and "FAILED" in err
+        assert_provenance(out_dir)
 
     def test_failed_reconvert_leaves_no_stale_downstream_artifacts(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -111,6 +125,7 @@ class TestRunCommand:
         for name in ("graph.yaml", "graph.perturbed.yaml", "perturb.audit.yaml", "outline.yaml", "deid.txt"):
             assert not (case_dir / name).exists(), name
         assert {case_id: _tree(out_dir / case_id) for case_id in others} == others
+        assert_provenance(out_dir)
         with pytest.raises(UsageError, match="case_001/deid.txt"):
             run_evaluation(out_dir, config)
 
@@ -126,6 +141,7 @@ class TestBaselineAndEval:
         report = yaml.safe_load((out_dir / "report.yaml").read_text())
         assert {"anonpsy", "phi", "sdc", "llm_only", "original"} <= set(report["variant_means"])
         assert (out_dir / "report.csv").read_text().startswith("case_id,variant")
+        assert_provenance(out_dir)
 
     def test_eval_reports_the_other_cases_when_one_reply_is_malformed(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"
@@ -193,13 +209,18 @@ class TestUsageErrors:
             ("feasibility_rules", "rules:\n- {diagnosis_pattern: autism, constraint_kind: max_onset_age}", "value"),
             ("feasibility_rules", "rules:\n- {diagnosis_pattern: autism, constraint_kind: max_onset_age, value: 300}", "range"),
             (
+                "feasibility_rules",
+                "rules:\n- {diagnosis_pattern: major depressive, constraint_kind: required_sex, value: banana}",
+                "required_sex value must be male or female",
+            ),
+            (
                 "test_value_pools",
                 "pools:\n- canonical_test: mmse\n  aliases: [mmse]\n  bands:\n"
                 "  - {low: 0, high: 10, label: low}\n  - {low: 5, high: 30, label: high}",
                 "overlap",
             ),
         ],
-        ids=["missing", "not-yaml", "no-pattern", "no-value", "value-out-of-range", "overlapping-bands"],
+        ids=["missing", "not-yaml", "no-pattern", "no-value", "value-out-of-range", "sex-not-male-or-female", "overlapping-bands"],
     )
     def test_bad_table_file_exits_two_before_any_case(self, tmp_path, capsys, key, text, message):
         table = tmp_path / "table.yaml"
@@ -240,6 +261,7 @@ class TestConfigLoading:
         a = load_config(config_path)
         b = load_config(config_path)
         assert a.digest() == b.digest()
+        assert a.digest() is a.digest()  # computed once per config
         assert load_config(config_path, seed=1).digest() != a.digest()
 
     def test_perturb_section_round_trips(self, tmp_path):
@@ -307,6 +329,7 @@ class TestWorkerPool:
         parallel_tree = _tree(out_parallel)
         # The manifest records per-stage status identically; artifacts match.
         assert serial_tree == parallel_tree
+        assert_provenance(out_parallel)
 
     def test_chained_stages_interleave_safely(self, tmp_path):
         # More workers than cores, and a thread switch every few microseconds,
@@ -321,6 +344,7 @@ class TestWorkerPool:
                 code = main(["run", str(CORPUS_DIR), str(out_parallel), "--config", str(config), "--jobs", "4"])
                 assert code == 0
                 assert _tree(out_parallel) == _tree(out_serial)
+                assert_provenance(out_parallel)
                 shutil.rmtree(out_parallel)
         finally:
             sys.setswitchinterval(interval)
@@ -373,6 +397,7 @@ class TestWriteAtomic:
         workflow()
         assert renamed == []
         assert _tree(out_dir) == first
+        assert_provenance(out_dir)
 
 
 def test_files_are_written_only_through_write_atomic():

@@ -222,6 +222,20 @@ class TestPerturbSex:
         assert new_sex == "female"
         assert entry["pinned_by"] == "premenstrual dysphoric disorder"
 
+    def test_required_sex_rule_sets_its_value(self):
+        # case_001 is a man with major depressive disorder; a user rule pins the sex to female.
+        g = parse_yaml(golden_text("case_001.graph.yaml"))
+        assert g.attributes.demographics.sex == "male"
+        rule = FeasibilityRule("major depressive", "required_sex", "female")
+        new_sex, entry = perturb_sex(g, _cfg(sex_flip_probability=0.0), random.Random(0), [rule])
+        assert new_sex == "female"
+        assert entry == {"step": "sex", "original": "male", "new": "female", "pinned_by": "major depressive disorder"}
+
+    @pytest.mark.parametrize("value", ["banana", "Female", 1, ""])
+    def test_required_sex_value_is_male_or_female(self, value):
+        with pytest.raises(ValueError, match="required_sex value must be male or female"):
+            FeasibilityRule("major depressive", "required_sex", value)
+
     def test_zero_probability_is_identity(self):
         g = minimal_graph()
         new_sex, _ = perturb_sex(g, _cfg(sex_flip_probability=0.0), random.Random(0), [])

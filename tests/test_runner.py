@@ -18,7 +18,7 @@ from anonpsy.gateway import MockBackend
 from anonpsy.perturbation import config as perturb_tables
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
-from .helpers import assert_same_typed, shared_containers
+from .helpers import assert_provenance, assert_same_typed, shared_containers
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
 
@@ -83,6 +83,7 @@ def test_failed_baseline_removes_its_previous_output(tmp_path):
     variants = {case["case_id"]: set(case["variants"]) for case in report["cases"]}
     assert "sdc" not in variants["case_001"]
     assert "sdc" in variants["case_002"]
+    assert_provenance(out_dir)
 
 
 def test_each_stage_adds_exactly_its_declared_outputs(tmp_path):
@@ -108,6 +109,7 @@ def test_each_stage_adds_exactly_its_declared_outputs(tmp_path):
             case_id: declared for case_id in CASE_IDS
         }, stage
         before = after
+    assert_provenance(out_dir)
 
 
 def test_every_corpus_stage_rewrites_changed_inputs(tmp_path):
@@ -149,6 +151,7 @@ def test_changed_corpus_text_clears_what_other_stages_made_from_the_old_one(tmp_
     assert (case_dir / "original.txt").read_text(encoding="utf-8") == "Seen on 2020-01-02. A new narrative."
     assert (case_dir / "baseline.phi.txt").read_text(encoding="utf-8") == "Seen on [DATE]. A new narrative."
     assert {case_id: _tree(out_dir / case_id) for case_id in others} == others
+    assert_provenance(out_dir)  # the removed outputs took case_001's entries with them
 
 
 def test_changed_diagnoses_clear_the_baselines_at_convert(tmp_path):
@@ -236,6 +239,7 @@ def test_run_matches_the_staged_commands(tmp_path, monkeypatch, scenario):
 
     assert _tree(direct) == _tree(staged)
     assert result.failed == staged_failed
+    assert_provenance(direct)
     stages = runner.safe_load((direct / "run_manifest.yaml").read_text(encoding="utf-8"))["stages"]
     if scenario == "all-fail":
         assert sorted(result.failed) == CASE_IDS and list(stages) == ["convert"]
@@ -278,9 +282,20 @@ def test_run_parses_no_graph_and_writes_the_manifest_once(tmp_path, monkeypatch)
     tables = [name for name in reads if name.startswith("data/")]
     assert "data/mse_domains.yaml" in tables and len(tables) == len(set(tables)), tables
 
-    # The staged commands read each graph back from disk.
+    # Staged commands after `run` find every trace unchanged and parse nothing.
     assert runner.run_perturb(out_dir, config).ok and runner.run_generate(out_dir, config).ok
-    assert (len(parsed), len(manifests)) == (2 * len(CASE_IDS), 3)
+    assert (len(parsed), len(manifests)) == (0, 3)
+    assert_provenance(out_dir)
+
+    # A hand edit that leaves the graph as it was: perturb parses that one graph
+    # and writes the same bytes, so generate's input is unchanged and it is skipped.
+    graph = out_dir / "case_001" / "graph.yaml"
+    graph.write_text(graph.read_text(encoding="utf-8") + "# checked by hand\n", encoding="utf-8")
+    perturbed = runner.run_perturb(out_dir, config)
+    assert perturbed.ok and "case_001" not in perturbed.skipped
+    generated = runner.run_generate(out_dir, config)
+    assert generated.ok and generated.skipped == {case_id: ["generate"] for case_id in CASE_IDS}
+    assert parsed == [graph.read_text(encoding="utf-8")]
 
 
 def test_graphs_handed_over_in_memory_equal_their_parsed_yaml(tmp_path):
@@ -347,6 +362,7 @@ def test_bench_hooks_are_called_through_the_runner_module(tmp_path, monkeypatch)
     assert all(calls.values()), {name: len(seen) for name, seen in calls.items()}
     for name in ("convert", "perturb", "generate"):
         assert sorted(calls[name]) == CASE_IDS, name
+    assert_provenance(out_dir)
 
 
 def _calls_to(tree: ast.AST, name: str) -> list[int]:
