@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import yaml
-
 from .fileio import write_atomic
 from .gateway import LlmGateway, validated_call
 from .model import (
@@ -48,7 +46,7 @@ from .temporal import (
     to_days,
 )
 from .textproc import contains_normalized
-from .yamlio import safe_dump, safe_load, serialize_yaml
+from .yamlio import reply_mapping, safe_dump, serialize_yaml
 
 class ConversionError(RuntimeError):
     """A case could not be converted; carries the staged error trail."""
@@ -79,20 +77,10 @@ class ConverterDraft:
     warnings: list[str] = field(default_factory=list)
 
 
-def _mapping(text: str, reject) -> dict | None:
-    try:
-        doc = safe_load(text)
-    except yaml.YAMLError as exc:
-        return reject(f"invalid YAML: {exc}")
-    if isinstance(doc, dict):
-        return doc
-    return reject(f"expected mapping, got {type(doc).__name__}")
-
-
 def _structured_call(gw: LlmGateway, template_id: str, variables: dict[str, str], case_id: str, stage: str) -> dict:
     """Call the gateway and parse a YAML mapping, retrying with an attempt tag."""
     # The first attempt is untagged: the extraction fixtures are keyed so.
-    out = validated_call(gw, template_id, variables, _mapping, tag_first=False, operator="convert")
+    out = validated_call(gw, template_id, variables, reply_mapping, tag_first=False, operator="convert")
     if out.error is not None:
         raise out.error
     if out.value is None:

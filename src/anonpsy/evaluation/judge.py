@@ -11,10 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import yaml
-
 from ..gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
-from ..yamlio import safe_load
+from ..yamlio import reply_mapping
 
 AT_RISK_THRESHOLD = 3
 
@@ -31,21 +29,18 @@ class JudgeResult:
     swapped: bool  # True when candidates were presented in reverse order
 
 
-def _parse_judgment(text: str) -> tuple[str, int, int] | None:
-    try:
-        doc = safe_load(text)
-    except yaml.YAMLError:
-        return None
-    if not isinstance(doc, dict):
+def _parse_judgment(text: str, reject) -> tuple[str, int, int] | None:
+    doc = reply_mapping(text, reject)
+    if doc is None:
         return None
     choice = doc.get("choice")
     score_a = doc.get("risk_a")
     score_b = doc.get("risk_b")
     if choice not in ("A", "B"):
-        return None
+        return reject("unparseable judgment")
     for score in (score_a, score_b):
         if not isinstance(score, int) or isinstance(score, bool) or not 1 <= score <= 5:
-            return None
+            return reject("unparseable judgment")
     return choice, score_a, score_b
 
 
@@ -68,7 +63,7 @@ def judge_risk(
         gw,
         "judge_risk",
         {"original": original, "version_a": presented_a, "version_b": presented_b},
-        lambda text, reject: _parse_judgment(text) or reject("unparseable judgment"),
+        _parse_judgment,
         temperature=0.0,
         model=model,
     )

@@ -17,11 +17,9 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from ..converter import CaseNarrative
 from ..gateway import GatewayError, LlmGateway
-from ..yamlio import safe_dump, safe_load
+from ..yamlio import reply_mapping, safe_dump
 from .canon import canonical_label_set, soft_f1
 from .embedding import embedded_similarity
 from .judge import JudgeError, judge_risk
@@ -123,11 +121,8 @@ class EvalReport:
 def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, kind: type, what: str, model):
     """Field `key` of the judge model's YAML reply; any other reply is a `GatewayError`."""
     text = gw.call(template_id, variables, temperature=0.0, model=model)
-    try:
-        doc = safe_load(text)
-    except yaml.YAMLError:
-        doc = None
-    if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):
+    doc = reply_mapping(text, lambda reason: None)
+    if doc is None or not isinstance(doc.get(key), kind):
         raise GatewayError(template_id, f"response is not {what} mapping")
     return doc[key]
 

@@ -542,7 +542,7 @@ def narrate_history(outline: NarrativeOutline, gw: LlmGateway) -> str:
             sentences.append(f"{_capitalize(phrase)}, treatment for {label} included {regimen}.")
         for cluster in block.induced:
             sentences.extend(
-                _cluster_sentences(cluster, phrase, g, ledger, claimed)
+                _cluster_sentences(cluster, phrase, g, claimed)
             )
         if sentences:
             paragraphs.append(" ".join(sentences))
@@ -573,7 +573,7 @@ def _symptom_sentence(node: SymptomNode, phrase: str, gw: LlmGateway) -> str:
     return out.value if out.value is not None else _fallback_symptom_sentence(node, phrase)
 
 
-def _cluster_sentences(cluster, phrase, g, ledger, claimed) -> list[str]:
+def _cluster_sentences(cluster, phrase, g, claimed) -> list[str]:
     diagnosis_by_id = {d.id: d for d in g.diagnoses}
     symptom_by_id = {s.id: s for s in g.symptoms}
     treatment_by_id = {t.id: t for t in g.treatments}

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field, replace
 from ..model import SemanticGraph, validate_graph
 from ..relations import ConsistencyReport, check_consistency
 from ..yamlio import safe_dump
-from .config import (
-    FeasibilityRule,
-    PerturbConfig,
-    TestValuePool,
-    case_seed,
-    load_contradiction_lexicon,
-    load_minor_occupations,
-    load_mse_domains,
-)
+from .config import FeasibilityRule, PerturbConfig, TestValuePool, case_seed
 from .demographics import apply_age_offset, perturb_age, perturb_identity_fields, perturb_sex
 from .narrative import (
     align_mse,
@@ -112,7 +104,7 @@ def perturb(g: SemanticGraph, gw, cfg: PerturbConfig, case_id: str = "case") -> 
         ),
     )
 
-    ethnicity, occupation, identity_entry = perturb_identity_fields(g2, gw, cfg, load_minor_occupations())
+    ethnicity, occupation, identity_entry = perturb_identity_fields(g2, gw, cfg)
     audit.record(identity_entry)
     g2 = replace(
         g2,
@@ -124,7 +116,7 @@ def perturb(g: SemanticGraph, gw, cfg: PerturbConfig, case_id: str = "case") -> 
         ),
     )
 
-    new_visit, visit_entry = rewrite_visit_episode(g2, gw, cfg, load_contradiction_lexicon())
+    new_visit, visit_entry = rewrite_visit_episode(g2, gw, cfg)
     audit.record(visit_entry)
     g2 = replace(g2, visit_event=new_visit)
 
@@ -139,7 +131,7 @@ def perturb(g: SemanticGraph, gw, cfg: PerturbConfig, case_id: str = "case") -> 
 
     diff = essence_diff(g, g2)
     thoughts = rewritten_thoughts(g, g2)
-    new_mse, mse_entry = align_mse(g2.attributes, diff, thoughts, gw, cfg, load_mse_domains())
+    new_mse, mse_entry = align_mse(g2.attributes, diff, thoughts, gw, cfg)
     audit.record(mse_entry)
     results = dict(g2.attributes.test_results)
     results["mental_status"] = new_mse

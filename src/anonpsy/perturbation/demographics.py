@@ -5,12 +5,10 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-import yaml
-
 from ..gateway import LlmGateway, validated_call
 from ..model import SemanticGraph
-from ..yamlio import safe_load
-from .config import FeasibilityRule, PerturbConfig
+from ..yamlio import reply_mapping
+from .config import FeasibilityRule, PerturbConfig, load_minor_occupations
 
 _MAX_AGE_DRAWS = 20
 
@@ -161,7 +159,6 @@ def perturb_identity_fields(
     g: SemanticGraph,
     gw: LlmGateway,
     cfg: PerturbConfig,
-    minor_occupations: frozenset[str],
 ) -> tuple[str, str, dict]:
     """Model-proposed ethnicity/occupation replacements behind hard gates.
 
@@ -172,12 +169,9 @@ def perturb_identity_fields(
     demo = g.attributes.demographics
 
     def proposal(text: str, reject) -> tuple[str, str] | None:
-        try:
-            doc = safe_load(text)
-        except yaml.YAMLError:
-            return reject("unparseable response")
-        if not isinstance(doc, dict):
-            return reject("expected mapping")
+        doc = reply_mapping(text, reject)
+        if doc is None:
+            return None
         ethnicity = doc.get("ethnicity")
         occupation = doc.get("occupation")
         if not isinstance(ethnicity, str) or not isinstance(occupation, str):
@@ -186,7 +180,7 @@ def perturb_identity_fields(
             return reject("ethnicity unchanged")
         if demo.occupation and occupation.strip().lower() == demo.occupation.strip().lower():
             return reject("occupation unchanged")
-        if demo.age < 16 and occupation.strip().lower() not in minor_occupations:
+        if demo.age < 16 and occupation.strip().lower() not in load_minor_occupations():
             return reject(f"occupation {occupation!r} not minor-permissible")
         return ethnicity.strip(), occupation.strip()
 

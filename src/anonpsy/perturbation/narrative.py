@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import yaml
-
 from ..gateway import LlmGateway, validated_call
 from ..model import CaseAttributes, SemanticGraph, StebContext, SymptomNode, VisitEvent
 from ..textproc import trigram_jaccard
-from ..yamlio import safe_load
-from .config import PerturbConfig
+from ..yamlio import reply_mapping
+from .config import PerturbConfig, load_contradiction_lexicon, load_mse_domains
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,10 @@ def derive_scaffold(visit: VisitEvent) -> dict[str, str]:
     }
 
 
-def _contradiction(scaffold: dict[str, str], lexicon: dict[str, dict[str, list[str]]], text: str) -> str | None:
+def _contradiction(scaffold: dict[str, str], text: str) -> str | None:
     """First scaffold-contradicting keyword found in the text, if any."""
     lowered = text.lower()
+    lexicon = load_contradiction_lexicon()
     for field_name, value in scaffold.items():
         field_lexicon = lexicon.get(field_name, {})
         matched_key = None
@@ -64,7 +63,6 @@ def rewrite_visit_episode(
     g: SemanticGraph,
     gw: LlmGateway,
     cfg: PerturbConfig,
-    lexicon: dict[str, dict[str, list[str]]],
 ) -> tuple[VisitEvent, dict]:
     """Rewrite the visit episode text under the immutable scaffold.
 
@@ -75,16 +73,15 @@ def rewrite_visit_episode(
     scaffold = derive_scaffold(visit)
 
     def rewrite(text: str, reject) -> VisitEvent | None:
-        try:
-            doc = safe_load(text)
-        except yaml.YAMLError:
-            return reject("unparseable response")
-        if not isinstance(doc, dict) or not isinstance(doc.get("visit_episode"), str):
+        doc = reply_mapping(text, reject)
+        if doc is None:
+            return None
+        if not isinstance(doc.get("visit_episode"), str):
             return reject("missing visit_episode")
         episode = doc["visit_episode"].strip()
         pathway = doc.get("pathway")
         pathway = pathway.strip() if isinstance(pathway, str) and pathway.strip() else visit.pathway
-        conflict = _contradiction(scaffold, lexicon, episode)
+        conflict = _contradiction(scaffold, episode)
         if conflict:
             return reject(conflict)
         gate = similarity_gate(visit.visit_episode, episode, cfg.similarity_threshold)
@@ -196,12 +193,9 @@ def rewrite_steb_contexts(
 
 def _parse_frame(text: str, fields: tuple[str, ...], reject) -> StebContext | None:
     """The rewritten frame, or None; extra keys are dropped with a note."""
-    try:
-        doc = safe_load(text)
-    except yaml.YAMLError:
-        return reject("unparseable response")
-    if not isinstance(doc, dict):
-        return reject("expected mapping")
+    doc = reply_mapping(text, reject)
+    if doc is None:
+        return None
     values: dict[str, str] = {}
     for name in fields:
         value = doc.get(name)
@@ -249,7 +243,6 @@ def align_mse(
     thoughts: list[str],
     gw: LlmGateway,
     cfg: PerturbConfig,
-    domains: dict[str, list[str]],
 ) -> tuple[str, dict]:
     """Minimally edit the MSE paragraph to match perturbed demographics/themes.
 
@@ -260,14 +253,14 @@ def align_mse(
     if (not diff and not thoughts) or not source.strip():
         return source, {"step": "mse", "skipped": "no changes to harmonize"}
 
-    source_domains = _domains_present(source, domains)
+    source_domains = _domains_present(source)
     changes = "\n".join(f"{k}: {v['from']!r} -> {v['to']!r}" for k, v in sorted(diff.items()))
 
     def edit(text: str, reject) -> str | None:
         candidate = text.strip()
         if not candidate:
             return reject("empty rewrite")
-        missing = source_domains - _domains_present(candidate, domains)
+        missing = source_domains - _domains_present(candidate)
         if missing:
             return reject(f"dropped domains {sorted(missing)}")
         return candidate
@@ -285,6 +278,6 @@ def align_mse(
     return out.value, {"step": "mse", "attempts": out.attempts, "rejected": out.rejected}
 
 
-def _domains_present(text: str, domains: dict[str, list[str]]) -> set[str]:
+def _domains_present(text: str) -> set[str]:
     lowered = text.lower()
-    return {name for name, keywords in domains.items() if any(k.lower() in lowered for k in keywords)}
+    return {name for name, keywords in load_mse_domains().items() if any(k.lower() in lowered for k in keywords)}

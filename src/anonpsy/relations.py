@@ -11,13 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 from .gateway import GatewayError, LlmGateway
 from .model import Relation, SemanticGraph, VISIT_EVENT_ID, relation_is_legal
 from .temporal import temporal_signature
 from .textproc import contains_normalized
-from .yamlio import safe_load
+from .yamlio import reply_mapping
 
 _DUE_TO = re.compile(r"^(?P<base>.+?)\s+due\s+to\s+(?P<cause>.+)$", re.IGNORECASE)
 _INDUCED = re.compile(r"^(?P<cause>.+?)-induced\s+(?P<base>.+)$", re.IGNORECASE)
@@ -148,11 +146,8 @@ def add_causal_edges_llm(
 
 
 def _parse_causal_response(text: str) -> list[tuple[str, str, str]] | None:
-    try:
-        doc = safe_load(text)
-    except yaml.YAMLError:
-        return None
-    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
+    doc = reply_mapping(text, lambda reason: None)
+    if doc is None or not isinstance(doc.get("edges"), list):
         return None
     out = []
     for item in doc["edges"]:

@@ -54,7 +54,8 @@ from .yamlio import load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
 # A case's corpus entry, written into its directory by every stage that reads
 # the corpus, each file rendered from the narrative. A stage that finds them
-# changed removes what the other corpus stages made from the earlier input.
+# changed removes what the other corpus stages made from the earlier input,
+# unless its matching trace shows the change was a hand edit.
 CASE_INPUTS = {
     "original.txt": lambda narrative: narrative.text,
     "meta.yaml": lambda narrative: safe_dump(
@@ -378,8 +379,7 @@ def run_stage(
                 if stage.source is None:
                     case_dir.mkdir(parents=True, exist_ok=True)
                     inputs = [render(source) for render in CASE_INPUTS.values()]
-                    if any([write_atomic(case_dir / f, text) for f, text in zip(CASE_INPUTS, inputs)]):
-                        _remove(case_dir, STALE_ON_NEW_INPUT[name], traces)
+                    new_input = any([write_atomic(case_dir / f, text) for f, text in zip(CASE_INPUTS, inputs)])
                 key = None
                 if name in PIPELINE:
                     input_digests = (
@@ -393,6 +393,10 @@ def run_stage(
                         skipped.append(name)
                         source = None  # not in memory: a later row that runs reads it from disk
                         continue
+                # Not after a matching trace: it proves the other corpus outputs were made from this
+                # entry too, as a corpus row that writes another entry removes convert's outputs and trace.
+                if stage.source is None and new_input:
+                    _remove(case_dir, STALE_ON_NEW_INPUT[name], traces)
                 # None: the first row of a file-selected case, or the row after a skipped one
                 if source is None and isinstance(stage.source, str):
                     source = parse_yaml((case_dir / stage.source).read_text(encoding="utf-8"))

@@ -9,7 +9,8 @@ violations raise with the offending path.
 
 Every other YAML read and write of the program also goes through this module:
 `load_yaml` for YAML the program wrote or ships, `safe_load` for model replies
-and user files, and `safe_dump` for the program's own documents.
+and user files, `reply_mapping` for a model reply that must be a mapping, and
+`safe_dump` for the program's own documents.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -124,6 +125,24 @@ def safe_load(text: str):
         return yaml.load(text, Loader=_PureLoader)
     except RecursionError as exc:
         raise NestingTooDeepError("document nested too deeply") from exc
+
+
+def reply_mapping(text: str, reject: Callable[[str], Any]) -> dict | None:
+    """A model reply read as a YAML mapping, or `reject(reason)`: a check for `gateway.validated_call`.
+
+    The reason is one line: `invalid YAML: <problem> at line L, column C`
+    (the error's text, its lines joined, when it has no position, as for a
+    control character or `NestingTooDeepError`) or `expected mapping, got <type>`.
+    """
+    try:
+        doc = safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        problem = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}" if mark else str(exc)
+        return reject("invalid YAML: " + " ".join(problem.split()))
+    if isinstance(doc, dict):
+        return doc
+    return reject(f"expected mapping, got {type(doc).__name__}")
 
 
 def _emits_alike(doc) -> bool:

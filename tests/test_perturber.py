@@ -25,14 +25,7 @@ from anonpsy.perturbation import (
     rewrite_visit_episode,
     similarity_gate,
 )
-from anonpsy.perturbation.config import (
-    FeasibilityRule,
-    load_contradiction_lexicon,
-    load_feasibility_rules,
-    load_minor_occupations,
-    load_mse_domains,
-    load_test_value_pools,
-)
+from anonpsy.perturbation.config import FeasibilityRule, load_feasibility_rules, load_test_value_pools
 from anonpsy.perturbation.demographics import apply_age_offset
 from anonpsy.perturbation.narrative import align_mse, derive_scaffold
 from anonpsy.relations import check_consistency
@@ -44,9 +37,6 @@ from .synthesis import synthesize
 
 RULES = load_feasibility_rules()
 POOLS = load_test_value_pools()
-MINORS = load_minor_occupations()
-LEXICON = load_contradiction_lexicon()
-DOMAINS = load_mse_domains()
 
 
 def _cfg(**overrides):
@@ -256,7 +246,7 @@ class TestIdentityFields:
             "2": yaml.safe_dump({"ethnicity": "of coastal descent", "occupation": "babysitter"}),
         }
         gw = FakeGateway(lambda t, v: responses[v.get("attempt", "1")])
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(), MINORS)
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg())
         assert occupation == "babysitter"
         assert any("not minor-permissible" in r for r in entry["rejected"])
 
@@ -267,21 +257,21 @@ class TestIdentityFields:
             "2": yaml.safe_dump({"ethnicity": "of river valley descent", "occupation": "florist"}),
         }
         gw = FakeGateway(lambda t, v: responses[v.get("attempt", "1")])
-        _, occupation, entry = perturb_identity_fields(g, gw, _cfg(), MINORS)
+        _, occupation, entry = perturb_identity_fields(g, gw, _cfg())
         assert occupation == "florist"
         assert any("occupation unchanged" in r for r in entry["rejected"])
 
     def test_valid_proposal_accepted_verbatim(self):
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: yaml.safe_dump({"ethnicity": "of alpine descent", "occupation": "florist"}))
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(), MINORS)
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg())
         assert (ethnicity, occupation) == ("of alpine descent", "florist")
         assert entry["rejected"] == []
 
     def test_exhausted_retries_keep_originals(self):
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: yaml.safe_dump({"ethnicity": "", "occupation": "clerk"}))
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(max_retries=2), MINORS)
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(max_retries=2))
         assert occupation == "clerk"
         assert entry["fallback"] == "originals kept"
 
@@ -289,9 +279,10 @@ class TestIdentityFields:
         # Pure PyYAML raises a bare ValueError on this reply, which failed the case.
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: "ethnicity: 2021-02-30\noccupation: florist\n")
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(max_retries=2), MINORS)
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(max_retries=2))
         assert (ethnicity, occupation) == ("", "clerk")
-        assert entry["rejected"] == ["attempt 1: unparseable response", "attempt 2: unparseable response"]
+        reason = "invalid YAML: day is out of range for month at line 1, column 12"
+        assert entry["rejected"] == [f"attempt 1: {reason}", f"attempt 2: {reason}"]
         assert entry["fallback"] == "originals kept"
 
 
@@ -319,7 +310,7 @@ class TestVisitRewrite:
             {"visit_episode": "The patient arrived unaccompanied after arranging an urgent same-day slot."}
         )
         gw = FakeGateway(lambda t, v: contradicted if v.get("attempt", "1") == "1" else clean)
-        new_visit, entry = rewrite_visit_episode(g, gw, _cfg(), LEXICON)
+        new_visit, entry = rewrite_visit_episode(g, gw, _cfg())
         assert "police escort" not in new_visit.visit_episode
         assert any("contradicted" in r for r in entry["rejected"])
 
@@ -330,14 +321,14 @@ class TestVisitRewrite:
                 {"visit_episode": "A same-day appointment was arranged and the patient arrived alone."}
             )
         )
-        new_visit, _ = rewrite_visit_episode(g, gw, _cfg(), LEXICON)
+        new_visit, _ = rewrite_visit_episode(g, gw, _cfg())
         assert derive_scaffold(new_visit) == derive_scaffold(g.visit_event)
         assert new_visit.visit_episode != g.visit_event.visit_episode
 
     def test_identical_rewrite_rejected_by_similarity_gate(self):
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: yaml.safe_dump({"visit_episode": g.visit_event.visit_episode}))
-        new_visit, entry = rewrite_visit_episode(g, gw, _cfg(max_retries=2), LEXICON)
+        new_visit, entry = rewrite_visit_episode(g, gw, _cfg(max_retries=2))
         assert new_visit.visit_episode == g.visit_event.visit_episode
         assert entry["fallback"] == "original kept"
         assert all("similarity" in r for r in entry["rejected"])
@@ -486,7 +477,7 @@ class TestAlignMse:
 
     def test_empty_diff_skips_edit(self):
         gw = FakeGateway(lambda t, v: (_ for _ in ()).throw(AssertionError("should not be called")))
-        text, entry = align_mse(self._attrs(), {}, [], gw, _cfg(), DOMAINS)
+        text, entry = align_mse(self._attrs(), {}, [], gw, _cfg())
         assert entry["skipped"]
         assert text == self._attrs().test_results["mental_status"]
 
@@ -494,14 +485,14 @@ class TestAlignMse:
         source = self._attrs()
         edited = source.test_results["mental_status"].replace("She was", "He was")
         gw = FakeGateway(lambda t, v: edited)
-        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw, _cfg(), DOMAINS)
+        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw, _cfg())
         assert text == edited and "fallback" not in entry
 
     def test_dropping_perception_sentence_rejected(self):
         source = self._attrs()
         mutilated = source.test_results["mental_status"].replace("no hallucinations, ", "")
         gw = FakeGateway(lambda t, v: mutilated)
-        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw, _cfg(max_retries=2), DOMAINS)
+        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw, _cfg(max_retries=2))
         assert text == source.test_results["mental_status"]
         assert any("perception" in r for r in entry["rejected"])
 

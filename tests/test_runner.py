@@ -14,7 +14,7 @@ import anonpsy
 import anonpsy.runner as runner
 from anonpsy.config import RunConfig
 from anonpsy.converter import INTERMEDIATES
-from anonpsy.gateway import MockBackend
+from anonpsy.gateway import LlmGateway, MockBackend
 from anonpsy.perturbation import config as perturb_tables
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
@@ -171,6 +171,37 @@ def test_changed_diagnoses_clear_the_baselines_at_convert(tmp_path):
     after = _tree(out_dir / "case_001")
     assert set(before) - set(after) == {f"baseline.{name}.txt" for name in runner.BASELINE_NAMES}
     assert b"dysthymia" in after["meta.yaml"]
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory) -> Path:
+    out_dir = tmp_path_factory.mktemp("full") / "run"
+    _full_run(CORPUS_DIR, out_dir, _config())
+    return out_dir
+
+
+@pytest.mark.parametrize("command", ["run", "convert"])
+@pytest.mark.parametrize("change", ["delete original.txt", "delete meta.yaml", "edit original.txt"])
+def test_a_hand_changed_corpus_entry_keeps_the_baselines(full_run, tmp_path, monkeypatch, command, change):
+    # convert's trace matches the corpus entry, so the baselines were made from
+    # it too: the rewritten file is no new input.
+    out_dir = tmp_path / "run"
+    shutil.copytree(full_run, out_dir)
+    before = _tree(out_dir)
+    path = out_dir / "case_001" / change.split(" ")[1]
+    if change.startswith("delete"):
+        path.unlink()
+    else:
+        path.write_text("edited by hand\n", encoding="utf-8")
+    calls = []
+    real_complete = LlmGateway.complete
+    monkeypatch.setattr(LlmGateway, "complete", lambda self, req: calls.append(req) or real_complete(self, req))
+    run = runner.run_pipeline if command == "run" else runner.run_convert
+    result = run(CORPUS_DIR, out_dir, _config())
+
+    assert result.ok and set(result.skipped) == set(CASE_IDS)
+    assert calls == []
+    assert _tree(out_dir) == before  # the baselines and run_manifest.yaml included
 
 
 def test_perturb_without_a_run_directory_is_a_usage_error(tmp_path):

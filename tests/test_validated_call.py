@@ -1,6 +1,6 @@
 """Contracts of the validated model calls: attempt tags, audit lines, and
 which steps raise and which fall back when a reply is rejected or the
-gateway fails."""
+gateway fails; and the one reader of replies that must be a YAML mapping."""
 
 import ast
 import random
@@ -11,6 +11,7 @@ import yaml
 
 import anonpsy
 from anonpsy.converter import CaseNarrative, ConversionError, extract_entities
+from anonpsy.evaluation import report
 from anonpsy.evaluation.judge import JudgeError, judge_risk
 from anonpsy.gateway import GatewayError, MockFixtureMissing
 from anonpsy.model import CaseAttributes, Demographics, FamilyHistoryEntry
@@ -22,8 +23,8 @@ from anonpsy.perturbation import (
     rewrite_steb_contexts,
     rewrite_visit_episode,
 )
-from anonpsy.perturbation.config import load_contradiction_lexicon, load_minor_occupations, load_mse_domains
 from anonpsy.perturbation.narrative import derive_scaffold
+from anonpsy.relations import add_causal_edges_llm
 
 from .helpers import FakeGateway, minimal_graph
 
@@ -120,11 +121,11 @@ class TestNarratorFallsBackOnGatewayError:
 
 
 def _identity(gw):
-    return perturb_identity_fields(minimal_graph(), gw, _CFG, load_minor_occupations())[2]
+    return perturb_identity_fields(minimal_graph(), gw, _CFG)[2]
 
 
 def _visit(gw):
-    return rewrite_visit_episode(minimal_graph(), gw, _CFG, load_contradiction_lexicon())[1]
+    return rewrite_visit_episode(minimal_graph(), gw, _CFG)[1]
 
 
 def _steb(gw):
@@ -137,7 +138,7 @@ def _mse(gw):
         test_results={"labs": "", "imaging": "", "mental_status": _MSE, "other": ""},
     )
     diff = {"sex": {"from": "female", "to": "male"}}
-    return align_mse(attrs, diff, [], gw, _CFG, load_mse_domains())[1]
+    return align_mse(attrs, diff, [], gw, _CFG)[1]
 
 
 _SCAFFOLD = derive_scaffold(minimal_graph().visit_event)
@@ -209,6 +210,125 @@ def test_perturbation_exhaustion_audits_every_attempt(step, template, reply, rea
     expected = fallback([f"attempt {n}: {reason}" for n in (1, 2, 3)])
     assert list(entry.items()) == list(expected.items())
     assert _attempt_tags(gw) == ["1", "2", "3"]
+
+
+# --- one reader of mapping replies -------------------------------------------
+
+# A bad reply of each kind, and the one-line reason `yamlio.reply_mapping` gives for it.
+_BAD_MAPPINGS = [
+    pytest.param(
+        "diagnoses: [unclosed",
+        "invalid YAML: expected ',' or ']', but got '<stream end>' at line 1, column 21",
+        id="invalid",
+    ),
+    pytest.param("- a\n- b\n", "expected mapping, got list", id="list"),
+    pytest.param("k: 2021-02-30\n", "invalid YAML: day is out of range for month at line 1, column 4", id="date"),
+    pytest.param("[" * 600 + "]" * 600, "invalid YAML: document nested too deeply", id="deep"),
+    pytest.param(
+        "k: \x07\n",
+        'invalid YAML: unacceptable character #x0007: special characters are not allowed in "<unicode string>", position 3',
+        id="control",
+    ),
+]
+
+
+def _error(call, kind) -> list[str]:
+    with pytest.raises(kind) as info:
+        call()
+    return [str(info.value)]
+
+
+def _fallback(entry: dict) -> list[str]:
+    return entry["rejected"] + [entry["fallback"]]
+
+
+def _exhausted(fallback: str):
+    return lambda reason: [f"attempt {n}: {reason}" for n in (1, 2, 3)] + [fallback]
+
+
+def _causal(gw) -> list[str]:
+    warnings = []
+    g = minimal_graph()
+    assert add_causal_edges_llm(g, "Low mood for weeks.", gw, warnings=warnings) == g
+    return warnings
+
+
+# Each step that reads its reply as a mapping, keyed by its template: what it
+# makes of a bad reply (its error, or its audit lines and fallback, or its
+# warnings) given the reason, and how many model calls it makes.
+_MAPPING_STEPS = {
+    "extract_entities": (
+        lambda gw: _error(lambda: extract_entities(_NARRATIVE, gw), ConversionError),
+        lambda reason: [f"case tab, stage extract_entities: unparseable structured response after retries: {reason}"],
+        3,
+    ),
+    "causal_pass": (_causal, lambda reason: ["causal pass returned an unparseable response; ignored"], 1),
+    "identity_fields": (lambda gw: _fallback(_identity(gw)), _exhausted("originals kept"), 3),
+    "visit_rewrite": (lambda gw: _fallback(_visit(gw)), _exhausted("original kept"), 3),
+    "steb_rewrite": (lambda gw: _fallback(_steb(gw)), _exhausted("original frame kept"), 3),
+    "judge_risk": (
+        lambda gw: _error(lambda: judge_risk("orig", "a", "b", gw, random.Random(1)), JudgeError),
+        lambda reason: [f"judge response unusable after 3 attempts: {reason}"],
+        3,
+    ),
+    "predict_diagnoses": (
+        lambda gw: _error(lambda: report._predict_diagnoses(gw, "Low mood.", "tab", "original", None), GatewayError),
+        lambda reason: ["[predict_diagnoses] response is not a diagnoses mapping"],
+        1,
+    ),
+    "diagnosis_acceptability": (
+        lambda gw: _error(
+            lambda: report._judge_acceptability(gw, "Low mood.", ["depression"], "tab", "original", None), GatewayError
+        ),
+        lambda reason: ["[diagnosis_acceptability] response is not an acceptability mapping"],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("reply,reason", _BAD_MAPPINGS)
+@pytest.mark.parametrize("step", list(_MAPPING_STEPS))
+def test_every_mapping_step_reads_a_bad_reply_alike(step, reply, reason):
+    run, expected, calls = _MAPPING_STEPS[step]
+    gw = FakeGateway(lambda t, v: reply)
+    outcome = run(gw)
+    assert outcome == expected(reason)
+    assert [t for t, _ in gw.calls] == [step] * calls
+    assert not any("\n" in line for line in outcome)  # one `attempt N: <reason>` line per rejection
+
+
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The top-level definitions (`<module>` for other statements) that call `name`."""
+    callers = set()
+    for node in tree.body:
+        called = {
+            n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+        }
+        if name in called:
+            callers.add(node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>")
+    return callers
+
+
+def test_only_yamlio_reads_model_replies():
+    # A model reply is read by `yamlio`; `yaml` and `safe_load` serve otherwise
+    # only the readers of the files a user writes.
+    src_dir = Path(anonpsy.__file__).parent
+    importers, loaders = [], []
+    for path in sorted(src_dir.rglob("*.py")):
+        module = path.relative_to(src_dir).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(
+            isinstance(n, ast.Import) and any(a.name.partition(".")[0] == "yaml" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and n.level == 0 and (n.module or "").partition(".")[0] == "yaml"
+            for n in ast.walk(tree)
+        ):
+            importers.append(module)
+        if module != "yamlio.py":
+            loaders += [f"{module}:{owner}" for owner in sorted(_callers(tree, "safe_load"))]
+    assert importers == ["config.py", "perturbation/config.py", "yamlio.py"]
+    assert loaders == ["config.py:load_config", "perturbation/config.py:_read_table", "runner.py:load_corpus"]
 
 
 class TestStebExtraFields:
