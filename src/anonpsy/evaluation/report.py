@@ -119,10 +119,15 @@ class EvalReport:
 
 
 def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, kind: type, what: str, model):
-    """Field `key` of the judge model's YAML reply; any other reply is a `GatewayError`."""
+    """Field `key` of the judge model's YAML reply; any other reply is a `GatewayError`.
+
+    A reply that is no mapping names the reason `reply_mapping` gives.
+    """
     text = gw.call(template_id, variables, temperature=0.0, model=model)
-    doc = reply_mapping(text, lambda reason: None)
-    if doc is None or not isinstance(doc.get(key), kind):
+    doc = reply_mapping(text, lambda reason: reason)
+    if not isinstance(doc, dict):
+        raise GatewayError(template_id, f"response is not {what} mapping: {doc}")
+    if not isinstance(doc.get(key), kind):
         raise GatewayError(template_id, f"response is not {what} mapping")
     return doc[key]
 

@@ -118,10 +118,12 @@ def add_causal_edges_llm(
             warnings.append(f"causal pass skipped: {exc}")
         return g
 
-    proposals = _parse_causal_response(text)
+    doc = reply_mapping(text, lambda reason: reason)
+    proposals = _causal_proposals(doc) if isinstance(doc, dict) else None
     if proposals is None:
         if warnings is not None:
-            warnings.append("causal pass returned an unparseable response; ignored")
+            fault = "" if isinstance(doc, dict) else f" ({doc})"  # the reason the reply is no mapping
+            warnings.append(f"causal pass returned an unparseable response{fault}; ignored")
         return g
 
     relations = list(g.relations)
@@ -145,9 +147,9 @@ def add_causal_edges_llm(
     return replace(g, relations=relations)
 
 
-def _parse_causal_response(text: str) -> list[tuple[str, str, str]] | None:
-    doc = reply_mapping(text, lambda reason: None)
-    if doc is None or not isinstance(doc.get("edges"), list):
+def _causal_proposals(doc: dict) -> list[tuple[str, str, str]] | None:
+    """The (source, target, evidence) of each edge the reply proposes; None when one is malformed."""
+    if not isinstance(doc.get("edges"), list):
         return None
     out = []
     for item in doc["edges"]:

@@ -14,14 +14,14 @@ fails a stage loses that stage's outputs and those of every stage that
 reads them, directly or not, so nothing downstream reads artifacts made
 from an earlier input.
 
-The rows of `run` (PIPELINE) keep a verifying trace per case in the
+Every row that writes files keeps a verifying trace per case in the
 manifest's `provenance` section: one digest over the row name, the case id,
 the command's base key (config digest, prompt asset hashes and the
 package's own files), the row's input bytes and its outputs as written. A
 row whose recorded trace matches the files on disk is skipped: no work, no
 model call, no write, no parse. A row that reruns and writes the same bytes
 leaves the next row's input unchanged, so that row is skipped too (early
-cutoff).
+cutoff). The manifest itself is rewritten only when its content changes.
 
 Each case owns one directory under the run root; all writes stay inside it,
 so cases can run on the pool without interfering. Reruns with unchanged
@@ -294,8 +294,8 @@ def _remove(case_dir: Path, files: list[str], traces: dict[str, str | None]) -> 
     """Delete files from case_dir and drop the trace of every row that wrote one of them."""
     for file in files:
         (case_dir / file).unlink(missing_ok=True)
-    for name in PIPELINE:
-        if not set(files).isdisjoint(STAGES[name].outputs + STAGES[name].side_outputs):
+    for name, stage in STAGES.items():
+        if not set(files).isdisjoint(stage.outputs + stage.side_outputs):
             traces[name] = None
 
 
@@ -311,9 +311,9 @@ def run_stage(
     read only when the first row's cases come from the corpus. The result
     lists a case as succeeded, with the product of its last row, when it ran
     every row from its start, else with the error of the row it failed. A
-    row of PIPELINE whose trace matches its entry in the manifest is skipped
-    and counts as succeeded; its product is then None, and the next row that
-    runs parses its source from disk.
+    row that writes files keeps a trace; when it matches the row's entry in
+    the manifest, the row is skipped and counts as succeeded. Its product is
+    then None, and the next row that runs parses its source from disk.
     """
     chain = (names,) if isinstance(names, str) else tuple(names)
     rows = [STAGES[name] for name in chain]
@@ -349,7 +349,7 @@ def run_stage(
     manifest_path = out_dir / "run_manifest.yaml"
     manifest = (load_yaml(manifest_path.read_text(encoding="utf-8")) or {}) if manifest_path.is_file() else {}
     # case id -> row -> trace, as recorded; the tasks only read it
-    recorded: dict[str, dict[str, str]] = manifest.pop("provenance", None) or {}
+    recorded: dict[str, dict[str, str]] = manifest.get("provenance") or {}
     prompt_assets = {name: prompts.asset_hash(name) for name in prompts.list_templates()}
     base = _base_key(config.digest(), prompt_assets)
 
@@ -381,7 +381,7 @@ def run_stage(
                     inputs = [render(source) for render in CASE_INPUTS.values()]
                     new_input = any([write_atomic(case_dir / f, text) for f, text in zip(CASE_INPUTS, inputs)])
                 key = None
-                if name in PIPELINE:
+                if written:
                     input_digests = (
                         [_digest(text.encode("utf-8")) for text in inputs]
                         if stage.source is None
@@ -393,8 +393,8 @@ def run_stage(
                         skipped.append(name)
                         source = None  # not in memory: a later row that runs reads it from disk
                         continue
-                # Not after a matching trace: it proves the other corpus outputs were made from this
-                # entry too, as a corpus row that writes another entry removes convert's outputs and trace.
+                # Not after a matching trace: it proves the other corpus outputs were made from this entry
+                # too, as a corpus row that writes another entry removes the other corpus rows' outputs and traces.
                 if stage.source is None and new_input:
                     _remove(case_dir, STALE_ON_NEW_INPUT[name], traces)
                 # None: the first row of a file-selected case, or the row after a skipped one
@@ -438,11 +438,9 @@ def run_stage(
                 provenance[case_id] = merged
             else:
                 provenance.pop(case_id, None)
-    if provenance:  # none until a traced row has run here
-        manifest["provenance"] = provenance
     # A stage no case reached gets no entry, as when it is run on its own and finds no case.
     reached = [r for r in by_stage.values() if r.succeeded or r.failed]
-    _update_manifest(out_dir, manifest, config, prompt_assets, reached)
+    _update_manifest(out_dir, manifest, config, prompt_assets, reached, provenance)
     return result
 
 
@@ -479,21 +477,32 @@ def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
 
 
 def _update_manifest(
-    out_dir: Path, doc: dict, config: RunConfig, prompt_assets: dict[str, str], results: list[StageResult]
+    out_dir: Path,
+    loaded: dict,
+    config: RunConfig,
+    prompt_assets: dict[str, str],
+    results: list[StageResult],
+    provenance: dict[str, dict[str, str]],
 ) -> None:
-    """Record config digest, seeds, model ids, prompt hashes, and stage status into doc; write it."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc["config_digest"] = config.digest()
-    doc["seed"] = config.seed
-    doc["backend"] = config.backend
-    doc["model"] = config.model
-    doc["judge_model"] = config.judge_model or config.model
-    doc["prompt_assets"] = prompt_assets
-    stages = doc.setdefault("stages", {})
+    """Record config digest, seeds, model ids, prompt hashes, stage status and provenance over the
+    manifest as loaded; write it when that changed its content."""
+    stages = dict(loaded.get("stages") or {})
     for result in results:
         stages[result.stage] = {
             "succeeded": sorted(result.succeeded),
             "failed": {k: result.failed[k] for k in sorted(result.failed)},
         }
-    doc["stages"] = {k: stages[k] for k in sorted(stages)}
-    write_atomic(out_dir / "run_manifest.yaml", safe_dump(doc, sort_keys=True))
+    doc = {k: v for k, v in loaded.items() if k != "provenance"}
+    doc.update(
+        config_digest=config.digest(),
+        seed=config.seed,
+        backend=config.backend,
+        model=config.model,
+        judge_model=config.judge_model or config.model,
+        prompt_assets=prompt_assets,
+        stages=stages,
+    )
+    if provenance:  # none until a traced row has run here
+        doc["provenance"] = provenance
+    if doc != loaded:
+        write_atomic(out_dir / "run_manifest.yaml", safe_dump(doc, sort_keys=True))

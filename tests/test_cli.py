@@ -157,7 +157,10 @@ class TestBaselineAndEval:
         Path(MockBackend(fixtures).fixture_path("predict_diagnoses", variables)).write_text("diagnoses: [unclosed")
 
         assert main(["eval", str(out_dir), "--config", str(config)]) == 1
-        error = "GatewayError: [predict_diagnoses] response is not a diagnoses mapping"
+        error = (
+            "GatewayError: [predict_diagnoses] response is not a diagnoses mapping: "
+            "invalid YAML: expected ',' or ']', but got '<stream end>' at line 1, column 21"
+        )
         assert f"eval: case_002: FAILED: {error}" in capsys.readouterr().err
         report = yaml.safe_load((out_dir / "report.yaml").read_text())
         assert [case["case_id"] for case in report["cases"]] == ["case_001", "case_003"]

@@ -20,6 +20,8 @@ from .helpers import FakeGateway
 CASE_IDS = ["case_001", "case_002", "case_003"]
 # Template variables that carry a narrative or the gold diagnoses.
 TEXT_VARIABLES = {"narrative", "diagnoses", "original", "version_a", "version_b"}
+# The reason `yamlio.reply_mapping` gives for the reply `diagnoses: [unclosed`.
+UNCLOSED = "invalid YAML: expected ',' or ']', but got '<stream end>' at line 1, column 21"
 
 
 class TestJudgeRisk:
@@ -169,7 +171,8 @@ class TestRunEval:
         gw = _replying(mock_gateway, template_id, "diagnoses: [unclosed")
         result, report = _evaluate(out_dir, config, gw)
         assert report.cases == []
-        assert result.failed == {case_id: f"GatewayError: [{template_id}] {message}" for case_id in CASE_IDS}
+        error = f"GatewayError: [{template_id}] {message}: {UNCLOSED}"
+        assert result.failed == {case_id: error for case_id in CASE_IDS}
 
     def test_failed_case_is_left_out_of_the_report(self, full_run, mock_gateway, tmp_path):
         out_dir, config = full_run
@@ -180,7 +183,9 @@ class TestRunEval:
             return mock_gateway.call(t, v, temperature=0.0)
 
         result, report = _evaluate(out_dir, config, FakeGateway(handler))
-        assert result.failed == {"case_002": "GatewayError: [predict_diagnoses] response is not a diagnoses mapping"}
+        assert result.failed == {
+            "case_002": f"GatewayError: [predict_diagnoses] response is not a diagnoses mapping: {UNCLOSED}"
+        }
         others = tmp_path / "others"
         for case_id in ("case_001", "case_003"):
             shutil.copytree(out_dir / case_id, others / case_id)
@@ -194,9 +199,8 @@ class TestRunEval:
         out_dir, config = full_run
         gw = _replying(mock_gateway, "predict_diagnoses", "diagnoses: [2021-02-30]")
         result, _ = _evaluate(out_dir, config, gw)
-        assert result.failed == {
-            case_id: "GatewayError: [predict_diagnoses] response is not a diagnoses mapping" for case_id in CASE_IDS
-        }
+        error = "response is not a diagnoses mapping: invalid YAML: day is out of range for month at line 1, column 13"
+        assert result.failed == {case_id: f"GatewayError: [predict_diagnoses] {error}" for case_id in CASE_IDS}
 
     def test_deeply_nested_reply_is_gateway_error_naming_template(self, full_run, mock_gateway):
         # Pure PyYAML raises RecursionError on this reply, which aborted the eval run;
@@ -204,9 +208,8 @@ class TestRunEval:
         out_dir, config = full_run
         gw = _replying(mock_gateway, "predict_diagnoses", "[" * 600 + "]" * 600)
         result, _ = _evaluate(out_dir, config, gw)
-        assert result.failed == {
-            case_id: "GatewayError: [predict_diagnoses] response is not a diagnoses mapping" for case_id in CASE_IDS
-        }
+        error = "response is not a diagnoses mapping: invalid YAML: document nested too deeply"
+        assert result.failed == {case_id: f"GatewayError: [predict_diagnoses] {error}" for case_id in CASE_IDS}
 
     def test_baseline_that_is_not_utf8_fails_its_case_alone(self, full_run, tmp_path):
         out_dir, config = full_run

@@ -1,4 +1,4 @@
-"""Verifying traces and early cutoff for the rows of `anonpsy run`."""
+"""Verifying traces and early cutoff for every row that writes files."""
 
 import os
 import shutil
@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,11 @@ from .helpers import assert_provenance, package_digest
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
 STAGED = ("convert", "perturb", "generate")
+BASELINES = tuple(f"baseline.{name}" for name in runner.BASELINE_NAMES)
+# The rows that keep a trace: every row that writes files.
+TRACED = tuple(name for name, stage in runner.STAGES.items() if stage.outputs + stage.side_outputs)
 # file -> the traced row that writes it
-OWNER = {
-    file: name for name in runner.PIPELINE for file in runner.STAGES[name].outputs + runner.STAGES[name].side_outputs
-}
+OWNER = {file: name for name in TRACED for file in runner.STAGES[name].outputs + runner.STAGES[name].side_outputs}
 
 
 def _config(**overrides) -> RunConfig:
@@ -36,10 +38,12 @@ def _tree(root: Path) -> dict[str, bytes]:
 
 
 def _workflow(mode: str, corpus: Path, out_dir: Path, config: RunConfig) -> list[runner.StageResult]:
-    """`anonpsy run`, or `anonpsy convert`; `anonpsy perturb`; `anonpsy generate`."""
+    """`anonpsy run`, or `anonpsy convert`; `anonpsy perturb`; `anonpsy generate`; then the three baselines."""
     if mode == "run":
-        return [runner.run_pipeline(corpus, out_dir, config)]
-    return [runner.run_stage(name, out_dir, config, corpus if name == "convert" else None) for name in STAGED]
+        results = [runner.run_pipeline(corpus, out_dir, config)]
+    else:
+        results = [runner.run_stage(name, out_dir, config, corpus if name == "convert" else None) for name in STAGED]
+    return results + [runner.run_baseline(name, corpus, out_dir, config) for name in runner.BASELINE_NAMES]
 
 
 def test_source_digest_covers_every_package_file_but_the_cli():
@@ -54,10 +58,11 @@ def test_source_digest_covers_every_package_file_but_the_cli():
 def test_warm_rerun_calls_no_model_and_writes_nothing(tmp_path, monkeypatch, mode, jobs):
     config = _config(jobs=jobs)
     out_dir = tmp_path / "run"
-    assert runner.run_pipeline(CORPUS_DIR, out_dir, config).ok
+    assert all(r.ok for r in _workflow("run", CORPUS_DIR, out_dir, config))
+    assert runner.run_evaluation(out_dir, config).ok
     before = _tree(out_dir)
-    calls, writes = [], []
-    real_complete, real_replace = LlmGateway.complete, os.replace
+    calls, writes, manifests = [], [], []
+    real_complete, real_replace, real_dump = LlmGateway.complete, os.replace, runner.safe_dump
 
     def counting_complete(self, req):
         calls.append(req.template_id)
@@ -67,16 +72,35 @@ def test_warm_rerun_calls_no_model_and_writes_nothing(tmp_path, monkeypatch, mod
         writes.append(dst)
         return real_replace(src, dst)
 
+    def counting_dump(doc, **kwargs):
+        if "config_digest" in doc:
+            manifests.append(doc)
+        return real_dump(doc, **kwargs)
+
     monkeypatch.setattr(LlmGateway, "complete", counting_complete)
     monkeypatch.setattr(os, "replace", counting_replace)
+    monkeypatch.setattr(runner, "safe_dump", counting_dump)
     results = _workflow(mode, CORPUS_DIR, out_dir, config)
+    assert calls == []
+    assert runner.run_evaluation(out_dir, config).ok  # untraced: it calls the model, and writes the same bytes
 
-    assert (calls, writes) == ([], [])
-    assert _tree(out_dir) == before  # run_manifest.yaml included
-    rows = [list(runner.PIPELINE)] if mode == "run" else [[name] for name in STAGED]
+    assert (writes, manifests) == ([], [])
+    assert _tree(out_dir) == before  # run_manifest.yaml and the report included
+    rows = ([list(STAGED)] if mode == "run" else [[name] for name in STAGED]) + [[name] for name in BASELINES]
     assert [r.skipped for r in results] == [{case_id: skipped for case_id in CASE_IDS} for skipped in rows]
     assert all(r.ok and r.succeeded == CASE_IDS for r in results)
     assert_provenance(out_dir)
+
+
+def test_a_manifest_with_equal_content_is_left_as_it_is(completed_run, tmp_path):
+    out_dir = tmp_path / "run"
+    shutil.copytree(completed_run, out_dir)
+    manifest = out_dir / "run_manifest.yaml"
+    doc = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+    reformatted = "# checked by hand\n" + yaml.safe_dump(doc, default_flow_style=True, width=60)
+    manifest.write_text(reformatted, encoding="utf-8")
+    assert all(r.ok for r in _workflow("staged", CORPUS_DIR, out_dir, _config()))
+    assert manifest.read_text(encoding="utf-8") == reformatted
 
 
 def test_a_failed_row_drops_the_entries_of_what_it_removed(tmp_path, monkeypatch):
@@ -109,15 +133,16 @@ CHANGES = (
     "rule table",
     "edit graph.yaml",
     "edit graph.perturbed.yaml",
+    "edit baseline.sdc.txt",
     *(f"delete {file}" for file in DELETABLE),
 )
 
 
 def _rerun_rows(change: str, case_id: str) -> set[tuple[str, str]]:
     if change in ("config field", "prompt asset", "rule table"):  # the base key of every row
-        return {(name, other) for name in runner.PIPELINE for other in CASE_IDS}
-    if change == "corpus text":
-        return {("convert", case_id)}  # the new text has no mock fixtures: convert fails
+        return {(name, other) for name in TRACED for other in CASE_IDS}
+    if change == "corpus text":  # the new text has no mock fixtures: convert, sdc and llm_only fail
+        return {(name, case_id) for name in ("convert", *BASELINES)}
     file = change.split(" ", 1)[1]
     return {(OWNER[file], case_id)} if file in OWNER else set()  # a rewritten CASE_INPUTS file changes nothing
 
@@ -125,7 +150,7 @@ def _rerun_rows(change: str, case_id: str) -> set[tuple[str, str]]:
 @pytest.fixture(scope="module")
 def completed_run(tmp_path_factory) -> Path:
     out_dir = tmp_path_factory.mktemp("completed") / "run"
-    assert runner.run_pipeline(CORPUS_DIR, out_dir, _config()).ok
+    assert all(r.ok for r in _workflow("run", CORPUS_DIR, out_dir, _config()))
     return out_dir
 
 
@@ -157,21 +182,18 @@ def test_exactly_the_rows_downstream_of_a_change_rerun(completed_run, change, ca
         else:
             (case_dir / change.removeprefix("delete ")).unlink()
         ran = set()
-        for name, case_of in (
-            ("convert", lambda args, kwargs: args[0].case_id),
-            ("perturb", lambda args, kwargs: kwargs["case_id"]),
-            ("generate", lambda args, kwargs: kwargs["case_id"]),
-        ):
+        for name in TRACED:
+            stage = runner.STAGES[name]
 
-            def counting(*args, _name=name, _real=getattr(runner, name), _case_of=case_of, **kwargs):
-                ran.add((_name, _case_of(args, kwargs)))
-                return _real(*args, **kwargs)
+            def counting(case_dir, source, shared, _name=name, _work=stage.work):
+                ran.add((_name, case_dir.name))
+                return _work(case_dir, source, shared)
 
-            monkeypatch.setattr(runner, name, counting)
+            monkeypatch.setitem(runner.STAGES, name, replace(stage, work=counting))
 
         results = _workflow(mode, corpus, out_dir, config)
         assert ran == _rerun_rows(change, case_id)
-        reached = {(name, other) for name in runner.PIPELINE for other in CASE_IDS}
+        reached = {(name, other) for name in TRACED for other in CASE_IDS}
         if change == "corpus text":
             reached -= {("perturb", case_id), ("generate", case_id)}  # after the failed convert
         assert {(name, c) for r in results for c, names in r.skipped.items() for name in names} == reached - ran

@@ -72,6 +72,8 @@ def test_failed_baseline_removes_its_previous_output(tmp_path):
     text = (CORPUS_DIR / "case_001.txt").read_text(encoding="utf-8")
     fixture = Path(MockBackend(fixtures).fixture_path("sdc_rewrite", {"case_text": text}))
     fixture.unlink()
+    # The trace does not cover the fixtures: a hand edit makes the row run again, and fail.
+    stale.write_text("edited by hand\n", encoding="utf-8")
     result = runner.run_baseline("sdc", CORPUS_DIR, out_dir, config)
 
     assert result.failed["case_001"].startswith("MockFixtureMissing")
@@ -180,11 +182,11 @@ def full_run(tmp_path_factory) -> Path:
     return out_dir
 
 
-@pytest.mark.parametrize("command", ["run", "convert"])
+@pytest.mark.parametrize("command", ["run", "convert", *(f"baseline {name}" for name in runner.BASELINE_NAMES)])
 @pytest.mark.parametrize("change", ["delete original.txt", "delete meta.yaml", "edit original.txt"])
 def test_a_hand_changed_corpus_entry_keeps_the_baselines(full_run, tmp_path, monkeypatch, command, change):
-    # convert's trace matches the corpus entry, so the baselines were made from
-    # it too: the rewritten file is no new input.
+    # The command's own trace matches the corpus entry, so every corpus row was
+    # made from it: the rewritten file is no new input.
     out_dir = tmp_path / "run"
     shutil.copytree(full_run, out_dir)
     before = _tree(out_dir)
@@ -196,8 +198,11 @@ def test_a_hand_changed_corpus_entry_keeps_the_baselines(full_run, tmp_path, mon
     calls = []
     real_complete = LlmGateway.complete
     monkeypatch.setattr(LlmGateway, "complete", lambda self, req: calls.append(req) or real_complete(self, req))
-    run = runner.run_pipeline if command == "run" else runner.run_convert
-    result = run(CORPUS_DIR, out_dir, _config())
+    if command.startswith("baseline "):
+        result = runner.run_baseline(command.removeprefix("baseline "), CORPUS_DIR, out_dir, _config())
+    else:
+        run = runner.run_pipeline if command == "run" else runner.run_convert
+        result = run(CORPUS_DIR, out_dir, _config())
 
     assert result.ok and set(result.skipped) == set(CASE_IDS)
     assert calls == []
@@ -313,9 +318,9 @@ def test_run_parses_no_graph_and_writes_the_manifest_once(tmp_path, monkeypatch)
     tables = [name for name in reads if name.startswith("data/")]
     assert "data/mse_domains.yaml" in tables and len(tables) == len(set(tables)), tables
 
-    # Staged commands after `run` find every trace unchanged and parse nothing.
+    # Staged commands after `run` find every trace unchanged, parse nothing and leave the manifest alone.
     assert runner.run_perturb(out_dir, config).ok and runner.run_generate(out_dir, config).ok
-    assert (len(parsed), len(manifests)) == (0, 3)
+    assert (len(parsed), len(manifests)) == (0, 1)
     assert_provenance(out_dir)
 
     # A hand edit that leaves the graph as it was: perturb parses that one graph
@@ -443,3 +448,35 @@ def test_only_the_stage_engine_decodes_a_graph():
     runner_tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
     (engine,) = [n for n in runner_tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_stage"]
     assert _calls_to(runner_tree, "parse_yaml") == _calls_to(engine, "parse_yaml") != []
+
+
+def _reads_of(tree: ast.AST, name: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        and name in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+
+
+def test_the_stage_table_alone_decides_which_rows_keep_a_trace(tmp_path):
+    # PIPELINE is `run`'s chain and nothing more: a second reader would make
+    # its rows special again, as their traces once were.
+    src_dir = Path(anonpsy.__file__).parent
+    reads = [
+        f"{path.relative_to(src_dir)}:{line}"
+        for path in sorted(src_dir.rglob("*.py"))
+        for line in _reads_of(ast.parse(path.read_text(encoding="utf-8")), "PIPELINE")
+    ]
+    runner_tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    (run,) = [n for n in runner_tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_pipeline"]
+    assert reads == [f"runner.py:{line}" for line in _reads_of(run, "PIPELINE")] != []
+
+    out_dir = tmp_path / "run"
+    config = _config()
+    _full_run(CORPUS_DIR, out_dir, config)
+    assert runner.run_evaluation(out_dir, config).ok
+    provenance = runner.safe_load((out_dir / "run_manifest.yaml").read_text(encoding="utf-8"))["provenance"]
+    writers = sorted(name for name, stage in runner.STAGES.items() if stage.outputs + stage.side_outputs)
+    assert {case_id: sorted(rows) for case_id, rows in provenance.items()} == {case_id: writers for case_id in CASE_IDS}

@@ -262,7 +262,7 @@ _MAPPING_STEPS = {
         lambda reason: [f"case tab, stage extract_entities: unparseable structured response after retries: {reason}"],
         3,
     ),
-    "causal_pass": (_causal, lambda reason: ["causal pass returned an unparseable response; ignored"], 1),
+    "causal_pass": (_causal, lambda reason: [f"causal pass returned an unparseable response ({reason}); ignored"], 1),
     "identity_fields": (lambda gw: _fallback(_identity(gw)), _exhausted("originals kept"), 3),
     "visit_rewrite": (lambda gw: _fallback(_visit(gw)), _exhausted("original kept"), 3),
     "steb_rewrite": (lambda gw: _fallback(_steb(gw)), _exhausted("original frame kept"), 3),
@@ -273,14 +273,14 @@ _MAPPING_STEPS = {
     ),
     "predict_diagnoses": (
         lambda gw: _error(lambda: report._predict_diagnoses(gw, "Low mood.", "tab", "original", None), GatewayError),
-        lambda reason: ["[predict_diagnoses] response is not a diagnoses mapping"],
+        lambda reason: [f"[predict_diagnoses] response is not a diagnoses mapping: {reason}"],
         1,
     ),
     "diagnosis_acceptability": (
         lambda gw: _error(
             lambda: report._judge_acceptability(gw, "Low mood.", ["depression"], "tab", "original", None), GatewayError
         ),
-        lambda reason: ["[diagnosis_acceptability] response is not an acceptability mapping"],
+        lambda reason: [f"[diagnosis_acceptability] response is not an acceptability mapping: {reason}"],
         1,
     ),
 }
@@ -295,6 +295,21 @@ def test_every_mapping_step_reads_a_bad_reply_alike(step, reply, reason):
     assert outcome == expected(reason)
     assert [t for t, _ in gw.calls] == [step] * calls
     assert not any("\n" in line for line in outcome)  # one `attempt N: <reason>` line per rejection
+
+
+# The single-call steps, given a mapping whose field they cannot use: no
+# reason from `reply_mapping` to name.
+_FIELD_FAULTS = {
+    "causal_pass": ["causal pass returned an unparseable response; ignored"],
+    "predict_diagnoses": ["[predict_diagnoses] response is not a diagnoses mapping"],
+    "diagnosis_acceptability": ["[diagnosis_acceptability] response is not an acceptability mapping"],
+}
+
+
+@pytest.mark.parametrize("step", list(_FIELD_FAULTS))
+def test_a_mapping_with_an_unusable_field_keeps_the_plain_wording(step):
+    run, _, _ = _MAPPING_STEPS[step]
+    assert run(FakeGateway(lambda t, v: "edges: 3\ndiagnoses: 3\nacceptable: maybe\n")) == _FIELD_FAULTS[step]
 
 
 def _callers(tree: ast.Module, name: str) -> set[str]:
