@@ -32,6 +32,7 @@ from .model import (
     TreatmentNode,
     TEST_RESULT_KEYS,
     VisitEvent,
+    node_name,
     relation_is_legal,
     validate_graph,
 )
@@ -292,14 +293,7 @@ def extract_episodes(x: CaseNarrative, draft: ConverterDraft, gw: LlmGateway) ->
     offset 0 and a flag.
     """
     warnings = list(draft.warnings)
-    node_lines = "\n".join(
-        f"- {n.id}: {text}"
-        for n, text in (
-            *((s, s.symptom) for s in draft.graph.symptoms),
-            *((t, t.name) for t in draft.graph.treatments),
-            *((p, p.condition) for p in draft.graph.past_history),
-        )
-    )
+    node_lines = "\n".join(f"- {n.id}: {node_name(n)}" for n in draft.graph.timed_nodes())
     doc = _structured_call(
         gw,
         "extract_episodes",
@@ -393,13 +387,7 @@ def canonicalize_temporal(draft: ConverterDraft) -> tuple[SemanticGraph, list[st
             ids.append(dur.id)
         return replace(node, duration_ids=ids)
 
-    g = replace(
-        draft.graph,
-        symptoms=[durations_for(n) for n in draft.graph.symptoms],
-        treatments=[durations_for(n) for n in draft.graph.treatments],
-        past_history=[durations_for(n) for n in draft.graph.past_history],
-        durations=pool,
-    )
+    g = replace(draft.graph.map_timed(durations_for), durations=pool)
     for node in g.symptoms:
         warnings.append(f"initial current_symptom for {node.id}: {node.current_symptom}")
     g = dedup_durations(g)

@@ -24,6 +24,7 @@ from .canon import canonical_label_set, soft_f1
 from .embedding import embedded_similarity
 from .judge import JudgeError, judge_risk
 from .stats import (
+    TestOutcome,
     binomial_test,
     cochran_q,
     friedman,
@@ -215,15 +216,21 @@ def _variant_means(cases: list[CaseEval]) -> dict[str, dict[str, float]]:
     }
 
 
-def _stat_record(name: str, comparison: str, outcome, correction: str | None = None) -> dict:
-    return {
+def _stat_record(
+    name: str, comparison: str, statistic: float | None, p: float, method: str, p_holm: float | None = None
+) -> dict:
+    """One row of the report's statistics; a Holm-adjusted p names its correction."""
+    record = {
         "test": name,
         "comparison": comparison,
-        "statistic": round(float(outcome.statistic), 6),
-        "p": round(float(outcome.p_value), 6),
-        "method": outcome.method,
-        "correction": correction,
+        "statistic": None if statistic is None else round(float(statistic), 6),
+        "p": round(float(p), 6),
     }
+    if p_holm is not None:
+        record["p_holm"] = round(float(p_holm), 6)
+    record["method"] = method
+    record["correction"] = None if p_holm is None else "holm"
+    return record
 
 
 def _corpus_statistics(cases: list[CaseEval]) -> list[dict]:
@@ -236,7 +243,7 @@ def _corpus_statistics(cases: list[CaseEval]) -> list[dict]:
     ]
     if paired_cosine:
         outcome = wilcoxon_signed_rank(paired_cosine, alternative="less")
-        stats.append(_stat_record("wilcoxon_signed_rank", "cosine: anonpsy < llm_only", outcome))
+        stats.append(_stat_record("wilcoxon_signed_rank", "cosine: anonpsy < llm_only", *outcome, outcome.method))
 
     paired_risk = [
         (float(c.risk_anonpsy), float(c.risk_llm_only))
@@ -245,22 +252,13 @@ def _corpus_statistics(cases: list[CaseEval]) -> list[dict]:
     ]
     if paired_risk:
         outcome = wilcoxon_signed_rank(paired_risk, alternative="two_sided")
-        stats.append(_stat_record("wilcoxon_signed_rank", "risk: anonpsy vs llm_only", outcome))
+        stats.append(_stat_record("wilcoxon_signed_rank", "risk: anonpsy vs llm_only", *outcome, outcome.method))
 
     choices = [c.more_similar for c in cases if c.more_similar is not None]
     if choices:
         k = sum(1 for choice in choices if choice == "llm_only")
         p = binomial_test(k, len(choices), 0.5)
-        stats.append(
-            {
-                "test": "binomial",
-                "comparison": f"llm_only chosen more similar ({k}/{len(choices)})",
-                "statistic": float(k),
-                "p": round(p, 6),
-                "method": "exact",
-                "correction": None,
-            }
-        )
+        stats.append(_stat_record("binomial", f"llm_only chosen more similar ({k}/{len(choices)})", k, p, "exact"))
 
     chosen_risk: list[float] = []
     unchosen_risk: list[float] = []
@@ -275,7 +273,7 @@ def _corpus_statistics(cases: list[CaseEval]) -> list[dict]:
             unchosen_risk.append(float(c.risk_anonpsy))
     if chosen_risk and unchosen_risk:
         outcome = mann_whitney_u(chosen_risk, unchosen_risk)
-        stats.append(_stat_record("mann_whitney_u", "risk: chosen vs non-chosen", outcome))
+        stats.append(_stat_record("mann_whitney_u", "risk: chosen vs non-chosen", *outcome, outcome.method))
 
     # Variants present in every case participate in the k-sample tests.
     if cases:
@@ -288,30 +286,16 @@ def _corpus_statistics(cases: list[CaseEval]) -> list[dict]:
     if len(complete) >= 2 and len(cases) >= 2:
         table = [[c.variants[name].soft_f1 for name in complete] for c in cases]
         outcome = friedman(table)
-        stats.append(_stat_record("friedman", "soft_f1 across " + "/".join(complete), outcome))
+        stats.append(_stat_record("friedman", "soft_f1 across " + "/".join(complete), *outcome, outcome.method))
 
-        pair_names: list[str] = []
-        pair_ps: list[float] = []
-        pair_stats: list[float] = []
+        pair_outcomes: dict[str, TestOutcome] = {}
         for i, name_a in enumerate(complete):
             for name_b in complete[i + 1 :]:
                 pairs = [(c.variants[name_a].soft_f1, c.variants[name_b].soft_f1) for c in cases]
-                outcome = wilcoxon_signed_rank(pairs)
-                pair_names.append(f"soft_f1: {name_a} vs {name_b}")
-                pair_ps.append(outcome.p_value)
-                pair_stats.append(outcome.statistic)
-        for name, stat, raw, adj in zip(pair_names, pair_stats, pair_ps, holm_correct(pair_ps)):
-            stats.append(
-                {
-                    "test": "wilcoxon_signed_rank",
-                    "comparison": name,
-                    "statistic": round(stat, 6),
-                    "p": round(raw, 6),
-                    "p_holm": round(adj, 6),
-                    "method": "exact" if len(cases) <= 25 else "approx",
-                    "correction": "holm",
-                }
-            )
+                pair_outcomes[f"soft_f1: {name_a} vs {name_b}"] = wilcoxon_signed_rank(pairs)
+        adjusted = holm_correct([outcome.p_value for outcome in pair_outcomes.values()])
+        for (name, outcome), adj in zip(pair_outcomes.items(), adjusted):
+            stats.append(_stat_record("wilcoxon_signed_rank", name, *outcome, outcome.method, adj))
 
         accept_variants = [
             name
@@ -323,9 +307,8 @@ def _corpus_statistics(cases: list[CaseEval]) -> list[dict]:
                 [bool(c.variants[name].acceptable) for name in accept_variants] for c in cases
             ]
             outcome = cochran_q(table_bool)
-            stats.append(
-                _stat_record("cochran_q", "acceptability across " + "/".join(accept_variants), outcome)
-            )
+            comparison = "acceptability across " + "/".join(accept_variants)
+            stats.append(_stat_record("cochran_q", comparison, *outcome, outcome.method))
             mc_names: list[str] = []
             mc_ps: list[float] = []
             for i, name_a in enumerate(accept_variants):
@@ -343,16 +326,6 @@ def _corpus_statistics(cases: list[CaseEval]) -> list[dict]:
                     mc_names.append(f"acceptability: {name_a} vs {name_b}")
                     mc_ps.append(mcnemar(b_count, c_count))
             for name, raw, adj in zip(mc_names, mc_ps, holm_correct(mc_ps)):
-                stats.append(
-                    {
-                        "test": "mcnemar",
-                        "comparison": name,
-                        "statistic": None,
-                        "p": round(raw, 6),
-                        "p_holm": round(adj, 6),
-                        "method": "exact",
-                        "correction": "holm",
-                    }
-                )
+                stats.append(_stat_record("mcnemar", name, None, raw, "exact", adj))
 
     return stats

@@ -13,7 +13,19 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, replace
+
+# The node kinds as (node type, SemanticGraph section), in canonical order:
+# the one list of them that every walk over a graph's nodes reads.
+NODE_KINDS = (
+    ("diagnosis", "diagnoses"),
+    ("symptom", "symptoms"),
+    ("treatment", "treatments"),
+    ("past_history", "past_history"),
+)
+# The sections whose nodes carry duration_ids: every kind but diagnosis.
+TIMED_SECTIONS = tuple(section for kind, section in NODE_KINDS if kind != "diagnosis")
 
 RELATION_TYPES = ("MANIFESTS_AS", "TREATMENT_OF", "PRESENTS_WITH", "INDUCES")
 
@@ -137,6 +149,13 @@ class PastHistoryNode:
     duration_ids: list[str] = field(default_factory=list)
 
 
+Node = DiagnosisNode | SymptomNode | TreatmentNode | PastHistoryNode
+TimedNode = SymptomNode | TreatmentNode | PastHistoryNode
+
+# The field that names a node of each type; see node_name.
+_NAME_FIELDS = {DiagnosisNode: "label", SymptomNode: "symptom", TreatmentNode: "name", PastHistoryNode: "condition"}
+
+
 @dataclass
 class VisitEvent:
     """The index clinical encounter; exactly one per graph, anchors day 0."""
@@ -200,24 +219,42 @@ class SemanticGraph:
     def durations_by_id(self) -> dict[str, DurationInterval]:
         return {d.id: d for d in self.durations}
 
-    def timed_nodes(self) -> list[SymptomNode | TreatmentNode | PastHistoryNode]:
-        """Nodes that carry duration references, in canonical order."""
-        return [*self.symptoms, *self.treatments, *self.past_history]
+    def nodes(self) -> Iterator[tuple[str, str, int, Node]]:
+        """Every node as (kind, section, index in section, node), in NODE_KINDS order."""
+        for kind, section in NODE_KINDS:
+            for i, node in enumerate(getattr(self, section)):
+                yield kind, section, i, node
 
-    def node_type_of(self, node_id: str) -> str | None:
-        """Node type for a relation endpoint id, or None if unresolvable."""
-        if node_id == VISIT_EVENT_ID and self.visit_event is not None:
-            return "visit_event"
-        for type_name, nodes in (
-            ("diagnosis", self.diagnoses),
-            ("symptom", self.symptoms),
-            ("treatment", self.treatments),
-            ("past_history", self.past_history),
-        ):
-            for node in nodes:
-                if node.id == node_id:
-                    return type_name
-        return None
+    def timed_nodes(self) -> list[TimedNode]:
+        """Nodes that carry duration references, in canonical order."""
+        return [node for section in TIMED_SECTIONS for node in getattr(self, section)]
+
+    def map_timed(self, fn: Callable[[TimedNode], TimedNode]) -> SemanticGraph:
+        """A copy whose every timed node is fn(node), applied in canonical order."""
+        return replace(self, **{section: [fn(n) for n in getattr(self, section)] for section in TIMED_SECTIONS})
+
+    def node_types(self) -> dict[str, str]:
+        """Relation endpoint id -> node type, built once per call.
+
+        The visit id maps to "visit_event" when the graph has a visit; a
+        duplicated node id maps to the type of its first node.
+        """
+        types = {VISIT_EVENT_ID: "visit_event"} if self.visit_event is not None else {}
+        for kind, _section, _i, node in self.nodes():
+            types.setdefault(node.id, kind)
+        return types
+
+    def node_by_id(self) -> dict[str, Node]:
+        """Node id -> node; the first node of a duplicated id wins."""
+        by_id: dict[str, Node] = {}
+        for _kind, _section, _i, node in self.nodes():
+            by_id.setdefault(node.id, node)
+        return by_id
+
+
+def node_name(node: Node) -> str:
+    """The text that names a node: a diagnosis label, symptom, treatment name or condition."""
+    return getattr(node, _NAME_FIELDS[type(node)])
 
 
 @dataclass(frozen=True)
@@ -255,34 +292,25 @@ def validate_graph(g: SemanticGraph) -> list[Violation]:
 
     # Node ids: unique across all node lists, never the reserved visit id.
     seen_nodes: set[str] = set()
-    for section, nodes in (
-        ("diagnoses", g.diagnoses),
-        ("symptoms", g.symptoms),
-        ("treatments", g.treatments),
-        ("past_history", g.past_history),
-    ):
-        for i, node in enumerate(nodes):
-            path = f"{section}[{i}]"
-            if node.id in seen_nodes:
-                bad("duplicate_node_id", path, f"duplicate node id {node.id!r}")
-            if node.id == VISIT_EVENT_ID:
-                bad("reserved_node_id", path, f"node id {VISIT_EVENT_ID!r} is reserved")
-            seen_nodes.add(node.id)
+    for _kind, section, i, node in g.nodes():
+        path = f"{section}[{i}]"
+        if node.id in seen_nodes:
+            bad("duplicate_node_id", path, f"duplicate node id {node.id!r}")
+        if node.id == VISIT_EVENT_ID:
+            bad("reserved_node_id", path, f"node id {VISIT_EVENT_ID!r} is reserved")
+        seen_nodes.add(node.id)
 
     # Duration references must resolve to the pool.
-    for section, nodes in (
-        ("symptoms", g.symptoms),
-        ("treatments", g.treatments),
-        ("past_history", g.past_history),
-    ):
-        for i, node in enumerate(nodes):
-            for dur_id in node.duration_ids:
-                if dur_id not in seen_durations:
-                    bad(
-                        "dangling_duration",
-                        f"{section}[{i}].duration_ids",
-                        f"duration id {dur_id!r} not in pool",
-                    )
+    for _kind, section, i, node in g.nodes():
+        if section not in TIMED_SECTIONS:
+            continue
+        for dur_id in node.duration_ids:
+            if dur_id not in seen_durations:
+                bad(
+                    "dangling_duration",
+                    f"{section}[{i}].duration_ids",
+                    f"duration id {dur_id!r} not in pool",
+                )
 
     for i, node in enumerate(g.diagnoses):
         if not node.label.strip():
@@ -320,14 +348,15 @@ def validate_graph(g: SemanticGraph) -> list[Violation]:
             bad("unexpected_test_key", f"test_results.{key}", f"unknown key {key!r}")
 
     # Relations: resolvable endpoints, legal pairs, no duplicate triples.
+    node_types = g.node_types()
     seen_triples: set[tuple[str, str, str]] = set()
     for i, rel in enumerate(g.relations):
         path = f"relations[{i}]"
         if rel.relation_type not in RELATION_TYPES:
             bad("unknown_relation_type", path, f"unknown relation type {rel.relation_type!r}")
             continue
-        src_type = g.node_type_of(rel.source_id)
-        tgt_type = g.node_type_of(rel.target_id)
+        src_type = node_types.get(rel.source_id)
+        tgt_type = node_types.get(rel.target_id)
         if src_type is None:
             bad("dangling_relation", path, f"source id {rel.source_id!r} unresolvable")
         if tgt_type is None:
@@ -348,8 +377,9 @@ def validate_graph(g: SemanticGraph) -> list[Violation]:
 
 def relation_is_legal(g: SemanticGraph, rel: Relation) -> bool:
     """True iff both endpoints resolve and the typed pair is allowed."""
-    src_type = g.node_type_of(rel.source_id)
-    tgt_type = g.node_type_of(rel.target_id)
+    node_types = g.node_types()
+    src_type = node_types.get(rel.source_id)
+    tgt_type = node_types.get(rel.target_id)
     if src_type is None or tgt_type is None:
         return False
     return (rel.relation_type, src_type, tgt_type) in ALLOWED_RELATION_PAIRS

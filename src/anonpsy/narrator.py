@@ -16,11 +16,7 @@ from importlib import resources
 
 from .converter import CaseNarrative
 from .gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
-from .model import (
-    SemanticGraph,
-    SymptomNode,
-    TreatmentNode,
-)
+from .model import Node, SemanticGraph, SymptomNode, TreatmentNode, node_name
 from .textproc import spell_number, split_sentences
 from .yamlio import safe_dump
 
@@ -154,6 +150,7 @@ def plan_outline(g: SemanticGraph) -> NarrativeOutline:
     or the tail, never both.
     """
     pool = g.durations_by_id()
+    node_types = g.node_types()
     manifests: dict[str, list[str]] = {}
     treatment_targets: dict[str, list[str]] = {}
     induces: list[tuple[str, str]] = []
@@ -163,12 +160,11 @@ def plan_outline(g: SemanticGraph) -> NarrativeOutline:
             manifests.setdefault(rel.source_id, []).append(rel.target_id)
         elif rel.relation_type == "TREATMENT_OF":
             treatment_targets.setdefault(rel.source_id, []).append(rel.target_id)
-            if any(p.id == rel.target_id for p in g.past_history):
+            if node_types.get(rel.target_id) == "past_history":
                 treats_past.setdefault(rel.target_id, []).append(rel.source_id)
         elif rel.relation_type == "INDUCES":
             induces.append((rel.source_id, rel.target_id))
 
-    symptom_by_id = {s.id: s for s in g.symptoms}
     diagnosis_order = {d.id: i for i, d in enumerate(g.diagnoses)}
 
     # Effective diagnosis targets: symptom targets resolve through the
@@ -178,7 +174,7 @@ def plan_outline(g: SemanticGraph) -> NarrativeOutline:
         for target in treatment_targets.get(treatment_id, []):
             if target in diagnosis_order:
                 out.add(target)
-            elif target in symptom_by_id:
+            elif node_types.get(target) == "symptom":
                 out.update(manifests.get(target, []))
         return out
 
@@ -187,7 +183,7 @@ def plan_outline(g: SemanticGraph) -> NarrativeOutline:
     # Preliminary pass: past history that induces a diagnosis or is treated.
     prepass: list[PrepassEntry] = []
     induces_sources = {src for src, _ in induces}
-    for i, node in enumerate(g.past_history):
+    for node in g.past_history:
         linked = node.id in induces_sources or node.id in treats_past
         if not linked:
             continue
@@ -479,40 +475,32 @@ def _frame_lines(node: SymptomNode) -> str:
 def narrate_history(outline: NarrativeOutline, gw: LlmGateway) -> str:
     """Realize the chronological history in outline order.
 
-    Every sentence ties back to an outline entry; the (item, duration) ledger
+    Every sentence ties back to an outline entry; the ledger of narrated items
     is consulted before each narration so nothing is told twice.
     """
-    g = outline.graph
-    symptom_by_id = {s.id: s for s in g.symptoms}
-    treatment_by_id = {t.id: t for t in g.treatments}
-    past_by_id = {p.id: p for p in g.past_history}
-    diagnosis_by_id = {d.id: d for d in g.diagnoses}
+    by_id = outline.graph.node_by_id()
     lexicon = outline.lexicon
-    ledger: set[tuple[str, str | None]] = set()
+    ledger: set[str] = set()
 
-    def claimed(item_id: str, duration_id: str | None) -> bool:
-        """True when already narrated; otherwise records the pair."""
-        if any(key[0] == item_id for key in ledger):
+    def claimed(item_id: str) -> bool:
+        """True when already narrated; otherwise records the item."""
+        if item_id in ledger:
             return True
-        ledger.add((item_id, duration_id))
+        ledger.add(item_id)
         return False
 
     paragraphs: list[str] = []
 
     prepass_sentences: list[str] = []
     for entry in outline.prepass:
-        node = past_by_id.get(entry.node_id)
-        if node is None or claimed(entry.node_id, None):
+        node = by_id.get(entry.node_id)
+        if node is None or claimed(entry.node_id):
             continue
         phrase = (
             time_phrase(entry.offset_days, lexicon) if entry.offset_days is not None else "previously"
         )
-        sentence = f"{_capitalize(phrase)}, there was a history of {node.condition}"
-        treatments = [
-            treatment_by_id[t]
-            for t in entry.treatment_ids
-            if t in treatment_by_id and not claimed(t, None)
-        ]
+        sentence = f"{_capitalize(phrase)}, there was a history of {node_name(node)}"
+        treatments = [by_id[t] for t in entry.treatment_ids if t in by_id and not claimed(t)]
         if treatments:
             sentence += ", treated with " + " and ".join(_treatment_phrase(t) for t in treatments)
         prepass_sentences.append(sentence + ".")
@@ -523,27 +511,17 @@ def narrate_history(outline: NarrativeOutline, gw: LlmGateway) -> str:
         sentences: list[str] = []
         phrase = time_phrase(block.start_days, lexicon)
         for symptom_id in block.symptom_ids:
-            node = symptom_by_id.get(symptom_id)
-            if node is None or claimed(symptom_id, block.duration_id):
+            node = by_id.get(symptom_id)
+            if node is None or claimed(symptom_id):
                 continue
             sentences.append(_symptom_sentence(node, phrase, gw))
-        treatments = [
-            treatment_by_id[t]
-            for t in block.treatment_ids
-            if t in treatment_by_id and not claimed(t, block.duration_id)
-        ]
+        treatments = [by_id[t] for t in block.treatment_ids if t in by_id and not claimed(t)]
         if treatments:
-            label = (
-                diagnosis_by_id[block.diagnosis_id].label
-                if block.diagnosis_id in diagnosis_by_id
-                else "the presenting problems"
-            )
+            label = node_name(by_id[block.diagnosis_id]) if block.diagnosis_id in by_id else "the presenting problems"
             regimen = " and ".join(_treatment_phrase(t) for t in treatments)
             sentences.append(f"{_capitalize(phrase)}, treatment for {label} included {regimen}.")
         for cluster in block.induced:
-            sentences.extend(
-                _cluster_sentences(cluster, phrase, g, claimed)
-            )
+            sentences.extend(_cluster_sentences(cluster, phrase, by_id, claimed))
         if sentences:
             paragraphs.append(" ".join(sentences))
 
@@ -573,48 +551,21 @@ def _symptom_sentence(node: SymptomNode, phrase: str, gw: LlmGateway) -> str:
     return out.value if out.value is not None else _fallback_symptom_sentence(node, phrase)
 
 
-def _cluster_sentences(cluster, phrase, g, claimed) -> list[str]:
-    diagnosis_by_id = {d.id: d for d in g.diagnoses}
-    symptom_by_id = {s.id: s for s in g.symptoms}
-    treatment_by_id = {t.id: t for t in g.treatments}
-    label = diagnosis_by_id[cluster.diagnosis_id].label if cluster.diagnosis_id in diagnosis_by_id else "a secondary condition"
-    source_name = _display_name(g, cluster.source_id)
+def _cluster_sentences(cluster, phrase, by_id: dict[str, Node], claimed) -> list[str]:
+    label = node_name(by_id[cluster.diagnosis_id]) if cluster.diagnosis_id in by_id else "a secondary condition"
+    source_name = node_name(by_id[cluster.source_id]) if cluster.source_id in by_id else cluster.source_id
     sentence = f"{_capitalize(phrase)}, {label} developed in relation to {source_name}"
-    members = [
-        symptom_by_id[s].symptom
-        for s in cluster.symptom_ids
-        if s in symptom_by_id and not claimed(s, None)
-    ]
+    members = [node_name(by_id[s]) for s in cluster.symptom_ids if s in by_id and not claimed(s)]
     if members:
         sentence += ", manifesting as " + " and ".join(members)
-    treatments = [
-        _treatment_phrase(treatment_by_id[t])
-        for t in cluster.treatment_ids
-        if t in treatment_by_id and not claimed(t, None)
-    ]
+    treatments = [_treatment_phrase(by_id[t]) for t in cluster.treatment_ids if t in by_id and not claimed(t)]
     if treatments:
         sentence += ", managed with " + " and ".join(treatments)
     return [sentence + "."]
 
 
-def _display_name(g: SemanticGraph, node_id: str) -> str:
-    for s in g.symptoms:
-        if s.id == node_id:
-            return s.symptom
-    for t in g.treatments:
-        if t.id == node_id:
-            return t.name
-    for p in g.past_history:
-        if p.id == node_id:
-            return p.condition
-    return node_id
-
-
-def _fallback_tail(outline: NarrativeOutline) -> str:
-    g = outline.graph
-    past_by_id = {p.id: p for p in g.past_history}
+def _fallback_tail(outline: NarrativeOutline, conditions: list[str]) -> str:
     sentences = []
-    conditions = [past_by_id[i].condition for i in outline.tail.past_history_ids if i in past_by_id]
     if conditions:
         sentences.append("The history was otherwise notable for " + " and ".join(conditions) + ".")
     if outline.tail.family_history:
@@ -628,9 +579,8 @@ def _fallback_tail(outline: NarrativeOutline) -> str:
 
 def append_tail(draft: str, outline: NarrativeOutline, gw: LlmGateway) -> str:
     """Append the closing 1-4 sentences; the draft prefix is immutable."""
-    g = outline.graph
-    past_by_id = {p.id: p for p in g.past_history}
-    conditions = [past_by_id[i].condition for i in outline.tail.past_history_ids if i in past_by_id]
+    by_id = outline.graph.node_by_id()
+    conditions = [node_name(by_id[i]) for i in outline.tail.past_history_ids if i in by_id]
     family = "; ".join(f"{f['member']}: {f['condition']}" for f in outline.tail.family_history)
     tests = "; ".join(f"{key}: {value}" for key, value in outline.tail.day0_tests.items())
     if not conditions and not family and not tests:
@@ -652,7 +602,7 @@ def append_tail(draft: str, outline: NarrativeOutline, gw: LlmGateway) -> str:
     )
     if out.value is not None:
         return out.value
-    tail = _fallback_tail(outline)
+    tail = _fallback_tail(outline, conditions)
     return f"{draft}\n\n{tail}" if tail else draft
 
 

@@ -16,7 +16,7 @@ from ..model import SemanticGraph, validate_graph
 from ..relations import ConsistencyReport, check_consistency
 from ..yamlio import safe_dump
 from .config import FeasibilityRule, PerturbConfig, TestValuePool, case_seed
-from .demographics import apply_age_offset, perturb_age, perturb_identity_fields, perturb_sex
+from .demographics import _with_demographics, apply_age_offset, perturb_age, perturb_identity_fields, perturb_sex
 from .narrative import (
     align_mse,
     essence_diff,
@@ -97,24 +97,11 @@ def perturb(g: SemanticGraph, gw, cfg: PerturbConfig, case_id: str = "case") -> 
 
     new_sex, sex_entry = perturb_sex(g2, cfg, rng, cfg.rules)
     audit.record(sex_entry)
-    g2 = replace(
-        g2,
-        attributes=replace(
-            g2.attributes, demographics=replace(g2.attributes.demographics, sex=new_sex)
-        ),
-    )
+    g2 = _with_demographics(g2, sex=new_sex)
 
     ethnicity, occupation, identity_entry = perturb_identity_fields(g2, gw, cfg)
     audit.record(identity_entry)
-    g2 = replace(
-        g2,
-        attributes=replace(
-            g2.attributes,
-            demographics=replace(
-                g2.attributes.demographics, ethnicity=ethnicity, occupation=occupation
-            ),
-        ),
-    )
+    g2 = _with_demographics(g2, ethnicity=ethnicity, occupation=occupation)
 
     new_visit, visit_entry = rewrite_visit_episode(g2, gw, cfg)
     audit.record(visit_entry)

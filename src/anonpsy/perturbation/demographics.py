@@ -112,22 +112,23 @@ def perturb_age(
     }
 
 
+def _with_demographics(g: SemanticGraph, **fields) -> SemanticGraph:
+    """A copy of g whose demographics have the given fields replaced."""
+    demographics = replace(g.attributes.demographics, **fields)
+    return replace(g, attributes=replace(g.attributes, demographics=demographics))
+
+
 def apply_age_offset(g: SemanticGraph, new_age: int) -> SemanticGraph:
     """Write the new age and shift age-anchored durations to keep their
     absolute onset ages fixed."""
     offset = new_age - g.attributes.demographics.age
-    demographics = replace(g.attributes.demographics, age=new_age)
     durations = g.durations
     if offset != 0 and any(d.age_anchored for d in g.durations):
         durations = [
             replace(d, offset_days=d.offset_days - offset * 365) if d.age_anchored else d
             for d in g.durations
         ]
-    return replace(
-        g,
-        attributes=replace(g.attributes, demographics=demographics),
-        durations=durations,
-    )
+    return replace(_with_demographics(g, age=new_age), durations=durations)
 
 
 def perturb_sex(

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .gateway import GatewayError, LlmGateway
-from .model import Relation, SemanticGraph, VISIT_EVENT_ID, relation_is_legal
+from .model import NODE_KINDS, Relation, SemanticGraph, VISIT_EVENT_ID, node_name, relation_is_legal
 from .temporal import temporal_signature
 from .textproc import contains_normalized
 from .yamlio import reply_mapping
@@ -98,15 +98,8 @@ def add_causal_edges_llm(
 ) -> SemanticGraph:
     """Constrained causal pass: accept proposed INDUCES edges only when legal
     and backed by near-verbatim evidence from the narrative."""
-    node_summary = "\n".join(
-        f"- {n.id}: {text}"
-        for n, text in (
-            *((s, s.symptom) for s in g.symptoms),
-            *((t, t.name) for t in g.treatments),
-            *((p, p.condition) for p in g.past_history),
-            *((d, d.label) for d in g.diagnoses),
-        )
-    )
+    # Timed nodes, then diagnoses: this is prompt text, and it keys the recorded replies.
+    node_summary = "\n".join(f"- {n.id}: {node_name(n)}" for n in (*g.timed_nodes(), *g.diagnoses))
     try:
         text = gw.call(
             "causal_pass",
@@ -192,14 +185,9 @@ def check_consistency(g: SemanticGraph, g2: SemanticGraph) -> ConsistencyReport:
         for triple in sorted(extra):
             problems.append(f"relation added: {triple}")
 
-    for type_name, nodes_a, nodes_b in (
-        ("diagnosis", g.diagnoses, g2.diagnoses),
-        ("symptom", g.symptoms, g2.symptoms),
-        ("treatment", g.treatments, g2.treatments),
-        ("past_history", g.past_history, g2.past_history),
-    ):
-        ids_a = sorted(n.id for n in nodes_a)
-        ids_b = sorted(n.id for n in nodes_b)
+    for type_name, section in NODE_KINDS:
+        ids_a = sorted(n.id for n in getattr(g, section))
+        ids_b = sorted(n.id for n in getattr(g2, section))
         if ids_a != ids_b:
             problems.append(f"{type_name} inventory mismatch: {ids_a} != {ids_b}")
 

@@ -239,22 +239,9 @@ STALE_ON_NEW_INPUT = {
 }
 
 
-# The package's data files, under anonpsy/data/, as the loaders name them.
-DATA_FILES = (
-    "contradiction_lexicon.yaml",
-    "diagnosis_synonyms.yaml",
-    "feasibility_rules.yaml",
-    "minor_occupations.txt",
-    "mse_domains.yaml",
-    "name_whitelist.txt",
-    "specifier_patterns.txt",
-    "test_value_pools.yaml",
-)
-
-
 @functools.cache
 def source_digest() -> str:
-    """SHA-256 over the package's own files: its loaded modules but the CLI, and DATA_FILES.
+    """SHA-256 over the package's own files: its loaded modules but the CLI, and every file in data/.
 
     Importing this module loads every other module of the package but
     `anonpsy.cli`, and nothing is imported later, so every process digests
@@ -268,8 +255,9 @@ def source_digest() -> str:
         for name, module in list(sys.modules.items())
         if name.partition(".")[0] == __package__ and name != f"{__package__}.cli"
     )
+    files += sorted(f"data/{p.name}" for p in (package / "data").iterdir())
     h = hashlib.sha256()
-    for file in files + [f"data/{name}" for name in DATA_FILES]:
+    for file in files:
         data = (package / file).read_bytes()
         h.update(f"{file}\0{len(data)}\0".encode("utf-8"))
         h.update(data)

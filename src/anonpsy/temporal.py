@@ -103,13 +103,7 @@ def dedup_durations(g: SemanticGraph) -> SemanticGraph:
         new_ids = [remap.get(i, i) for i in node.duration_ids]
         return replace(node, duration_ids=new_ids) if new_ids != node.duration_ids else node
 
-    return replace(
-        g,
-        symptoms=[rewrite(n) for n in g.symptoms],
-        treatments=[rewrite(n) for n in g.treatments],
-        past_history=[rewrite(n) for n in g.past_history],
-        durations=kept,
-    )
+    return replace(g.map_timed(rewrite), durations=kept)
 
 
 def _next_virtual_counter(g: SemanticGraph) -> int:
@@ -187,24 +181,10 @@ def _reconcile_once(g: SemanticGraph) -> SemanticGraph:
             changed = True
         return replace(node, duration_ids=new_ids) if changed else node
 
-    symptoms = [reconcile_node(n) for n in g.symptoms]
-    treatments = [reconcile_node(n) for n in g.treatments]
-    past_history = [reconcile_node(n) for n in g.past_history]
-
-    referenced: set[str] = set()
-    for node in (*symptoms, *treatments, *past_history):
-        referenced.update(node.duration_ids)
-    durations = [d for d in g.durations if d.id in referenced]
-    durations.extend(d for d in fresh if d.id in referenced)
-
-    candidate = replace(
-        g,
-        symptoms=symptoms,
-        treatments=treatments,
-        past_history=past_history,
-        durations=durations,
-    )
-    return candidate
+    reconciled = g.map_timed(reconcile_node)
+    referenced = {i for node in reconciled.timed_nodes() for i in node.duration_ids}
+    durations = [d for d in (*g.durations, *fresh) if d.id in referenced]
+    return replace(reconciled, durations=durations)
 
 
 def recompute_current_flags(g: SemanticGraph) -> SemanticGraph:
@@ -227,7 +207,7 @@ def split_multi_episode_symptoms(g: SemanticGraph) -> SemanticGraph:
     child, a deficit leaves later children context-free.
     """
     pool = g.durations_by_id()
-    existing_ids = {n.id for n in (*g.diagnoses, *g.symptoms, *g.treatments, *g.past_history)}
+    existing_ids = set(g.node_by_id())
     new_symptoms: list[SymptomNode] = []
     replicas: dict[str, list[str]] = {}
 

@@ -22,7 +22,7 @@ from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .model import TEST_RESULT_KEYS, CaseAttributes, SemanticGraph, Violation, validate_graph
+from .model import NODE_KINDS, TEST_RESULT_KEYS, CaseAttributes, SemanticGraph, Violation, validate_graph
 
 
 class GraphSerializationError(ValueError):
@@ -244,10 +244,7 @@ TOP_LEVEL_KEYS = (
     "demographics",
     "test_results",
     "family_history",
-    "diagnoses",
-    "symptoms",
-    "treatments",
-    "past_history",
+    *(section for _kind, section in NODE_KINDS),
     "visit_event",
     "relations",
     "durations",

@@ -493,8 +493,9 @@ def _sha(data: bytes) -> str:
 def package_digest() -> str:
     """SHA-256 over every file of the anonpsy package but the CLI, found by listing it.
 
-    The engine names its files without listing a directory (its loaded
-    modules and `runner.DATA_FILES`); this is the listing it must agree with.
+    The engine names its modules without listing the package (it digests the
+    modules it loaded) and lists only `data/`; this full listing is what it
+    must agree with.
     """
     package = Path(anonpsy.__file__).parent
     files = sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py") if p.name != "cli.py")

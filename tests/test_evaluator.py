@@ -10,7 +10,7 @@ import anonpsy.runner as runner
 from anonpsy import prompts
 from anonpsy.evaluation import embedding
 from anonpsy.evaluation.judge import JudgeError, judge_risk
-from anonpsy.evaluation.report import VARIANT_FILES
+from anonpsy.evaluation.report import VARIANT_FILES, CaseEval, VariantMetrics, run_eval
 from anonpsy.runner import UsageError, run_baseline, run_pipeline
 from anonpsy.textproc import tokenize
 from tests.gen_fixtures import make_config
@@ -126,6 +126,21 @@ class TestRunEval:
                 assert 0.0 <= record["p"] <= 1.0
             if record.get("correction") == "holm":
                 assert record["p_holm"] >= record["p"] - 1e-12
+
+    def test_pairwise_wilcoxon_reports_the_method_the_test_used(self):
+        # 30 cases, 3 nonzero soft-F1 differences: the test is exact, though
+        # there are more than 25 cases; an all-tied pair is degenerate.
+        def case(i):
+            scores = {"anonpsy": 0.5, "phi": 0.5 + (0.1 * (i + 1) if i < 3 else 0.0), "sdc": 0.5}
+            return CaseEval(f"case_{i:03d}", [], {name: VariantMetrics(0.0, f1, []) for name, f1 in scores.items()})
+
+        report = run_eval([case(i) for i in range(30)])
+        methods = {r["comparison"]: r["method"] for r in report.statistics if r.get("correction") == "holm"}
+        assert methods == {
+            "soft_f1: anonpsy vs phi": "exact",
+            "soft_f1: anonpsy vs sdc": "degenerate",
+            "soft_f1: phi vs sdc": "exact",
+        }
 
     def test_csv_has_row_per_case_variant(self, full_run):
         out_dir, config = full_run

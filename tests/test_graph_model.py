@@ -1,17 +1,22 @@
 import random
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonpsy.model import (
+    NODE_KINDS,
+    TIMED_SECTIONS,
     CaseAttributes,
     Demographics,
     DurationInterval,
     Relation,
+    SemanticGraph,
     StebContext,
     SymptomNode,
+    node_name,
     validate_graph,
 )
 from anonpsy.yamlio import GraphParseError, GraphSerializationError, parse_yaml, serialize_yaml
@@ -55,6 +60,64 @@ class TestValidateGraph:
         g.attributes.demographics.age = -1
         codes = {v.code for v in validate_graph(g)}
         assert {"nonpositive_span", "negative_age"} <= codes
+
+
+def _list_item_types() -> dict[str, type]:
+    """SemanticGraph's list fields, in field order, and the dataclass of their items."""
+    hints = get_type_hints(SemanticGraph)
+    return {f.name: get_args(hints[f.name])[0] for f in fields(SemanticGraph) if get_origin(hints[f.name]) is list}
+
+
+class TestNodeKinds:
+    def test_node_kinds_name_every_node_section_in_field_order(self):
+        # A node is a list item with an id; the duration pool is the one such list that holds no nodes.
+        sections = [
+            name
+            for name, item in _list_item_types().items()
+            if name != "durations" and "id" in {f.name for f in fields(item)}
+        ]
+        assert [section for _kind, section in NODE_KINDS] == sections
+        for kind, section in NODE_KINDS:
+            item = _list_item_types()[section]
+            assert item.__name__ == "".join(word.title() for word in kind.split("_")) + "Node"
+
+    def test_timed_sections_are_the_sections_whose_nodes_carry_durations(self):
+        items = _list_item_types()
+        timed = [s for _kind, s in NODE_KINDS if "duration_ids" in {f.name for f in fields(items[s])}]
+        assert list(TIMED_SECTIONS) == timed
+
+    def test_node_name_covers_every_kind(self):
+        for _kind, section in NODE_KINDS:
+            item = _list_item_types()[section]
+            required = [f.name for f in fields(item) if f.default is MISSING and f.default_factory is MISSING]
+            node = item(**{name: name for name in required})
+            assert node_name(node) in required and node_name(node) != "id"
+
+    def test_nodes_walk_the_sections_in_table_order(self):
+        g = minimal_graph()
+        walked = [(kind, section, i, node.id) for kind, section, i, node in g.nodes()]
+        assert walked == [
+            (kind, section, i, node.id)
+            for kind, section in NODE_KINDS
+            for i, node in enumerate(getattr(g, section))
+        ]
+
+    def test_node_types_resolve_the_visit_and_keep_the_first_duplicate(self):
+        g = minimal_graph()
+        g.symptoms = g.symptoms + [replace(g.symptoms[0], id="dx_001")]
+        types = g.node_types()
+        assert types["visit_event"] == "visit_event"
+        assert types["dx_001"] == "diagnosis"
+        assert g.node_by_id()["dx_001"] is g.diagnoses[0]
+        assert "visit_event" not in minimal_graph(visit_event=None).node_types()
+
+    def test_map_timed_applies_in_canonical_order(self):
+        g = minimal_graph()
+        seen = []
+        out = g.map_timed(lambda node: seen.append(node.id) or replace(node, duration_ids=[]))
+        assert seen == [node.id for node in g.timed_nodes()]
+        assert all(node.duration_ids == [] for node in out.timed_nodes())
+        assert out.diagnoses == g.diagnoses and g.symptoms[0].duration_ids
 
 
 class TestSerializeYaml:

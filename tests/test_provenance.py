@@ -47,9 +47,9 @@ def _workflow(mode: str, corpus: Path, out_dir: Path, config: RunConfig) -> list
 
 
 def test_source_digest_covers_every_package_file_but_the_cli():
-    # The engine names the package's files without listing it: a module that
-    # importing the runner does not load, or a data file missing from
-    # runner.DATA_FILES, would be left out of every trace.
+    # The engine names the package's modules without listing it: a module
+    # that importing the runner does not load would be left out of every
+    # trace. It lists data/, so every data file is covered.
     assert runner.source_digest() == package_digest()
 
 
