@@ -25,6 +25,17 @@ class ConfigError(ValueError):
     pass
 
 
+# The numeric settings: each with its key in the config file and its type (a float setting takes an int too).
+_NUMBERS = {
+    "seed": ("seed", int),
+    "jobs": ("jobs", int),
+    "retries": ("gateway.retries", int),
+    "backoff_seconds": ("gateway.backoff_seconds", float),
+    "sdc_temperature": ("baselines.sdc_temperature", float),
+    "match_threshold": ("eval.match_threshold", float),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 42
@@ -45,12 +56,28 @@ class RunConfig:
     judge_model: str | None = None
 
     def __post_init__(self) -> None:
+        for name, (key, kind) in _NUMBERS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+                raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        # A request's temperature keys the response cache by its repr: 1 and 1.0 are one setting.
+        object.__setattr__(self, "sdc_temperature", float(self.sdc_temperature))
         if self.backend not in ("mock", "live"):
             raise ConfigError(f"backend must be mock or live, got {self.backend!r}")
         if self.embedder not in ("fallback", "http"):
             raise ConfigError(f"embedder must be fallback or http, got {self.embedder!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.retries < 1:
+            raise ConfigError("gateway.retries must be >= 1")
+        if self.backoff_seconds < 0:
+            raise ConfigError("gateway.backoff_seconds must be >= 0")
+        if not 0.0 <= self.sdc_temperature <= 2.0:
+            # The range a chat request accepts; see gateway.ChatRequest.
+            raise ConfigError(f"baselines.sdc_temperature must be in [0, 2], got {self.sdc_temperature}")
+        if not 0.0 < self.match_threshold <= 1.0:
+            # At 0 every predicted label would match a gold one.
+            raise ConfigError(f"eval.match_threshold must be in (0, 1], got {self.match_threshold}")
         if self.backend == "mock" and not self.fixtures_dir:
             raise ConfigError("mock backend requires gateway.fixtures_dir")
         if self.embedder == "http" and not self.embedding_endpoint:
@@ -104,11 +131,7 @@ def load_config(
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    kwargs: dict = {}
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
-    if "jobs" in doc:
-        kwargs["jobs"] = int(doc["jobs"])
+    kwargs: dict = {k: doc[k] for k in ("seed", "jobs") if k in doc}
 
     gateway_doc = doc.get("gateway") or {}
     for key in gateway_doc:
@@ -118,7 +141,7 @@ def load_config(
 
     baselines_doc = doc.get("baselines") or {}
     if "sdc_temperature" in baselines_doc:
-        kwargs["sdc_temperature"] = float(baselines_doc["sdc_temperature"])
+        kwargs["sdc_temperature"] = baselines_doc["sdc_temperature"]
 
     eval_doc = doc.get("eval") or {}
     for key in eval_doc:

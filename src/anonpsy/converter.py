@@ -10,7 +10,9 @@ warnings rather than kept.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import functools
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .fileio import write_atomic
@@ -80,23 +82,44 @@ class ConverterDraft:
 
 def _structured_call(gw: LlmGateway, template_id: str, variables: dict[str, str], case_id: str, stage: str) -> dict:
     """Call the gateway and parse a YAML mapping, retrying with an attempt tag."""
-    # The first attempt is untagged: the extraction fixtures are keyed so.
-    out = validated_call(gw, template_id, variables, reply_mapping, tag_first=False, operator="convert")
-    if out.error is not None:
-        raise out.error
-    if out.value is None:
-        raise ConversionError(case_id, stage, f"unparseable structured response after retries: {out.reason}")
-    return out.value
+    out = validated_call(gw, template_id, variables, reply_mapping, operator="convert")
+    return out.get(
+        lambda reason: ConversionError(case_id, stage, f"unparseable structured response after retries: {reason}")
+    )
 
 
-def _str_or(obj: dict, key: str, default: str = "") -> str:
-    value = obj.get(key, default)
-    return value if isinstance(value, str) else default
+# How a field of a model record is read from a reply, by its annotation in model.py.
+_READERS = {
+    str: lambda value: value if isinstance(value, str) else "",
+    str | None: lambda value: value if isinstance(value, str) and value else None,
+    bool: bool,
+    list[str]: lambda value: [s for s in value if isinstance(s, str)] if isinstance(value, list) else [],
+}
+_as_str, _as_opt_str = _READERS[str], _READERS[str | None]
 
 
-def _opt_str(obj: dict, key: str) -> str | None:
-    value = obj.get(key)
-    return value if isinstance(value, str) and value else None
+@functools.cache
+def _field_readers(cls: type) -> dict[str, typing.Callable | None]:
+    """The reader of each field of `cls` but the converter's ids, by its annotation; None: it must be given."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _READERS.get(hints[f.name]) for f in fields(cls) if f.name not in ("id", "duration_ids")}
+
+
+def _record(cls: type, entry, **given):
+    """A `cls` with the given fields, every other read from `entry` by its annotation; a non-mapping has none."""
+    entry = entry if isinstance(entry, dict) else {}
+    read = {name: reader(entry.get(name)) for name, reader in _field_readers(cls).items() if name not in given}
+    return cls(**read, **given)
+
+
+def _section(doc: dict, key: str, kind: type, warnings: list[str], where: str = ""):
+    """doc[key] when it is a `kind` (a list or a dict); else an empty one, with a warning unless it is missing."""
+    value = doc.get(key)
+    if isinstance(value, kind):
+        return value
+    if value is not None:
+        warnings.append(f"{where or key} dropped: expected {kind.__name__}, got {type(value).__name__}")
+    return kind()
 
 
 def extract_entities(x: CaseNarrative, gw: LlmGateway) -> ConverterDraft:
@@ -105,41 +128,31 @@ def extract_entities(x: CaseNarrative, gw: LlmGateway) -> ConverterDraft:
     Diagnosis nodes come from the case metadata, not from the model. Model
     records are filtered field by field: unknown keys are dropped, the route
     vocabulary is enforced, at most one visit event is kept, and symptom
-    evidence must occur near-verbatim in the narrative.
+    evidence must occur near-verbatim in the narrative. A section of the
+    wrong shape is dropped with a warning.
     """
     warnings: list[str] = []
     doc = _structured_call(
         gw, "extract_entities", {"case_id": x.case_id, "narrative": x.text}, x.case_id, "extract_entities"
     )
 
-    demo_doc = doc.get("demographics") or {}
+    demo_doc = _section(doc, "demographics", dict, warnings)
     age = demo_doc.get("age")
     if not isinstance(age, int) or isinstance(age, bool) or age < 0:
         warnings.append(f"demographics.age invalid ({age!r}); defaulting to 0")
         age = 0
-    demographics = Demographics(
-        age=age,
-        sex=_str_or(demo_doc, "sex"),
-        ethnicity=_str_or(demo_doc, "ethnicity"),
-        occupation=_str_or(demo_doc, "occupation"),
-        family_structure=_str_or(demo_doc, "family_structure"),
-    )
+    demographics = _record(Demographics, demo_doc, age=age)
 
     family_history = []
-    for i, entry in enumerate(doc.get("family_history") or []):
-        if not isinstance(entry, dict) or not _str_or(entry, "member") or not _str_or(entry, "condition"):
+    for i, entry in enumerate(_section(doc, "family_history", list, warnings)):
+        member = _record(FamilyHistoryEntry, entry)
+        if not member.member or not member.condition:
             warnings.append(f"family_history[{i}] dropped: missing member/condition")
             continue
-        family_history.append(
-            FamilyHistoryEntry(
-                member=_str_or(entry, "member"),
-                condition=_str_or(entry, "condition"),
-                evidence_text=_str_or(entry, "evidence_text"),
-            )
-        )
+        family_history.append(member)
 
-    tests_doc = doc.get("test_results") or {}
-    test_results = {key: _str_or(tests_doc, key) for key in TEST_RESULT_KEYS}
+    tests_doc = _section(doc, "test_results", dict, warnings)
+    test_results = {key: _as_str(tests_doc.get(key)) for key in TEST_RESULT_KEYS}
     for key in tests_doc:
         if key not in TEST_RESULT_KEYS:
             warnings.append(f"test_results.{key} dropped: unknown key")
@@ -153,104 +166,67 @@ def extract_entities(x: CaseNarrative, gw: LlmGateway) -> ConverterDraft:
 
     symptoms: list[SymptomNode] = []
     alignments: list[Relation] = []
-    for i, entry in enumerate(doc.get("symptoms") or []):
-        if not isinstance(entry, dict) or not _str_or(entry, "symptom"):
+    for i, entry in enumerate(_section(doc, "symptoms", list, warnings)):
+        node = _record(SymptomNode, entry, id=f"s_{len(symptoms) + 1:03d}", contexts=[])
+        if not node.symptom:
             warnings.append(f"symptoms[{i}] dropped: missing headword")
             continue
-        evidence = _str_or(entry, "evidence_text")
-        if evidence and not contains_normalized(x.text, evidence):
-            warnings.append(
-                f"symptoms[{i}] ({entry.get('symptom')!r}) dropped: evidence_text not found in narrative"
-            )
+        if node.evidence_text and not contains_normalized(x.text, node.evidence_text):
+            warnings.append(f"symptoms[{i}] ({node.symptom!r}) dropped: evidence_text not found in narrative")
             continue
-        contexts = []
-        for j, ctx in enumerate(entry.get("contexts") or []):
+        for j, ctx in enumerate(_section(entry, "contexts", list, warnings, f"symptoms[{i}].contexts")):
             if not isinstance(ctx, dict):
                 warnings.append(f"symptoms[{i}].contexts[{j}] dropped: not a mapping")
                 continue
             for key in ctx:
                 if key not in StebContext.FIELD_ORDER:
                     warnings.append(f"symptoms[{i}].contexts[{j}].{key} dropped: unknown STEB field")
-            frame = StebContext(
-                situation=_opt_str(ctx, "situation"),
-                thought=_opt_str(ctx, "thought"),
-                emotion=_opt_str(ctx, "emotion"),
-                behavior=_opt_str(ctx, "behavior"),
-            )
+            frame = _record(StebContext, ctx)
             if frame.present_fields():
-                contexts.append(frame)
+                node.contexts.append(frame)
             else:
                 warnings.append(f"symptoms[{i}].contexts[{j}] dropped: empty frame")
-        node = SymptomNode(
-            id=f"s_{len(symptoms) + 1:03d}",
-            symptom=_str_or(entry, "symptom"),
-            pattern=_str_or(entry, "pattern"),
-            current_symptom=bool(entry.get("current_symptom", False)),
-            evidence_text=evidence,
-            contexts=contexts,
-        )
         symptoms.append(node)
-        target_label = _str_or(entry, "diagnosis").lower()
+        target_label = _as_str(entry.get("diagnosis")).lower()
         if target_label:
             if target_label in diagnosis_by_label:
                 alignments.append(Relation("MANIFESTS_AS", node.id, diagnosis_by_label[target_label]))
             else:
-                warnings.append(
-                    f"symptoms[{i}] alignment dropped: no diagnosis labeled {entry.get('diagnosis')!r}"
-                )
+                warnings.append(f"symptoms[{i}] alignment dropped: no diagnosis labeled {entry.get('diagnosis')!r}")
 
     treatments: list[TreatmentNode] = []
     treatment_targets: list[tuple[str, str]] = []
-    for i, entry in enumerate(doc.get("treatments") or []):
-        if not isinstance(entry, dict) or not _str_or(entry, "name"):
+    for i, entry in enumerate(_section(doc, "treatments", list, warnings)):
+        kind = entry.get("treatment_type") if isinstance(entry, dict) else None
+        kind = kind if isinstance(kind, str) else "other"
+        node = _record(TreatmentNode, entry, id=f"t_{len(treatments) + 1:03d}", treatment_type=kind)
+        if not node.name:
             warnings.append(f"treatments[{i}] dropped: missing name")
             continue
-        route = _opt_str(entry, "route")
-        if route is not None and route not in ROUTE_VOCABULARY:
-            warnings.append(f"treatments[{i}].route {route!r} dropped: not in controlled vocabulary")
-            route = None
-        node = TreatmentNode(
-            id=f"t_{len(treatments) + 1:03d}",
-            treatment_type=_str_or(entry, "treatment_type", "other"),
-            name=_str_or(entry, "name"),
-            dose=_opt_str(entry, "dose"),
-            route=route,
-            frequency=_opt_str(entry, "frequency"),
-            outcome=_opt_str(entry, "outcome"),
-        )
+        if node.route is not None and node.route not in ROUTE_VOCABULARY:
+            warnings.append(f"treatments[{i}].route {node.route!r} dropped: not in controlled vocabulary")
+            node = replace(node, route=None)
         treatments.append(node)
-        target = _str_or(entry, "target").lower()
+        target = _as_str(entry.get("target")).lower()
         if target:
             treatment_targets.append((node.id, target))
 
     past_history: list[PastHistoryNode] = []
-    for i, entry in enumerate(doc.get("past_history") or []):
-        if not isinstance(entry, dict) or not _str_or(entry, "condition"):
+    for i, entry in enumerate(_section(doc, "past_history", list, warnings)):
+        node = _record(PastHistoryNode, entry, id=f"ph_{len(past_history) + 1:03d}")
+        if not node.condition:
             warnings.append(f"past_history[{i}] dropped: missing condition")
             continue
-        past_history.append(
-            PastHistoryNode(id=f"ph_{len(past_history) + 1:03d}", condition=_str_or(entry, "condition"))
-        )
+        past_history.append(node)
 
     visit_event: VisitEvent | None = None
-    for i, entry in enumerate(doc.get("visit_events") or []):
+    for i, entry in enumerate(_section(doc, "visit_events", list, warnings)):
         if not isinstance(entry, dict):
             warnings.append(f"visit_events[{i}] dropped: not a mapping")
-            continue
-        if visit_event is not None:
+        elif visit_event is not None:
             warnings.append(f"visit_events[{i}] rejected: graph already has a visit event")
-            continue
-        flags = entry.get("safety_flags") or []
-        visit_event = VisitEvent(
-            setting=_str_or(entry, "setting"),
-            arrival_mode=_str_or(entry, "arrival_mode"),
-            legal_status=_str_or(entry, "legal_status"),
-            reason_for_visit=_str_or(entry, "reason_for_visit"),
-            safety_flags=[f for f in flags if isinstance(f, str)],
-            source_of_information=_str_or(entry, "source_of_information"),
-            pathway=_opt_str(entry, "pathway"),
-            visit_episode=_str_or(entry, "visit_episode"),
-        )
+        else:
+            visit_event = _record(VisitEvent, entry)
     if visit_event is None:
         raise ConversionError(x.case_id, "extract_entities", "no visit event extracted")
 
@@ -304,15 +280,15 @@ def extract_episodes(x: CaseNarrative, draft: ConverterDraft, gw: LlmGateway) ->
 
     known_ids = {n.id for n in draft.graph.timed_nodes()}
     episodes: dict[str, list[RawEpisode]] = {node_id: [] for node_id in known_ids}
-    for i, entry in enumerate(doc.get("episodes") or []):
+    for i, entry in enumerate(_section(doc, "episodes", list, warnings)):
         if not isinstance(entry, dict):
             warnings.append(f"episodes[{i}] dropped: not a mapping")
             continue
-        node_id = _str_or(entry, "node_id")
+        node_id = _as_str(entry.get("node_id"))
         if node_id not in known_ids:
             warnings.append(f"episodes[{i}] dropped: unknown node {node_id!r}")
             continue
-        unit = _str_or(entry, "unit")
+        unit = _as_str(entry.get("unit"))
         if unit not in EPISODE_UNITS:
             warnings.append(f"episodes[{i}] for {node_id} rejected: unit {unit!r} not in vocabulary")
             continue
@@ -325,7 +301,7 @@ def extract_episodes(x: CaseNarrative, draft: ConverterDraft, gw: LlmGateway) ->
             warnings.append(f"episodes[{i}] for {node_id} rejected: span {span!r} invalid")
             continue
         ongoing = bool(entry.get("ongoing", False))
-        anchor = _opt_str(entry, "anchor")
+        anchor = _as_opt_str(entry.get("anchor"))
         if anchor is not None and not contains_normalized(x.text, anchor):
             warnings.append(f"episodes[{i}] for {node_id}: anchor not found in narrative, flagged inferred")
             anchor = None

@@ -67,11 +67,9 @@ def judge_risk(
         temperature=0.0,
         model=model,
     )
-    if out.error is not None:
-        raise out.error
-    if out.value is None:
-        raise JudgeError(f"judge response unusable after {VALIDATED_ATTEMPTS} attempts: {out.reason}")
-    choice, score_a, score_b = out.value
+    choice, score_a, score_b = out.get(
+        lambda reason: JudgeError(f"judge response unusable after {VALIDATED_ATTEMPTS} attempts: {reason}")
+    )
     if swapped:
         choice = "B" if choice == "A" else "A"
         score_a, score_b = score_b, score_a

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..converter import CaseNarrative
-from ..gateway import GatewayError, LlmGateway
+from ..gateway import GatewayError, LlmGateway, validated_call
 from ..yamlio import reply_mapping, safe_dump
 from .canon import canonical_label_set, soft_f1
 from .embedding import embedded_similarity
@@ -124,13 +124,15 @@ def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, ki
 
     A reply that is no mapping names the reason `reply_mapping` gives.
     """
-    text = gw.call(template_id, variables, temperature=0.0, model=model)
-    doc = reply_mapping(text, lambda reason: reason)
-    if not isinstance(doc, dict):
-        raise GatewayError(template_id, f"response is not {what} mapping: {doc}")
-    if not isinstance(doc.get(key), kind):
-        raise GatewayError(template_id, f"response is not {what} mapping")
-    return doc[key]
+
+    def read(text: str, reject):
+        doc = reply_mapping(text, reject)
+        return doc[key] if doc is not None and isinstance(doc.get(key), kind) else None
+
+    out = validated_call(gw, template_id, variables, read, attempts=1, temperature=0.0, model=model)
+    return out.get(
+        lambda reason: GatewayError(template_id, f"response is not {what} mapping" + (f": {reason}" if reason else ""))
+    )
 
 
 def _predict_diagnoses(gw: LlmGateway, narrative: str, case_id: str, variant: str, model: str | None) -> list[str]:

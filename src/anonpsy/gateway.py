@@ -11,6 +11,8 @@ reply.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import http.client
 import json
@@ -20,7 +22,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import prompts
 from .fileio import write_atomic
@@ -315,6 +317,32 @@ class Validated:
     reason: str = ""  # the last reason, without its attempt tag
     error: GatewayError | None = None  # the failure that ended the loop
 
+    def get(self, fail: Callable[[str], Exception]) -> Any:
+        """The accepted value; else raise the gateway error, or `fail(reason)` when no reply was accepted."""
+        if self.error is not None:
+            raise self.error
+        if self.value is None:
+            raise fail(self.reason)
+        return self.value
+
+
+# The list of the innermost `collect_failures` block in the current context, if any.
+_collector: contextvars.ContextVar[list[GatewayError] | None] = contextvars.ContextVar("collector", default=None)
+
+
+@contextlib.contextmanager
+def collect_failures() -> Iterator[list[GatewayError]]:
+    """Yield a list of the gateway errors `validated_call` ends a step on inside the block, on this thread.
+
+    The stage engine runs each row in one, so a row that fell back on a failed call is known.
+    """
+    failures: list[GatewayError] = []
+    token = _collector.set(failures)
+    try:
+        yield failures
+    finally:
+        _collector.reset(token)
+
 
 def validated_call(
     gw,
@@ -322,15 +350,15 @@ def validated_call(
     variables: dict[str, str],
     check: Callable[[str, Callable[[str], None]], Any],
     attempts: int = VALIDATED_ATTEMPTS,
-    tag_first: bool = True,
     **options,
 ) -> Validated:
     """Call `gw.call` until `check` accepts a reply, at most `attempts` times.
 
-    Call N carries the variable `attempt` = "N" (not the first when
-    `tag_first` is false). `check(text, reject)` returns the accepted value or
-    None; `reject(reason)` records "attempt N: <reason>" and returns None. A
-    `GatewayError` is recorded as "gateway failure: ..." and ends the loop.
+    The first call carries the variables as given; call N from 2 on adds
+    `attempt` = "N". `check(text, reject)` returns the accepted value or None;
+    `reject(reason)` records "attempt N: <reason>" and returns None. A
+    `GatewayError` is recorded as "gateway failure: ...", ends the loop, and
+    joins the list of the enclosing `collect_failures` block.
     """
     out = Validated()
 
@@ -340,14 +368,14 @@ def validated_call(
 
     for attempt in range(1, attempts + 1):
         out.attempts = attempt
-        tagged = dict(variables)
-        if tag_first or attempt > 1:
-            tagged["attempt"] = str(attempt)
+        tagged = {**variables, "attempt": str(attempt)} if attempt > 1 else variables
         try:
             text = gw.call(template_id, tagged, **options)
         except GatewayError as exc:
             reject(f"gateway failure: {exc}")
             out.error = exc
+            if (failures := _collector.get()) is not None:
+                failures.append(exc)
             break
         out.value = check(text, reject)
         if out.value is not None:

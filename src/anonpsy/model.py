@@ -113,6 +113,11 @@ class StebContext:
         return tuple(name for name in self.FIELD_ORDER if getattr(self, name) is not None)
 
 
+def frame_text(*frames: StebContext) -> str:
+    """One `name: value` line per present field of each frame, in order: how a prompt shows frames."""
+    return "\n".join(f"{name}: {getattr(ctx, name)}" for ctx in frames for name in ctx.present_fields())
+
+
 @dataclass
 class SymptomNode:
     id: str

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .converter import CaseNarrative
 from .gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
-from .model import Node, SemanticGraph, SymptomNode, TreatmentNode, node_name
+from .model import Node, SemanticGraph, SymptomNode, TreatmentNode, frame_text, node_name
 from .textproc import spell_number, split_sentences
 from .yamlio import safe_dump
 
@@ -424,11 +424,9 @@ def narrate_lead(outline: NarrativeOutline, gw: LlmGateway) -> str:
         _lead_check,
         operator="generate",
     )
-    if out.error is not None:
-        raise out.error
-    if out.value is None:
-        raise NarrationError(f"lead paragraph rejected after {VALIDATED_ATTEMPTS} attempts: {out.reason}")
-    return out.value
+    return out.get(
+        lambda reason: NarrationError(f"lead paragraph rejected after {VALIDATED_ATTEMPTS} attempts: {reason}")
+    )
 
 
 def _capitalize(phrase: str) -> str:
@@ -462,14 +460,6 @@ def _fallback_symptom_sentence(node: SymptomNode, phrase: str) -> str:
         if ctx.behavior:
             parts.append(f"responding by {ctx.behavior.rstrip('.')}")
     return ", ".join(parts) + "."
-
-
-def _frame_lines(node: SymptomNode) -> str:
-    lines = []
-    for ctx in node.contexts:
-        for name in ctx.present_fields():
-            lines.append(f"{name}: {getattr(ctx, name)}")
-    return "\n".join(lines)
 
 
 def narrate_history(outline: NarrativeOutline, gw: LlmGateway) -> str:
@@ -543,7 +533,7 @@ def _symptom_sentence(node: SymptomNode, phrase: str, gw: LlmGateway) -> str:
     out = validated_call(
         gw,
         "steb_sentence",
-        {"node_id": node.id, "symptom": node.symptom, "time_phrase": phrase, "frame": _frame_lines(node)},
+        {"node_id": node.id, "symptom": node.symptom, "time_phrase": phrase, "frame": frame_text(*node.contexts)},
         one_clean_sentence,
         operator="generate",
         temperature=0.2,
@@ -606,9 +596,8 @@ def append_tail(draft: str, outline: NarrativeOutline, gw: LlmGateway) -> str:
     return f"{draft}\n\n{tail}" if tail else draft
 
 
-def generate(g: SemanticGraph, gw: LlmGateway, case_id: str = "case") -> CaseNarrative:
-    """Full realization: lead, chronological history, appended tail."""
-    outline = plan_outline(g)
+def generate(outline: NarrativeOutline, gw: LlmGateway, case_id: str = "case") -> CaseNarrative:
+    """Full realization of a planned outline: lead, chronological history, appended tail."""
     lead = narrate_lead(outline, gw)
     history = narrate_history(outline, gw)
     draft = f"{lead}\n\n{history}" if history else lead
@@ -616,5 +605,5 @@ def generate(g: SemanticGraph, gw: LlmGateway, case_id: str = "case") -> CaseNar
     return CaseNarrative(
         case_id=case_id,
         text=final,
-        ground_truth_diagnoses=[d.label for d in g.diagnoses],
+        ground_truth_diagnoses=[d.label for d in outline.graph.diagnoses],
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..gateway import LlmGateway, validated_call
-from ..model import CaseAttributes, SemanticGraph, StebContext, SymptomNode, VisitEvent
+from ..model import CaseAttributes, SemanticGraph, StebContext, SymptomNode, VisitEvent, frame_text
 from ..textproc import trigram_jaccard
 from ..yamlio import reply_mapping
 from .config import PerturbConfig, load_contradiction_lexicon, load_mse_domains
@@ -109,10 +109,6 @@ def rewrite_visit_episode(
     return out.value, entry
 
 
-def _frame_text(ctx: StebContext) -> str:
-    return "\n".join(f"{name}: {getattr(ctx, name)}" for name in ctx.present_fields())
-
-
 def _age_at_event(age_years: int, start_days: int) -> int:
     value = age_years + start_days / 365.0
     return max(0, int(value + 0.5))
@@ -151,13 +147,13 @@ def rewrite_steb_contexts(
         new_contexts = list(node.contexts)
         for frame_index, ctx in enumerate(node.contexts):
             fields = ctx.present_fields()
-            original_text = _frame_text(ctx)
+            original_text = frame_text(ctx)
 
             def rewrite(text: str, reject) -> StebContext | None:
                 candidate = _parse_frame(text, fields, reject)
                 if candidate is None:
                     return None
-                gate = similarity_gate(original_text, _frame_text(candidate), cfg.similarity_threshold)
+                gate = similarity_gate(original_text, frame_text(candidate), cfg.similarity_threshold)
                 if not gate.accepted:
                     return reject(f"similarity {gate.score:.3f} above threshold")
                 return candidate
@@ -184,7 +180,7 @@ def rewrite_steb_contexts(
                 audit["fallback"] = "original frame kept"
             else:
                 new_contexts[frame_index] = out.value
-                recent.append(_frame_text(out.value))
+                recent.append(frame_text(out.value))
             audits.append(audit)
         new_symptoms[index] = replace(node, contexts=new_contexts)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from .gateway import GatewayError, LlmGateway
+from .gateway import LlmGateway, validated_call
 from .model import NODE_KINDS, Relation, SemanticGraph, VISIT_EVENT_ID, node_name, relation_is_legal
 from .temporal import temporal_signature
 from .textproc import contains_normalized
@@ -100,28 +100,20 @@ def add_causal_edges_llm(
     and backed by near-verbatim evidence from the narrative."""
     # Timed nodes, then diagnoses: this is prompt text, and it keys the recorded replies.
     node_summary = "\n".join(f"- {n.id}: {node_name(n)}" for n in (*g.timed_nodes(), *g.diagnoses))
-    try:
-        text = gw.call(
-            "causal_pass",
-            {"case_id": case_id, "narrative": narrative, "nodes": node_summary},
-            operator="convert",
-        )
-    except GatewayError as exc:
-        if warnings is not None:
-            warnings.append(f"causal pass skipped: {exc}")
-        return g
 
-    doc = reply_mapping(text, lambda reason: reason)
-    proposals = _causal_proposals(doc) if isinstance(doc, dict) else None
-    if proposals is None:
-        if warnings is not None:
-            fault = "" if isinstance(doc, dict) else f" ({doc})"  # the reason the reply is no mapping
+    variables = {"case_id": case_id, "narrative": narrative, "nodes": node_summary}
+    out = validated_call(gw, "causal_pass", variables, _causal_proposals, attempts=1, operator="convert")
+    if out.value is None:
+        if warnings is not None and out.error is not None:
+            warnings.append(f"causal pass skipped: {out.error}")
+        elif warnings is not None:
+            fault = f" ({out.reason})" if out.reason else ""  # a malformed edge has no reason to name
             warnings.append(f"causal pass returned an unparseable response{fault}; ignored")
         return g
 
     relations = list(g.relations)
     existing = {r.triple() for r in relations}
-    for source_id, target_id, evidence in proposals:
+    for source_id, target_id, evidence in out.value:
         rel = Relation("INDUCES", source_id, target_id)
         if not relation_is_legal(g, rel):
             if warnings is not None:
@@ -140,9 +132,10 @@ def add_causal_edges_llm(
     return replace(g, relations=relations)
 
 
-def _causal_proposals(doc: dict) -> list[tuple[str, str, str]] | None:
+def _causal_proposals(text: str, reject) -> list[tuple[str, str, str]] | None:
     """The (source, target, evidence) of each edge the reply proposes; None when one is malformed."""
-    if not isinstance(doc.get("edges"), list):
+    doc = reply_mapping(text, reject)
+    if doc is None or not isinstance(doc.get("edges"), list):
         return None
     out = []
     for item in doc["edges"]:

@@ -21,7 +21,10 @@ package's own files), the row's input bytes and its outputs as written. A
 row whose recorded trace matches the files on disk is skipped: no work, no
 model call, no write, no parse. A row that reruns and writes the same bytes
 leaves the next row's input unchanged, so that row is skipped too (early
-cutoff). The manifest itself is rewritten only when its content changes.
+cutoff). A row during which a step fell back on a failed model call keeps
+no trace, so the next command runs it again; the manifest lists it under
+`stages.<row>.degraded`. The manifest itself is rewritten only when its
+content changes.
 
 Each case owns one directory under the run root; all writes stay inside it,
 so cases can run on the pool without interfering. Reruns with unchanged
@@ -46,7 +49,7 @@ from .converter import INTERMEDIATES, CaseNarrative, convert
 from .evaluation.embedding import HashedTfEmbedder, HttpEmbedder
 from .evaluation.report import eval_case, run_eval
 from .fileio import write_atomic
-from .gateway import HttpBackend, LlmGateway, MockBackend
+from .gateway import HttpBackend, LlmGateway, MockBackend, collect_failures
 from .model import SemanticGraph
 from .narrator import generate, plan_outline
 from .perturbation import perturb
@@ -75,6 +78,8 @@ class StageResult:
     failed: dict[str, str] = field(default_factory=dict)
     # case id -> the rows it skipped because their trace matched
     skipped: dict[str, list[str]] = field(default_factory=dict)
+    # the succeeded cases for which a step fell back on a failed model call
+    degraded: list[str] = field(default_factory=list)
     # case id -> the product of the last row, for each succeeded case
     products: dict[str, Any] = field(default_factory=dict, repr=False)
 
@@ -178,7 +183,7 @@ def _perturb(case_dir: Path, graph: SemanticGraph, shared: Shared) -> tuple[tupl
 
 def _generate(case_dir: Path, graph: SemanticGraph, shared: Shared) -> tuple[tuple[str, ...], Any]:
     outline = plan_outline(graph)
-    return (outline.to_yaml(), generate(graph, shared.gateway, case_id=case_dir.name).text), None
+    return (outline.to_yaml(), generate(outline, shared.gateway, case_id=case_dir.name).text), None
 
 
 def _phi(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
@@ -341,13 +346,15 @@ def run_stage(
     prompt_assets = {name: prompts.asset_hash(name) for name in prompts.list_templates()}
     base = _base_key(config.digest(), prompt_assets)
 
-    def one(case_id: str) -> tuple[dict[str, str | None], list[str], dict[str, str | None], Any]:
-        """Each row this case reached, with its error or None; the rows it skipped; its new
-        traces (None: drop the entry); and the last row's product."""
+    def one(case_id: str) -> tuple[dict[str, str | None], list[str], list[str], dict[str, str | None], Any]:
+        """Each row this case reached, with its error or None; the rows it skipped; those that
+        fell back on a failed model call; its new traces (None: drop the entry); and the last
+        row's product."""
         first, source = starts[case_id]
         case_dir = out_dir / case_id
         ran: dict[str, str | None] = {}
         skipped: list[str] = []
+        degraded: list[str] = []
         traces: dict[str, str | None] = {}
         entries = recorded.get(case_id) or {}
         digests: dict[str, str] = {}  # file -> digest of its bytes as this task last read or wrote them
@@ -390,32 +397,38 @@ def run_stage(
                     source = parse_yaml((case_dir / stage.source).read_text(encoding="utf-8"))
                 elif source is None:
                     source = read_case_inputs(case_dir)
-                texts, source = stage.work(case_dir, source, shared)
+                with collect_failures() as failures:
+                    texts, source = stage.work(case_dir, source, shared)
                 for file, text in zip(stage.outputs, texts, strict=True):
                     write_atomic(case_dir / file, text)
                 ran[name] = None
+                if failures:
+                    degraded.append(name)
                 if key is not None:
                     for file in stage.side_outputs:
                         digests.pop(file, None)
                     digests.update((file, _digest(text.encode("utf-8"))) for file, text in zip(stage.outputs, texts))
-                    traces[name] = _trace(*key, *map(digest_of, written))
+                    # A row that fell back on a failed call keeps no trace: the next command runs it again.
+                    traces[name] = None if failures else _trace(*key, *map(digest_of, written))
             except Exception as exc:  # isolate: one bad case never sinks the run
                 _remove(case_dir, STALE_ON_FAILURE[name], traces)
                 ran[name] = f"{type(exc).__name__}: {exc}"
                 break
-        return ran, skipped, traces, source
+        return ran, skipped, degraded, traces, source
 
     result = StageResult(stage="+".join(chain))
     by_stage = {name: StageResult(stage=name) for name in chain}
     provenance = dict(recorded)
     case_ids = sorted(starts)
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        for case_id, (ran, skipped, traces, product) in zip(case_ids, pool.map(one, case_ids)):
+        for case_id, (ran, skipped, degraded, traces, product) in zip(case_ids, pool.map(one, case_ids)):
             for name, error in ran.items():
                 if error is None:
                     by_stage[name].succeeded.append(case_id)
                 else:
                     by_stage[name].failed[case_id] = result.failed[case_id] = error
+            for name in degraded:
+                by_stage[name].degraded.append(case_id)
             if case_id not in result.failed:
                 result.succeeded.append(case_id)
                 result.products[case_id] = product
@@ -480,6 +493,8 @@ def _update_manifest(
             "succeeded": sorted(result.succeeded),
             "failed": {k: result.failed[k] for k in sorted(result.failed)},
         }
+        if result.degraded:
+            stages[result.stage]["degraded"] = sorted(result.degraded)
     doc = {k: v for k, v in loaded.items() if k != "provenance"}
     doc.update(
         config_digest=config.digest(),

@@ -26,11 +26,14 @@ from .conftest import CORPUS_DIR, FIXTURES_DIR
 from .helpers import assert_provenance
 
 
+_MOCK = {"backend": "mock", "fixtures_dir": str(FIXTURES_DIR)}
+
+
 def _write_config(tmp_path: Path, **overrides) -> Path:
     doc = {
         "seed": 42,
         "jobs": 1,
-        "gateway": {"backend": "mock", "fixtures_dir": str(FIXTURES_DIR)},
+        "gateway": _MOCK,
     }
     doc.update(overrides)
     path = tmp_path / "config.yaml"
@@ -76,6 +79,42 @@ class TestRunCommand:
             for case_id in ("case_001", "case_002", "case_003")
         ]
         assert _tree(out_a) == _tree(out_b)
+
+    @pytest.mark.parametrize(
+        ("template", "row"),
+        [
+            ("causal_pass", "convert"),
+            ("identity_fields", "perturb"),
+            ("mse_align", "perturb"),
+            ("steb_rewrite", "perturb"),
+            ("visit_rewrite", "perturb"),
+            ("steb_sentence", "generate"),
+            ("tail_append", "generate"),
+        ],
+    )
+    def test_a_row_that_fell_back_on_a_failed_call_runs_again(self, tmp_path, template, row):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        config = _write_config(tmp_path, gateway={"backend": "mock", "fixtures_dir": str(fixtures)})
+        clean, out_dir = tmp_path / "clean", tmp_path / "run"
+        assert main(["run", str(CORPUS_DIR), str(clean), "--config", str(config)]) == 0
+        stages = yaml.safe_load((clean / "run_manifest.yaml").read_text())["stages"]
+        assert all("degraded" not in entry for entry in stages.values())
+
+        # Every call of the template fails and each step falls back. With the original visit episode kept,
+        # generate asks for a lead paragraph the fixtures do not hold, and the case fails there.
+        (fixtures / template).rename(tmp_path / template)
+        code = main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)])
+        assert code == (1 if template == "visit_rewrite" else 0)
+        assert _tree(out_dir) != _tree(clean)
+        manifest = yaml.safe_load((out_dir / "run_manifest.yaml").read_text())
+        degraded = manifest["stages"][row]["degraded"]
+        assert degraded and all(row not in manifest["provenance"].get(case_id, {}) for case_id in degraded)
+        assert_provenance(out_dir)
+
+        (tmp_path / template).rename(fixtures / template)
+        assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 0
+        assert _tree(out_dir) == _tree(clean)
 
     def test_staged_commands_match_run(self, tmp_path):
         config = _write_config(tmp_path)
@@ -204,6 +243,25 @@ class TestUsageErrors:
         assert "fixtures_dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"jobs": "two"}, "jobs must be an integer, got 'two'"),
+            ({"seed": 4.7}, "seed must be an integer, got 4.7"),
+            ({"gateway": {**_MOCK, "retries": 0}}, "gateway.retries must be >= 1"),
+            ({"gateway": {**_MOCK, "retries": "3"}}, "gateway.retries must be an integer, got '3'"),
+            ({"baselines": {"sdc_temperature": 5}}, "baselines.sdc_temperature must be in [0, 2], got 5.0"),
+            ({"eval": {"match_threshold": 0}}, "eval.match_threshold must be in (0, 1], got 0"),
+        ],
+        ids=["jobs-word", "seed-float", "retries-zero", "retries-string", "sdc-temperature-5", "match-threshold-0"],
+    )
+    def test_a_setting_it_cannot_use_exits_two_before_any_case(self, tmp_path, capsys, overrides, message):
+        config = _write_config(tmp_path, **overrides)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         ("key", "text", "message"),
         [
             ("feasibility_rules", None, "No such file"),
@@ -266,6 +324,11 @@ class TestConfigLoading:
         assert a.digest() == b.digest()
         assert a.digest() is a.digest()  # computed once per config
         assert load_config(config_path, seed=1).digest() != a.digest()
+
+    def test_the_bounds_take_their_edges(self, tmp_path):
+        config = load_config(_write_config(tmp_path, baselines={"sdc_temperature": 2}, eval={"match_threshold": 1}))
+        assert (config.sdc_temperature, config.match_threshold) == (2.0, 1)
+        assert type(config.sdc_temperature) is float  # keys requests as 2.0, as the file's 2.0 does
 
     def test_perturb_section_round_trips(self, tmp_path):
         config_path = _write_config(tmp_path, perturb={"similarity_threshold": 0.5, "max_retries": 2})

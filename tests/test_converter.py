@@ -129,6 +129,46 @@ class TestExtractEntities:
         assert draft.graph.symptoms == []
         assert any("evidence_text" in w for w in draft.warnings)
 
+    @pytest.mark.parametrize(
+        ("key", "value", "warnings"),
+        [
+            (
+                "demographics",
+                "thirty",
+                ["demographics dropped: expected dict, got str", "demographics.age invalid (None); defaulting to 0"],
+            ),
+            ("test_results", ["labs"], ["test_results dropped: expected dict, got list"]),
+            ("family_history", 5, ["family_history dropped: expected list, got int"]),
+            (
+                "symptoms",
+                "low mood",
+                ["symptoms dropped: expected list, got str", "treatment t_001 target 'anxiety' dropped: no matching node"],
+            ),
+        ],
+        ids=["demographics-str", "test_results-list", "family_history-int", "symptoms-str"],
+    )
+    def test_a_section_of_the_wrong_shape_is_dropped_with_one_warning(self, key, value, warnings):
+        gw = FakeGateway(lambda t, v: self._response(**{key: value}))
+        draft = extract_entities(self._narrative(), gw)
+        assert draft.warnings == warnings
+        attributes = draft.graph.attributes
+        assert attributes.demographics.sex == ("" if key == "demographics" else "female")
+        assert attributes.family_history == []
+        assert attributes.test_results == dict.fromkeys(("labs", "imaging", "mental_status", "other"), "")
+        assert len(draft.graph.symptoms) == (0 if key == "symptoms" else 1)
+
+    def test_contexts_of_the_wrong_shape_are_dropped_with_one_warning(self):
+        symptom = {"symptom": "anxiety", "evidence_text": "persistently on edge at work", "contexts": "at work"}
+        gw = FakeGateway(lambda t, v: self._response(symptoms=[symptom]))
+        draft = extract_entities(self._narrative(), gw)
+        assert draft.warnings == ["symptoms[0].contexts dropped: expected list, got str"]
+        assert draft.graph.symptoms[0].contexts == []
+
+    def test_string_safety_flags_are_not_read_as_characters(self):
+        visit = {"setting": "outpatient clinic", "reason_for_visit": "anxiety", "safety_flags": "suicidal ideation"}
+        gw = FakeGateway(lambda t, v: self._response(visit_events=[visit]))
+        assert extract_entities(self._narrative(), gw).graph.visit_event.safety_flags == []
+
     def test_unparseable_response_raises_after_retries(self):
         gw = FakeGateway(lambda t, v: ":: not yaml ::")
         with pytest.raises(ConversionError, match="unparseable"):

@@ -181,7 +181,7 @@ class TestNarrateLead:
     def test_overlong_lead_rejected_then_retried(self):
         outline = plan_outline(minimal_graph())
         seven = " ".join(f"Sentence number {i} was written here." for i in range(7))
-        gw = FakeGateway(lambda t, v: seven if v.get("attempt") == "1" else GOOD_LEAD)
+        gw = FakeGateway(lambda t, v: seven if v.get("attempt") is None else GOOD_LEAD)
         assert narrate_lead(outline, gw) == GOOD_LEAD
         assert len(gw.calls) == 2
 
@@ -275,13 +275,13 @@ class TestGenerate:
     @pytest.mark.parametrize("case_id", ["case_001", "case_002", "case_003"])
     def test_matches_golden_narrative(self, case_id, mock_gateway):
         g = parse_yaml(golden_text(f"{case_id}.graph.perturbed.yaml"))
-        narrative = generate(g, mock_gateway, case_id=case_id)
+        narrative = generate(plan_outline(g), mock_gateway, case_id=case_id)
         assert narrative.text == golden_text(f"{case_id}.deid.txt")
 
     def test_generate_twice_identical(self, mock_gateway):
         g = parse_yaml(golden_text("case_001.graph.perturbed.yaml"))
-        a = generate(g, mock_gateway, case_id="case_001")
-        b = generate(g, mock_gateway, case_id="case_001")
+        a = generate(plan_outline(g), mock_gateway, case_id="case_001")
+        b = generate(plan_outline(g), mock_gateway, case_id="case_001")
         assert a.text == b.text
 
     def test_degenerate_graph_is_lead_plus_tail(self):
@@ -295,6 +295,6 @@ class TestGenerate:
                 return variables["draft"] + "\n\nFamily history included hypertension in the father."
             raise AssertionError(f"unexpected template {template_id}")
 
-        narrative = generate(g, FakeGateway(handler))
+        narrative = generate(plan_outline(g), FakeGateway(handler))
         assert narrative.text.startswith(GOOD_LEAD)
         assert narrative.text.endswith("Family history included hypertension in the father.")

@@ -68,7 +68,7 @@ class TestRaisingSteps:
         with pytest.raises(JudgeError) as info:
             judge_risk("orig", "a", "b", gw, random.Random(1))
         assert str(info.value) == "judge response unusable after 3 attempts: unparseable judgment"
-        assert _attempt_tags(gw) == ["1", "2", "3"]
+        assert _attempt_tags(gw) == [None, "2", "3"]
 
     def test_judge_propagates_gateway_error(self):
         gw = FakeGateway(lambda t, v: _down(t))
@@ -81,7 +81,7 @@ class TestRaisingSteps:
         with pytest.raises(NarrationError) as info:
             narrate_lead(plan_outline(minimal_graph()), gw)
         assert str(info.value) == "lead paragraph rejected after 3 attempts: first/second person"
-        assert _attempt_tags(gw) == ["1", "2", "3"]
+        assert _attempt_tags(gw) == [None, "2", "3"]
 
     def test_lead_propagates_gateway_error(self):
         gw = FakeGateway(lambda t, v: _down(t))
@@ -102,7 +102,7 @@ class TestNarratorFallsBackOnGatewayError:
         assert text == narrate_history(outline, rejecting)
         assert "the patient experienced low mood" in text
         assert len(failing.calls) == 1
-        assert _attempt_tags(rejecting) == ["1", "2", "3"]
+        assert _attempt_tags(rejecting) == [None, "2", "3"]
 
     def test_tail(self):
         g = minimal_graph()
@@ -114,7 +114,7 @@ class TestNarratorFallsBackOnGatewayError:
         assert text == append_tail("Original draft.", outline, rejecting)
         assert text == "Original draft.\n\nFamily history included mother with depression."
         assert len(failing.calls) == 1
-        assert _attempt_tags(rejecting) == ["1", "2", "3"]
+        assert _attempt_tags(rejecting) == [None, "2", "3"]
 
 
 # --- perturbation audit lines ------------------------------------------------
@@ -196,11 +196,11 @@ _FALLBACK_STEPS = [
 
 @pytest.mark.parametrize("step,template,reply,reason,fallback", _FALLBACK_STEPS)
 def test_perturbation_gateway_failure_is_audited_and_stops(step, template, reply, reason, fallback):
-    gw = FakeGateway(lambda t, v: reply if v["attempt"] == "1" else _down(t))
+    gw = FakeGateway(lambda t, v: reply if v.get("attempt") is None else _down(t))
     entry = step(gw)
     expected = fallback([f"attempt 1: {reason}", f"attempt 2: gateway failure: [{template}] backend down"])
     assert list(entry.items()) == list(expected.items())
-    assert _attempt_tags(gw) == ["1", "2"]
+    assert _attempt_tags(gw) == [None, "2"]
 
 
 @pytest.mark.parametrize("step,template,reply,reason,fallback", _FALLBACK_STEPS)
@@ -209,7 +209,7 @@ def test_perturbation_exhaustion_audits_every_attempt(step, template, reply, rea
     entry = step(gw)
     expected = fallback([f"attempt {n}: {reason}" for n in (1, 2, 3)])
     assert list(entry.items()) == list(expected.items())
-    assert _attempt_tags(gw) == ["1", "2", "3"]
+    assert _attempt_tags(gw) == [None, "2", "3"]
 
 
 # --- one reader of mapping replies -------------------------------------------
@@ -360,8 +360,8 @@ class TestStebExtraFields:
 
     def test_extra_fields_entry_precedes_the_same_attempts_rejection(self):
         copy = {"situation": "at home", "emotion": "sad", "behavior": "left early"}
-        replies = {"1": yaml.safe_dump(copy), "2": yaml.safe_dump({"situation": "on a train", "emotion": "tense"})}
-        gw = FakeGateway(lambda t, v: replies[v["attempt"]])
+        replies = {None: yaml.safe_dump(copy), "2": yaml.safe_dump({"situation": "on a train", "emotion": "tense"})}
+        gw = FakeGateway(lambda t, v: replies[v.get("attempt")])
         _, audits = rewrite_steb_contexts(minimal_graph(), gw, _CFG)
         assert audits[0]["rejected"] == [
             "attempt 1: extra fields dropped: ['behavior']",
@@ -409,3 +409,25 @@ def test_only_validated_call_loops_over_attempts():
                 offenders.append(f"{path.relative_to(src_dir)}:{line}")
     assert offenders == []
     assert _attempt_loops(helper)
+
+
+def test_only_validated_call_and_the_unchecked_baselines_call_a_gateway():
+    # Every checked reply is read through `validated_call`; the baselines'
+    # rewrites are the only replies taken unchecked.
+    src_dir = Path(anonpsy.__file__).parent
+    sites = []
+
+    def visit(node: ast.AST, module: str, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "call":
+                sites.append(f"{module}:{owner}")
+            visit(child, module, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    for path in sorted(src_dir.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.relative_to(src_dir).as_posix(), "<module>")
+    assert sites == [
+        "baselines.py:sdc_rewrite",
+        "baselines.py:llm_only",
+        "baselines.py:llm_only",
+        "gateway.py:validated_call",
+    ]
