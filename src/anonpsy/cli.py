@@ -71,8 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _report(result: StageResult) -> int:
     for case_id in result.succeeded:
-        skipped = result.skipped.get(case_id)
-        print(f"{result.stage}: {case_id}: ok" + (f" (unchanged, skipped: {', '.join(skipped)})" if skipped else ""))
+        notes = [
+            f"{label}: {', '.join(rows[case_id])}"
+            for label, rows in (("unchanged, skipped", result.skipped), ("degraded", result.degraded))
+            if case_id in rows
+        ]
+        print(f"{result.stage}: {case_id}: ok" + (f" ({'; '.join(notes)})" if notes else ""))
     for case_id, error in sorted(result.failed.items()):
         print(f"{result.stage}: {case_id}: FAILED: {error}", file=sys.stderr)
     return EXIT_OK if result.ok else EXIT_CASE_FAILURES

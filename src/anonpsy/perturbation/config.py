@@ -5,13 +5,16 @@ extend them without code changes. The packaged files are read once per
 process. A config's `feasibility_rules` / `test_value_pools` file is read and
 checked once, by `PerturbConfig.from_dict`, and its tables become the
 config's `rules` / `pools`, so the config digest covers their contents.
+`setting` declares a config-file key on its field, here and in `RunConfig`,
+and `check_settings` checks every declared key of a config.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -23,40 +26,72 @@ CONSTRAINT_KINDS = ("min_present_age", "max_onset_age", "required_sex")
 SEXES = ("male", "female")  # the values a required_sex rule may pin
 
 
+class ConfigError(ValueError):
+    """A config value the program cannot use; the CLI exits 2 on it."""
+
+
+def setting(default, section: str | None = None, bound: str | tuple[str, ...] | None = None):
+    """A field a config-file key sets: its default, the file section holding the key (None: the
+    top level), and its bound (">= 1", "[0, 2]", "(0, 1]") or its choices."""
+    return field(default=default, metadata={"section": section, "bound": bound})
+
+
+@functools.cache
+def settings(cls) -> tuple[tuple[str, str, typing.Any, str | tuple[str, ...] | None], ...]:
+    """(field name, config-file key, type, bound) of each setting of cls; the slow type hints resolved once."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, ".".join(filter(None, (f.metadata["section"], f.name))), hints[f.name], f.metadata["bound"])
+        for f in fields(cls)
+        if "section" in f.metadata
+    )
+
+
+def check_settings(config) -> None:
+    """Refuse a setting whose value is not of its field's type or lies outside its bound or choices.
+
+    An int does for a float, a bool is never a number, and None does only where the type takes it.
+    """
+    for name, key, hint, bound in settings(type(config)):
+        value, kinds = getattr(config, name), typing.get_args(hint) or (hint,)
+        if value is None and type(None) in kinds:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kinds[0] is float else kinds[0]):
+            kind = {int: "an integer", float: "a number", str: "a string"}[kinds[0]]
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        if isinstance(bound, tuple) and value not in bound:
+            raise ConfigError(f"{key} must be {' or '.join(bound)}, got {value!r}")
+        if isinstance(bound, str) and bound.startswith(">= ") and not value >= float(bound[3:]):
+            raise ConfigError(f"{key} must be {bound}")
+        if isinstance(bound, str) and bound[0] in "[(":
+            low, high = (float(end) for end in bound[1:-1].split(","))
+            above = low < value if bound[0] == "(" else low <= value
+            below = value < high if bound[-1] == ")" else value <= high
+            if not (above and below):
+                raise ConfigError(f"{key} must be in {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class PerturbConfig:
-    age_offset_bound_years: int = 3
-    sex_flip_probability: float = 0.5
-    steb_window_size: int = 3
-    similarity_threshold: float = 0.85
-    max_retries: int = 3
+    age_offset_bound_years: int = setting(3, "perturb", ">= 1")
+    sex_flip_probability: float = setting(0.5, "perturb", "[0, 1]")
+    steb_window_size: int = setting(3, "perturb", ">= 1")
+    similarity_threshold: float = setting(0.85, "perturb", "(0, 1)")
+    max_retries: int = setting(3, "perturb", ">= 1")
     seed: int = 0  # set from the run's seed by RunConfig
     rules: tuple[FeasibilityRule, ...] = field(default_factory=lambda: load_feasibility_rules(), repr=False)
     pools: tuple[TestValuePool, ...] = field(default_factory=lambda: load_test_value_pools(), repr=False)
 
     def __post_init__(self) -> None:
-        if self.age_offset_bound_years < 1:
-            raise ValueError("age_offset_bound_years must be positive")
-        if not 0.0 <= self.sex_flip_probability <= 1.0:
-            raise ValueError("sex_flip_probability must be in [0, 1]")
-        if self.steb_window_size < 1:
-            raise ValueError("steb_window_size must be positive")
-        if not 0.0 < self.similarity_threshold < 1.0:
-            raise ValueError("similarity_threshold must be in (0, 1)")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be positive")
+        check_settings(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PerturbConfig":
-        """The config's perturb section; a table file it names is read and checked here."""
+        """The config's perturb section, its keys checked by load_config; a table file it names is read here."""
         if "seed" in doc:
             raise ValueError("perturb.seed is not a key: the top-level seed drives the perturbation")
-        known = set(cls.__dataclass_fields__) - {"seed", "rules", "pools"} | set(_TABLE_KEYS)  # type: ignore[attr-defined]
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown perturb config keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in doc.items() if k not in _TABLE_KEYS}
-        for key, (name, parse) in _TABLE_KEYS.items():
+        kwargs = {k: v for k, v in doc.items() if k not in TABLE_KEYS}
+        for key, (name, parse) in TABLE_KEYS.items():
             if doc.get(key):
                 kwargs[name] = _read_table(key, str(doc[key]), parse)
         return cls(**kwargs)
@@ -189,4 +224,4 @@ def _read_table(key: str, path: str, parse):
 
 
 # YAML keys of the perturb section that name a table file, and the field each fills.
-_TABLE_KEYS = {"feasibility_rules": ("rules", _rules), "test_value_pools": ("pools", _pools)}
+TABLE_KEYS = {"feasibility_rules": ("rules", _rules), "test_value_pools": ("pools", _pools)}

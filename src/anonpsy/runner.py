@@ -78,8 +78,8 @@ class StageResult:
     failed: dict[str, str] = field(default_factory=dict)
     # case id -> the rows it skipped because their trace matched
     skipped: dict[str, list[str]] = field(default_factory=dict)
-    # the succeeded cases for which a step fell back on a failed model call
-    degraded: list[str] = field(default_factory=list)
+    # case id -> the rows in which a step fell back on a failed model call
+    degraded: dict[str, list[str]] = field(default_factory=dict)
     # case id -> the product of the last row, for each succeeded case
     products: dict[str, Any] = field(default_factory=dict, repr=False)
 
@@ -428,12 +428,14 @@ def run_stage(
                 else:
                     by_stage[name].failed[case_id] = result.failed[case_id] = error
             for name in degraded:
-                by_stage[name].degraded.append(case_id)
+                by_stage[name].degraded[case_id] = [name]
             if case_id not in result.failed:
                 result.succeeded.append(case_id)
                 result.products[case_id] = product
             if skipped:
                 result.skipped[case_id] = skipped
+            if degraded:
+                result.degraded[case_id] = degraded
             merged = {name: t for name, t in {**recorded.get(case_id, {}), **traces}.items() if t is not None}
             if merged:
                 provenance[case_id] = merged

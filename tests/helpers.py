@@ -508,8 +508,8 @@ def package_digest() -> str:
     return h.hexdigest()
 
 
-def assert_provenance(run_dir) -> None:
-    """Every provenance entry in run_dir's manifest matches the files on disk.
+def assert_provenance(run_dir, rows=None, cases=None) -> None:
+    """Every provenance entry in run_dir's manifest, or each of the given rows and cases, matches the files on disk.
 
     Each trace is derived again from the recipe in the README: the first 32
     hex digits of SHA-256 over the row name, the case id, the base key, and
@@ -525,9 +525,13 @@ def assert_provenance(run_dir) -> None:
     prompts = (f"{name}={h}" for name, h in sorted(doc["prompt_assets"].items()))
     base = trace(doc["config_digest"], *prompts, package_digest())
     for case_id, entries in doc.get("provenance", {}).items():
+        if cases is not None and case_id not in cases:
+            continue
         assert entries, f"{case_id}: an empty provenance entry"
         case_dir = run_dir / case_id
         for name, recorded in entries.items():
+            if rows is not None and name not in rows:
+                continue
             stage = runner.STAGES.get(name)
             assert stage and stage.outputs + stage.side_outputs, f"{case_id}: {name} is not a traced row"
             for file in stage.outputs:

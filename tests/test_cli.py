@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import os
 import shutil
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from anonpsy.cli import main
 from anonpsy.config import ConfigError, RunConfig, load_config
 from anonpsy.fileio import write_atomic
 from anonpsy.gateway import MockBackend
+from anonpsy.perturbation.config import PerturbConfig, settings
 from anonpsy.runner import (
     BASELINE_NAMES,
     UsageError,
@@ -115,6 +118,24 @@ class TestRunCommand:
         (tmp_path / template).rename(fixtures / template)
         assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 0
         assert _tree(out_dir) == _tree(clean)
+
+    def test_a_case_that_fell_back_on_a_failed_call_says_so(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        config = _write_config(tmp_path, gateway={"backend": "mock", "fixtures_dir": str(fixtures)})
+        (fixtures / "identity_fields").rename(tmp_path / "identity_fields")
+        out_dir = tmp_path / "run"
+        for command in (["convert", str(CORPUS_DIR)], ["perturb"], ["generate"]):
+            capsys.readouterr()
+            assert main([*command, str(out_dir), "--config", str(config)]) == 0
+            row = command[0]
+            degraded = yaml.safe_load((out_dir / "run_manifest.yaml").read_text())["stages"][row].get("degraded", [])
+            assert capsys.readouterr().out.splitlines() == [
+                f"{row}: {case_id}: ok" + (f" (degraded: {row})" if case_id in degraded else "")
+                for case_id in ("case_001", "case_002", "case_003")
+            ]
+        # With the identity fields kept, generate asks for sentences the fixtures hold for one case only.
+        assert degraded == ["case_001", "case_002"]
 
     def test_staged_commands_match_run(self, tmp_path):
         config = _write_config(tmp_path)
@@ -223,6 +244,21 @@ class TestBaselineAndEval:
         assert "deid.txt" in capsys.readouterr().err
 
 
+def _kinds(hint) -> tuple:
+    return typing.get_args(hint) or (hint,)
+
+
+def _wrong_values():
+    """(key, value) for each declared setting and each wrong type it may be given: a bool for any
+    setting, a string for a number, a float for an integer and a number for a string."""
+    for cls in (RunConfig, PerturbConfig):
+        for _, key, hint, _ in settings(cls):
+            kind = _kinds(hint)[0]
+            yield key, True
+            yield from [(key, "3")] if kind in (int, float) else [(key, 5)]
+            yield from [(key, 2.5)] if kind is int else []
+
+
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", str(CORPUS_DIR), str(tmp_path / "out"), "--config", str(tmp_path / "nope.yaml")])
@@ -259,6 +295,17 @@ class TestUsageErrors:
         out_dir = tmp_path / "out"
         assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(("key", "value"), [pytest.param(k, v, id=f"{k}={v!r}") for k, v in _wrong_values()])
+    def test_a_setting_of_the_wrong_type_exits_two_before_any_case(self, tmp_path, capsys, key, value):
+        section, _, name = key.rpartition(".")
+        doc = {"gateway": dict(_MOCK)}
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+        config = _write_config(tmp_path, **doc)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -316,6 +363,28 @@ class TestConfigLoading:
         path.write_text(yaml.safe_dump({"mystery": {}}))
         with pytest.raises(ConfigError, match="mystery"):
             load_config(path)
+
+    def test_the_readme_settings_table_is_the_declared_settings(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = readme.index("| Key | Type | Default | Bound or choices |") + 2
+        table = []
+        for line in readme[start:]:
+            if not line.startswith("|"):
+                break
+            table.append([cell.strip() for cell in line.strip("|").split("|")])
+        declared = []
+        for cls in (RunConfig, PerturbConfig):
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            for name, key, hint, bound in settings(cls):
+                kinds = _kinds(hint)
+                kind = {int: "integer", float: "number", str: "string"}[kinds[0]]
+                default = "unset" if defaults[name] is None else f"`{defaults[name]}`"
+                if isinstance(bound, tuple):
+                    choices = ", ".join(f"`{c}`" for c in bound)
+                else:
+                    choices = f"`{bound}`" if bound else ""
+                declared.append([f"`{key}`", kind + (" or null" if type(None) in kinds else ""), default, choices])
+        assert table == declared
 
     def test_digest_stable_and_sensitive(self, tmp_path):
         config_path = _write_config(tmp_path)
