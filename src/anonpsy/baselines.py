@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from .gateway import LlmGateway, temperature_for
+from .gateway import LlmGateway
 
 # NER backend protocol: text -> [(start, end, label)], labels PERSON/LOC/GPE/ORG.
 NerBackend = Callable[[str], list[tuple[int, int, str]]]
@@ -95,14 +95,5 @@ def llm_only(text: str, gw: LlmGateway) -> str:
     """Two-stage rewrite: constrained clinical rewrite, then self-critique."""
     if not text.strip():
         raise ValueError("cannot rewrite an empty narrative")
-    draft = gw.call(
-        "llm_only_rewrite",
-        {"case_text": text},
-        temperature=temperature_for("llm_only_rewrite"),
-    ).strip()
-    final = gw.call(
-        "llm_only_critique",
-        {"draft_text": draft},
-        temperature=temperature_for("llm_only_critique"),
-    ).strip()
-    return final
+    draft = gw.call("llm_only_rewrite", {"case_text": text}).strip()
+    return gw.call("llm_only_critique", {"draft_text": draft}).strip()

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -44,8 +45,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # A request's temperature keys the response cache by its repr: 1 and 1.0 are one setting.
-        # Stored before the check, so a bound error names the value as stored.
-        if type(self.sdc_temperature) is int:
+        # Stored before the check, so a bound error names the value as stored. An int too large for a
+        # float is kept: it lies outside the bound, and the check names it as given.
+        if type(self.sdc_temperature) is int and abs(self.sdc_temperature) <= sys.float_info.max:
             object.__setattr__(self, "sdc_temperature", float(self.sdc_temperature))
         check_settings(self)
         if self.backend == "mock" and not self.fixtures_dir:

@@ -82,7 +82,7 @@ class ConverterDraft:
 
 def _structured_call(gw: LlmGateway, template_id: str, variables: dict[str, str], case_id: str, stage: str) -> dict:
     """Call the gateway and parse a YAML mapping, retrying with an attempt tag."""
-    out = validated_call(gw, template_id, variables, reply_mapping, operator="convert")
+    out = validated_call(gw, template_id, variables, reply_mapping)
     return out.get(
         lambda reason: ConversionError(case_id, stage, f"unparseable structured response after retries: {reason}")
     )

@@ -50,7 +50,6 @@ def judge_risk(
     candidate_b: str,
     gw: LlmGateway,
     rng: random.Random,
-    model: str | None = None,
 ) -> JudgeResult:
     """Compare two de-identified versions of the same case.
 
@@ -64,8 +63,6 @@ def judge_risk(
         "judge_risk",
         {"original": original, "version_a": presented_a, "version_b": presented_b},
         _parse_judgment,
-        temperature=0.0,
-        model=model,
     )
     choice, score_a, score_b = out.get(
         lambda reason: JudgeError(f"judge response unusable after {VALIDATED_ATTEMPTS} attempts: {reason}")

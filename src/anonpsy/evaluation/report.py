@@ -15,7 +15,6 @@ import csv
 import io
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..converter import CaseNarrative
 from ..gateway import GatewayError, LlmGateway, validated_call
@@ -33,14 +32,6 @@ from .stats import (
     mcnemar,
     wilcoxon_signed_rank,
 )
-
-VARIANT_FILES = {
-    "anonpsy": "deid.txt",
-    "phi": "baseline.phi.txt",
-    "sdc": "baseline.sdc.txt",
-    "llm_only": "baseline.llm_only.txt",
-}
-
 
 @dataclass
 class VariantMetrics:
@@ -119,7 +110,7 @@ class EvalReport:
         return buf.getvalue()
 
 
-def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, kind: type, what: str, model):
+def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, kind: type, what: str):
     """Field `key` of the judge model's YAML reply; any other reply is a `GatewayError`.
 
     A reply that is no mapping names the reason `reply_mapping` gives.
@@ -129,23 +120,21 @@ def _reply_field(gw: LlmGateway, template_id: str, variables: dict, key: str, ki
         doc = reply_mapping(text, reject)
         return doc[key] if doc is not None and isinstance(doc.get(key), kind) else None
 
-    out = validated_call(gw, template_id, variables, read, attempts=1, temperature=0.0, model=model)
+    out = validated_call(gw, template_id, variables, read)
     return out.get(
         lambda reason: GatewayError(template_id, f"response is not {what} mapping" + (f": {reason}" if reason else ""))
     )
 
 
-def _predict_diagnoses(gw: LlmGateway, narrative: str, case_id: str, variant: str, model: str | None) -> list[str]:
+def _predict_diagnoses(gw: LlmGateway, narrative: str, case_id: str, variant: str) -> list[str]:
     variables = {"case_id": case_id, "variant": variant, "narrative": narrative}
-    diagnoses = _reply_field(gw, "predict_diagnoses", variables, "diagnoses", list, "a diagnoses", model)
+    diagnoses = _reply_field(gw, "predict_diagnoses", variables, "diagnoses", list, "a diagnoses")
     return [str(d) for d in diagnoses if str(d).strip()]
 
 
-def _judge_acceptability(
-    gw: LlmGateway, narrative: str, gold: list[str], case_id: str, variant: str, model: str | None
-) -> bool:
+def _judge_acceptability(gw: LlmGateway, narrative: str, gold: list[str], case_id: str, variant: str) -> bool:
     variables = {"case_id": case_id, "variant": variant, "narrative": narrative, "diagnoses": "; ".join(gold)}
-    return _reply_field(gw, "diagnosis_acceptability", variables, "acceptable", bool, "an acceptability", model)
+    return _reply_field(gw, "diagnosis_acceptability", variables, "acceptable", bool, "an acceptability")
 
 
 def run_eval(cases: list[CaseEval]) -> EvalReport:
@@ -154,28 +143,17 @@ def run_eval(cases: list[CaseEval]) -> EvalReport:
 
 
 def eval_case(
-    narrative: CaseNarrative,
-    case_dir: Path,
-    gw: LlmGateway,
-    embedder,
-    match_threshold: float,
-    judge_model: str | None,
-    seed: int,
+    narrative: CaseNarrative, texts: dict[str, str], gw: LlmGateway, embedder, match_threshold: float, seed: int
 ) -> CaseEval:
-    """Score the original and every variant file case_dir holds against the case's gold diagnoses."""
+    """Score the original and each variant's text (variant -> text) against the case's gold diagnoses."""
     case_id, original = narrative.case_id, narrative.text
     gold = canonical_label_set(narrative.ground_truth_diagnoses)
     case = CaseEval(case_id=case_id, gold=gold)
-
-    texts: dict[str, str] = {"original": original}
-    for variant, filename in VARIANT_FILES.items():
-        path = case_dir / filename
-        if path.is_file():
-            texts[variant] = path.read_text(encoding="utf-8")
+    texts = {"original": original, **texts}
 
     original_vector = embedder.embed(original)
     for variant, text in texts.items():
-        predicted_raw = _predict_diagnoses(gw, text, case_id, variant, judge_model)
+        predicted_raw = _predict_diagnoses(gw, text, case_id, variant)
         predicted = canonical_label_set(predicted_raw)
         score = soft_f1(predicted, gold, threshold=match_threshold)
         cos = (
@@ -185,7 +163,7 @@ def eval_case(
         )
         acceptable = None
         if gold:
-            acceptable = _judge_acceptability(gw, text, gold, case_id, variant, judge_model)
+            acceptable = _judge_acceptability(gw, text, gold, case_id, variant)
         case.variants[variant] = VariantMetrics(
             cosine=cos, soft_f1=score, predicted=predicted, acceptable=acceptable
         )
@@ -193,7 +171,7 @@ def eval_case(
     if "llm_only" in texts:
         rng = random.Random(f"{seed}:{case_id}:judge")
         try:
-            result = judge_risk(original, texts["anonpsy"], texts["llm_only"], gw, rng, model=judge_model)
+            result = judge_risk(original, texts["anonpsy"], texts["llm_only"], gw, rng)
         except JudgeError as exc:
             case.flags.append(f"risk judgment excluded: {exc}")
         else:

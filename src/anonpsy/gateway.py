@@ -1,12 +1,12 @@
 """Single client abstraction for every LLM-assisted step.
 
-All operators go through one gateway that handles the per-operator
-temperature policy, transparent response caching, bounded retries with
-exponential backoff, and backend selection. The mock backend resolves
-requests against an on-disk fixture directory and fails loudly on misses,
-which keeps the whole pipeline byte-reproducible offline. `validated_call`
-is the one loop that retries a model step until its validator accepts a
-reply.
+All operators go through one gateway that owns how each template is called
+(`CALL_POLICIES`: its temperature, and whether the judge model answers it),
+transparent response caching, bounded retries with exponential backoff, and
+backend selection. The mock backend resolves requests against an on-disk
+fixture directory and fails loudly on misses, which keeps the whole pipeline
+byte-reproducible offline. `validated_call` is the one loop that retries a
+model step until its validator accepts a reply.
 """
 
 from __future__ import annotations
@@ -27,27 +27,41 @@ from typing import Any, Callable, Iterator
 from . import prompts
 from .fileio import write_atomic
 
-# Decoding temperatures per operator. Conversion and generation run cold for
-# schema stability; perturbation runs warm for semantic diversity.
-OPERATOR_TEMPERATURES = {
-    "convert": 0.1,
-    "perturb": 0.7,
-    "generate": 0.1,
-    "llm_only_rewrite": 0.2,
-    "llm_only_critique": 0.0,
+
+@dataclass(frozen=True)
+class CallPolicy:
+    temperature: float
+    judge: bool = False  # answered by the gateway's judge model
+
+
+# How each template is called. Conversion and generation run cold for schema
+# stability; perturbation runs warm for semantic diversity; the judge runs
+# greedy. `sdc_rewrite` has no row: its temperature is the
+# `baselines.sdc_temperature` setting, which its caller passes.
+CALL_POLICIES = {
+    "extract_entities": CallPolicy(0.1),
+    "extract_episodes": CallPolicy(0.1),
+    "causal_pass": CallPolicy(0.1),
+    "identity_fields": CallPolicy(0.7),
+    "visit_rewrite": CallPolicy(0.7),
+    "steb_rewrite": CallPolicy(0.7),
+    "mse_align": CallPolicy(0.7),
+    "lead_paragraph": CallPolicy(0.1),
+    # Episode sentences run slightly warmer than the rest of generation to avoid rote phrasing.
+    "steb_sentence": CallPolicy(0.2),
+    "tail_append": CallPolicy(0.1),
+    "llm_only_rewrite": CallPolicy(0.2),
+    "llm_only_critique": CallPolicy(0.0),
+    "predict_diagnoses": CallPolicy(0.0, judge=True),
+    "diagnosis_acceptability": CallPolicy(0.0, judge=True),
+    "judge_risk": CallPolicy(0.0, judge=True),
 }
 
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
-# Model calls per validated step of the converter, the narrator and the
-# judge; perturbation steps take theirs from `PerturbConfig.max_retries`.
+# Model calls per validated step outside perturbation; perturbation steps take
+# theirs from `PerturbConfig.max_retries`.
 VALIDATED_ATTEMPTS = 3
-
-
-def temperature_for(operator: str) -> float:
-    if operator not in OPERATOR_TEMPERATURES:
-        raise KeyError(f"unknown operator {operator!r}")
-    return OPERATOR_TEMPERATURES[operator]
 
 
 class GatewayError(RuntimeError):
@@ -208,9 +222,11 @@ class LlmGateway:
         retries: int = DEFAULT_RETRIES,
         backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
         sleep=time.sleep,
+        judge_model: str | None = None,
     ):
         self.backend = backend
         self.model = model
+        self.judge_model = judge_model or model
         self.cache_dir = os.fspath(cache_dir) if cache_dir else None
         self.retries = retries
         self.backoff_seconds = backoff_seconds
@@ -218,41 +234,27 @@ class LlmGateway:
 
     # -- request construction -------------------------------------------
 
-    def request(
-        self,
-        template_id: str,
-        variables: dict[str, str],
-        operator: str | None = None,
-        temperature: float | None = None,
-        seed: int | None = None,
-        model: str | None = None,
-    ) -> ChatRequest:
+    def request(self, template_id: str, variables: dict[str, str], temperature: float | None = None) -> ChatRequest:
+        """The request for template_id: its temperature and model from CALL_POLICIES.
+
+        `temperature` is given only for a template without a policy row (`sdc_rewrite`).
+        """
+        policy = CALL_POLICIES.get(template_id)
         if temperature is None:
-            if operator is None:
-                raise ValueError("either operator or temperature must be given")
-            temperature = temperature_for(operator)
-        messages = prompts.render(template_id, variables)
+            if policy is None:
+                raise ValueError(f"template {template_id!r} has no call policy; give its temperature")
+            temperature = policy.temperature
         return ChatRequest(
             template_id=template_id,
-            messages=tuple(messages),
+            messages=tuple(prompts.render(template_id, variables)),
             temperature=temperature,
-            model=model or self.model,
-            seed=seed,
+            model=self.judge_model if policy is not None and policy.judge else self.model,
             variables=tuple(sorted((k, str(v)) for k, v in variables.items())),
         )
 
-    def call(
-        self,
-        template_id: str,
-        variables: dict[str, str],
-        operator: str | None = None,
-        temperature: float | None = None,
-        seed: int | None = None,
-        model: str | None = None,
-    ) -> str:
+    def call(self, template_id: str, variables: dict[str, str], temperature: float | None = None) -> str:
         """Render, complete, and return the model text."""
-        req = self.request(template_id, variables, operator, temperature, seed, model)
-        return self.complete(req).text
+        return self.complete(self.request(template_id, variables, temperature)).text
 
     # -- completion ------------------------------------------------------
 
@@ -350,7 +352,6 @@ def validated_call(
     variables: dict[str, str],
     check: Callable[[str, Callable[[str], None]], Any],
     attempts: int = VALIDATED_ATTEMPTS,
-    **options,
 ) -> Validated:
     """Call `gw.call` until `check` accepts a reply, at most `attempts` times.
 
@@ -370,7 +371,7 @@ def validated_call(
         out.attempts = attempt
         tagged = {**variables, "attempt": str(attempt)} if attempt > 1 else variables
         try:
-            text = gw.call(template_id, tagged, **options)
+            text = gw.call(template_id, tagged)
         except GatewayError as exc:
             reject(f"gateway failure: {exc}")
             out.error = exc

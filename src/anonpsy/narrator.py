@@ -422,7 +422,6 @@ def narrate_lead(outline: NarrativeOutline, gw: LlmGateway) -> str:
             "visit_episode": summary.visit_episode,
         },
         _lead_check,
-        operator="generate",
     )
     return out.get(
         lambda reason: NarrationError(f"lead paragraph rejected after {VALIDATED_ATTEMPTS} attempts: {reason}")
@@ -528,15 +527,12 @@ def _symptom_sentence(node: SymptomNode, phrase: str, gw: LlmGateway) -> str:
             return candidate
         return None
 
-    # Episode sentences run slightly warmer than the rest of the generation
-    # operator to avoid rote phrasing. A gateway failure falls back too.
+    # A gateway failure falls back too.
     out = validated_call(
         gw,
         "steb_sentence",
         {"node_id": node.id, "symptom": node.symptom, "time_phrase": phrase, "frame": frame_text(*node.contexts)},
         one_clean_sentence,
-        operator="generate",
-        temperature=0.2,
     )
     return out.value if out.value is not None else _fallback_symptom_sentence(node, phrase)
 
@@ -588,7 +584,6 @@ def append_tail(draft: str, outline: NarrativeOutline, gw: LlmGateway) -> str:
         "tail_append",
         {"draft": draft, "past_history": "; ".join(conditions), "family_history": family, "tests": tests},
         clean_tail,
-        operator="generate",
     )
     if out.value is not None:
         return out.value

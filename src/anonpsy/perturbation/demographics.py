@@ -191,7 +191,6 @@ def perturb_identity_fields(
         {"age": str(demo.age), "sex": demo.sex, "ethnicity": demo.ethnicity, "occupation": demo.occupation},
         proposal,
         attempts=cfg.max_retries,
-        operator="perturb",
     )
     if out.value is None:
         return demo.ethnicity, demo.occupation, {

@@ -100,7 +100,6 @@ def rewrite_visit_episode(
         },
         rewrite,
         attempts=cfg.max_retries,
-        operator="perturb",
     )
     if out.value is None:
         entry = {"step": "visit_episode", "rejected": out.rejected, "scaffold": scaffold, "fallback": "original kept"}
@@ -173,7 +172,6 @@ def rewrite_steb_contexts(
                 },
                 rewrite,
                 attempts=cfg.max_retries,
-                operator="perturb",
             )
             audit = {"step": "steb", "node_id": node.id, "frame": frame_index, "rejected": out.rejected}
             if out.value is None:
@@ -267,7 +265,6 @@ def align_mse(
         {"mental_status": source, "changes": changes, "thoughts": "\n".join(thoughts)},
         edit,
         attempts=cfg.max_retries,
-        operator="perturb",
     )
     if out.value is None:
         return source, {"step": "mse", "rejected": out.rejected, "fallback": "original kept"}

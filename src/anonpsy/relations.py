@@ -102,7 +102,7 @@ def add_causal_edges_llm(
     node_summary = "\n".join(f"- {n.id}: {node_name(n)}" for n in (*g.timed_nodes(), *g.diagnoses))
 
     variables = {"case_id": case_id, "narrative": narrative, "nodes": node_summary}
-    out = validated_call(gw, "causal_pass", variables, _causal_proposals, attempts=1, operator="convert")
+    out = validated_call(gw, "causal_pass", variables, _causal_proposals)
     if out.value is None:
         if warnings is not None and out.error is not None:
             warnings.append(f"causal pass skipped: {out.error}")

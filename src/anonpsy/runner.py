@@ -129,6 +129,7 @@ def build_gateway(config: RunConfig) -> LlmGateway:
         cache_dir=config.cache_dir,
         retries=config.retries,
         backoff_seconds=config.backoff_seconds,
+        judge_model=config.judge_model,
     )
 
 
@@ -199,11 +200,13 @@ def _llm_only(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple
 
 
 def _eval(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
+    texts = {
+        variant: (case_dir / file).read_text(encoding="utf-8")
+        for variant, file in VARIANT_FILES.items()
+        if (case_dir / file).is_file()
+    }
     config = shared.config
-    scores = eval_case(
-        narrative, case_dir, shared.gateway, shared.embedder, config.match_threshold, config.judge_model, config.seed
-    )
-    return (), scores
+    return (), eval_case(narrative, texts, shared.gateway, shared.embedder, config.match_threshold, config.seed)
 
 
 # Every per-case stage, keyed by its manifest name, in pipeline order: a stage
@@ -216,6 +219,13 @@ STAGES = {
     "baseline.sdc": Stage(None, ("baseline.sdc.txt",), _sdc),
     "baseline.llm_only": Stage(None, ("baseline.llm_only.txt",), _llm_only),
     "eval": Stage(tuple(CASE_INPUTS), (), _eval, requires=("deid.txt",)),
+}
+# The text eval scores per variant, beside the original: the file of the stage that writes it.
+VARIANT_FILES = {
+    "anonpsy": "deid.txt",
+    "phi": "baseline.phi.txt",
+    "sdc": "baseline.sdc.txt",
+    "llm_only": "baseline.llm_only.txt",
 }
 BASELINE_NAMES = tuple(name.removeprefix("baseline.") for name in STAGES if name.startswith("baseline."))
 PIPELINE = ("convert", "perturb", "generate")

@@ -139,19 +139,10 @@ def reconcile_node_intervals(g: SemanticGraph) -> SemanticGraph:
 
     Merged blocks materialize as fresh virtual durations (dvm_ ids); blocks
     consisting of a single source interval keep their id. Unreferenced pool
-    entries are dropped. The transformation is iterated to a fixed point and
-    preserves each node's covered day set exactly.
+    entries are dropped. Each node's covered day set is preserved exactly.
+    One pass reaches the fixed point: a node's maximal runs are disjoint and
+    non-adjacent, so a second pass returns its input.
     """
-    current = g
-    for _ in range(16):
-        nxt = _reconcile_once(current)
-        if nxt == current:
-            return current
-        current = nxt
-    raise TemporalError("reconciliation did not reach a fixed point")
-
-
-def _reconcile_once(g: SemanticGraph) -> SemanticGraph:
     pool = g.durations_by_id()
     counter = _next_virtual_counter(g)
     fresh: list[DurationInterval] = []

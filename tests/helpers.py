@@ -142,12 +142,26 @@ class FakeGateway:
         self.handler = handler
         self.calls: list[tuple[str, dict[str, str]]] = []
 
-    def call(self, template_id, variables, operator=None, temperature=None, seed=None, model=None):
+    def call(self, template_id, variables, temperature=None):
         self.calls.append((template_id, dict(variables)))
         out = self.handler(template_id, dict(variables))
         if isinstance(out, Exception):
             raise out
         return out
+
+
+class SpyBackend:
+    """A backend that records each request a real gateway sends it and answers with `reply(request)`."""
+
+    name = "mock"
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.requests = []
+
+    def complete(self, req):
+        self.requests.append(req)
+        return self.reply(req)
 
 
 # --- graph generators ----------------------------------------------------------

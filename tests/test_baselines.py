@@ -6,7 +6,7 @@ import pytest
 from anonpsy.baselines import llm_only, phi_mask, sdc_rewrite
 from anonpsy.gateway import LlmGateway, MockBackend
 
-from .helpers import FakeGateway
+from .helpers import FakeGateway, SpyBackend
 from .synthesis import CASE_001
 
 
@@ -72,7 +72,7 @@ class TestSdcRewrite:
         captured = {}
 
         class Spy(FakeGateway):
-            def call(self, template_id, variables, operator=None, temperature=None, seed=None, model=None):
+            def call(self, template_id, variables, temperature=None):
                 captured["temperature"] = temperature
                 return "rewritten"
 
@@ -82,15 +82,10 @@ class TestSdcRewrite:
 
 class TestLlmOnly:
     def test_two_stage_flow_and_temperatures(self):
-        seen = []
-
-        class Spy(FakeGateway):
-            def call(self, template_id, variables, operator=None, temperature=None, seed=None, model=None):
-                seen.append((template_id, temperature))
-                return "stage draft" if template_id == "llm_only_rewrite" else "final text"
-
-        result = llm_only("case body", Spy(None))
+        backend = SpyBackend(lambda req: "stage draft" if req.template_id == "llm_only_rewrite" else "final text")
+        result = llm_only("case body", LlmGateway(backend, model="m"))
         assert result == "final text"
+        seen = [(req.template_id, req.temperature) for req in backend.requests]
         assert seen == [("llm_only_rewrite", 0.2), ("llm_only_critique", 0.0)]
 
     def test_critique_may_return_draft_unchanged(self):

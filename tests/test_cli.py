@@ -119,6 +119,25 @@ class TestRunCommand:
         assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 0
         assert _tree(out_dir) == _tree(clean)
 
+    def test_an_unreadable_causal_reply_leaves_the_row_to_run_again(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        config = _write_config(tmp_path, gateway={"backend": "mock", "fixtures_dir": str(fixtures)})
+        clean, out_dir = tmp_path / "clean", tmp_path / "run"
+        assert main(["run", str(CORPUS_DIR), str(clean), "--config", str(config)]) == 0
+
+        # The one reply that proposes a causal edge comes back truncated; its retry finds no fixture.
+        [reply] = [p for p in (fixtures / "causal_pass").iterdir() if "source_id" in p.read_text()]
+        edges = reply.read_text()
+        reply.write_text("entities: [unclosed\n")
+        assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 0
+        manifest = yaml.safe_load((out_dir / "run_manifest.yaml").read_text())
+        assert manifest["stages"]["convert"].get("degraded") == ["case_002"]
+
+        reply.write_text(edges)
+        assert main(["run", str(CORPUS_DIR), str(out_dir), "--config", str(config)]) == 0
+        assert _tree(out_dir) == _tree(clean)
+
     def test_a_case_that_fell_back_on_a_failed_call_says_so(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"
         shutil.copytree(FIXTURES_DIR, fixtures)
@@ -214,7 +233,10 @@ class TestBaselineAndEval:
             "variant": "original",
             "narrative": (CORPUS_DIR / "case_002.txt").read_text(encoding="utf-8"),
         }
-        Path(MockBackend(fixtures).fixture_path("predict_diagnoses", variables)).write_text("diagnoses: [unclosed")
+        for tags in ({}, {"attempt": "2"}, {"attempt": "3"}):  # every attempt gets the malformed reply
+            Path(MockBackend(fixtures).fixture_path("predict_diagnoses", {**variables, **tags})).write_text(
+                "diagnoses: [unclosed"
+            )
 
         assert main(["eval", str(out_dir), "--config", str(config)]) == 1
         error = (
@@ -286,9 +308,22 @@ class TestUsageErrors:
             ({"gateway": {**_MOCK, "retries": 0}}, "gateway.retries must be >= 1"),
             ({"gateway": {**_MOCK, "retries": "3"}}, "gateway.retries must be an integer, got '3'"),
             ({"baselines": {"sdc_temperature": 5}}, "baselines.sdc_temperature must be in [0, 2], got 5.0"),
+            # No float holds it: the check, not the conversion to float, refuses it.
+            (
+                {"baselines": {"sdc_temperature": 10**400}},
+                f"baselines.sdc_temperature must be in [0, 2], got {10**400}",
+            ),
             ({"eval": {"match_threshold": 0}}, "eval.match_threshold must be in (0, 1], got 0"),
         ],
-        ids=["jobs-word", "seed-float", "retries-zero", "retries-string", "sdc-temperature-5", "match-threshold-0"],
+        ids=[
+            "jobs-word",
+            "seed-float",
+            "retries-zero",
+            "retries-string",
+            "sdc-temperature-5",
+            "sdc-temperature-10**400",
+            "match-threshold-0",
+        ],
     )
     def test_a_setting_it_cannot_use_exits_two_before_any_case(self, tmp_path, capsys, overrides, message):
         config = _write_config(tmp_path, **overrides)

@@ -308,7 +308,7 @@ class TestConvert:
         def handler(template_id, variables):
             if template_id == failing:
                 return MockFixtureMissing(template_id, "no mock fixture")
-            return mock_gateway.call(template_id, variables, operator="convert")
+            return mock_gateway.call(template_id, variables)
 
         case = _load_cases(corpus_dir)[0]
         with pytest.raises(MockFixtureMissing):

@@ -10,8 +10,8 @@ import anonpsy.runner as runner
 from anonpsy import prompts
 from anonpsy.evaluation import embedding
 from anonpsy.evaluation.judge import JudgeError, judge_risk
-from anonpsy.evaluation.report import VARIANT_FILES, CaseEval, VariantMetrics, run_eval
-from anonpsy.runner import UsageError, run_baseline, run_pipeline
+from anonpsy.evaluation.report import CaseEval, VariantMetrics, run_eval
+from anonpsy.runner import VARIANT_FILES, UsageError, run_baseline, run_pipeline
 from anonpsy.textproc import tokenize
 from tests.gen_fixtures import make_config
 

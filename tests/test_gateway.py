@@ -4,13 +4,15 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import anonpsy
-from anonpsy import prompts
+from anonpsy import prompts, runner
 from anonpsy.gateway import (
+    CALL_POLICIES,
     ChatRequest,
     GatewayError,
     HttpBackend,
@@ -19,9 +21,12 @@ from anonpsy.gateway import (
     MockFixtureMissing,
     TransientBackendError,
     cache_key,
-    temperature_for,
     variables_digest,
 )
+from tests.gen_fixtures import make_config
+
+from .conftest import CORPUS_DIR
+from .helpers import SpyBackend
 
 # Pinned hashes of the two-stage rewrite prompt assets; any edit must be
 # deliberate and reviewed, since those texts are fixed.
@@ -29,23 +34,25 @@ LLM_ONLY_REWRITE_SHA256 = "600577475552dac547060592a21b8380e0f0b5c443837cae22f90
 LLM_ONLY_CRITIQUE_SHA256 = "2946995265d7384117ee435184e59e84f0d7999b9a4f6c6914553cf782ba46c5"
 
 
-class TestTemperaturePolicy:
-    @pytest.mark.parametrize(
-        "operator,expected",
-        [
-            ("convert", 0.1),
-            ("perturb", 0.7),
-            ("generate", 0.1),
-            ("llm_only_rewrite", 0.2),
-            ("llm_only_critique", 0.0),
-        ],
-    )
-    def test_operator_table(self, operator, expected):
-        assert temperature_for(operator) == expected
+class TestCallPolicy:
+    def test_every_template_but_sdc_rewrite_has_one_row(self):
+        assert sorted(CALL_POLICIES) == [t for t in prompts.list_templates() if t != "sdc_rewrite"]
 
-    def test_unknown_operator(self):
-        with pytest.raises(KeyError):
-            temperature_for("summarize")
+    def test_the_judge_model_answers_the_judge_templates_and_the_model_every_other(self, tmp_path, monkeypatch):
+        config = replace(make_config(), judge_model="judge-x")
+        gateway = runner.build_gateway(config)
+        gateway.backend = SpyBackend(gateway.backend.complete)
+        monkeypatch.setattr(runner, "build_gateway", lambda _config: gateway)
+        out_dir = tmp_path / "run"
+        assert runner.run_pipeline(CORPUS_DIR, out_dir, config).ok
+        for name in runner.BASELINE_NAMES:
+            assert runner.run_baseline(name, CORPUS_DIR, out_dir, config).ok
+        assert runner.run_evaluation(out_dir, config).ok
+        models = {}
+        for req in gateway.backend.requests:
+            models.setdefault(req.template_id, set()).add(req.model)
+        judged = {"predict_diagnoses", "diagnosis_acceptability", "judge_risk"}
+        assert models == {t: {"judge-x" if t in judged else config.model} for t in prompts.list_templates()}
 
 
 class TestPromptAssets:
@@ -311,15 +318,21 @@ class TestRequestConstruction:
         with pytest.raises(ValueError):
             _request(temperature=3.0)
 
-    def test_operator_policy_applied(self, tmp_path):
+    def test_call_policy_applied(self, tmp_path):
         gw = LlmGateway(MockBackend(tmp_path), model="m")
-        req = gw.request("sdc_rewrite", {"case_text": "text"}, operator="perturb")
-        assert req.temperature == 0.7
+        req = gw.request("llm_only_rewrite", {"case_text": "text"})
+        assert (req.temperature, req.model) == (0.2, "m")
 
     def test_explicit_temperature_overrides(self, tmp_path):
         gw = LlmGateway(MockBackend(tmp_path), model="m")
-        req = gw.request("sdc_rewrite", {"case_text": "text"}, operator="perturb", temperature=0.2)
-        assert req.temperature == 0.2
+        req = gw.request("llm_only_rewrite", {"case_text": "text"}, temperature=0.7)
+        assert req.temperature == 0.7
+
+    def test_a_template_without_a_policy_needs_a_temperature(self, tmp_path):
+        gw = LlmGateway(MockBackend(tmp_path), model="m")
+        with pytest.raises(ValueError, match="'sdc_rewrite' has no call policy"):
+            gw.request("sdc_rewrite", {"case_text": "text"})
+        assert gw.request("sdc_rewrite", {"case_text": "text"}, temperature=0.2).temperature == 0.2
 
 
 class TestHttpBackend:

@@ -99,6 +99,14 @@ class TestCausalPass:
         out = add_causal_edges_llm(self._graph(), narrative, gw)
         assert ("INDUCES", "ph_001", "dx_001") in {r.triple() for r in out.relations}
 
+    def test_an_unreadable_reply_is_asked_again(self):
+        narrative = "His symptoms began after the head injury."
+        edge = "edges:\n- source_id: ph_001\n  target_id: dx_001\n  evidence: began after the head injury\n"
+        gw = FakeGateway(lambda t, v: edge if v.get("attempt") == "2" else "entities: [unclosed")
+        out = add_causal_edges_llm(self._graph(), narrative, gw)
+        assert ("INDUCES", "ph_001", "dx_001") in {r.triple() for r in out.relations}
+        assert [v.get("attempt") for _, v in gw.calls] == [None, "2"]
+
     def test_fabricated_evidence_rejected(self):
         warnings: list[str] = []
         gw = FakeGateway(

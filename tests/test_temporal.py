@@ -128,7 +128,14 @@ class TestReconcile:
                 )
                 assert spans_after == maximal_runs(days_before)
                 assert day_set(spans_after) == days_before  # conservation
-            assert reconcile_node_intervals(out) == out  # idempotence
+
+    def test_one_pass_is_the_fixed_point(self):
+        rng = random.Random(4822)
+        for _ in range(100):
+            g = random_timed_graph(rng)
+            for graph in (g, dedup_durations(g)):
+                out = reconcile_node_intervals(graph)
+                assert reconcile_node_intervals(out) == out
 
     def test_unreferenced_durations_removed(self):
         g = minimal_graph()

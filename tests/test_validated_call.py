@@ -262,7 +262,7 @@ _MAPPING_STEPS = {
         lambda reason: [f"case tab, stage extract_entities: unparseable structured response after retries: {reason}"],
         3,
     ),
-    "causal_pass": (_causal, lambda reason: [f"causal pass returned an unparseable response ({reason}); ignored"], 1),
+    "causal_pass": (_causal, lambda reason: [f"causal pass returned an unparseable response ({reason}); ignored"], 3),
     "identity_fields": (lambda gw: _fallback(_identity(gw)), _exhausted("originals kept"), 3),
     "visit_rewrite": (lambda gw: _fallback(_visit(gw)), _exhausted("original kept"), 3),
     "steb_rewrite": (lambda gw: _fallback(_steb(gw)), _exhausted("original frame kept"), 3),
@@ -272,16 +272,16 @@ _MAPPING_STEPS = {
         3,
     ),
     "predict_diagnoses": (
-        lambda gw: _error(lambda: report._predict_diagnoses(gw, "Low mood.", "tab", "original", None), GatewayError),
+        lambda gw: _error(lambda: report._predict_diagnoses(gw, "Low mood.", "tab", "original"), GatewayError),
         lambda reason: [f"[predict_diagnoses] response is not a diagnoses mapping: {reason}"],
-        1,
+        3,
     ),
     "diagnosis_acceptability": (
         lambda gw: _error(
-            lambda: report._judge_acceptability(gw, "Low mood.", ["depression"], "tab", "original", None), GatewayError
+            lambda: report._judge_acceptability(gw, "Low mood.", ["depression"], "tab", "original"), GatewayError
         ),
         lambda reason: [f"[diagnosis_acceptability] response is not an acceptability mapping: {reason}"],
-        1,
+        3,
     ),
 }
 
@@ -297,8 +297,8 @@ def test_every_mapping_step_reads_a_bad_reply_alike(step, reply, reason):
     assert not any("\n" in line for line in outcome)  # one `attempt N: <reason>` line per rejection
 
 
-# The single-call steps, given a mapping whose field they cannot use: no
-# reason from `reply_mapping` to name.
+# The steps that word a bad field without a reason, given a mapping whose field
+# they cannot use: no reason from `reply_mapping` to name.
 _FIELD_FAULTS = {
     "causal_pass": ["causal pass returned an unparseable response; ignored"],
     "predict_diagnoses": ["[predict_diagnoses] response is not a diagnoses mapping"],
@@ -411,23 +411,48 @@ def test_only_validated_call_loops_over_attempts():
     assert _attempt_loops(helper)
 
 
-def test_only_validated_call_and_the_unchecked_baselines_call_a_gateway():
-    # Every checked reply is read through `validated_call`; the baselines'
-    # rewrites are the only replies taken unchecked.
+def _call_sites(name: str) -> list[tuple[str, ast.Call]]:
+    """("<module>:<innermost function>", call) of each call in src/ of a function or method named `name`."""
     src_dir = Path(anonpsy.__file__).parent
     sites = []
 
     def visit(node: ast.AST, module: str, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "call":
-                sites.append(f"{module}:{owner}")
+            called = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (getattr(called, "attr", None), getattr(called, "id", None)):
+                sites.append((f"{module}:{owner}", child))
             visit(child, module, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     for path in sorted(src_dir.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.relative_to(src_dir).as_posix(), "<module>")
+    return sites
+
+
+def test_only_validated_call_and_the_unchecked_baselines_call_a_gateway():
+    # Every checked reply is read through `validated_call`; the baselines'
+    # rewrites are the only replies taken unchecked.
+    sites = [site for site, _ in _call_sites("call")]
     assert sites == [
         "baselines.py:sdc_rewrite",
         "baselines.py:llm_only",
         "baselines.py:llm_only",
         "gateway.py:validated_call",
+    ]
+
+
+def test_the_gateway_alone_picks_each_call_s_temperature_model_and_attempts():
+    # CALL_POLICIES fixes each template's temperature and model; `sdc_rewrite`'s
+    # temperature is a setting. Only the perturbation steps set their attempts.
+    given = {
+        (site, keyword.arg)
+        for name in ("call", "request", "validated_call")
+        for site, call in _call_sites(name)
+        for keyword in call.keywords
+    }
+    assert sorted(given) == [
+        ("baselines.py:sdc_rewrite", "temperature"),
+        ("perturbation/demographics.py:perturb_identity_fields", "attempts"),
+        ("perturbation/narrative.py:align_mse", "attempts"),
+        ("perturbation/narrative.py:rewrite_steb_contexts", "attempts"),
+        ("perturbation/narrative.py:rewrite_visit_episode", "attempts"),
     ]

@@ -39,10 +39,10 @@ CASE_FILES = sorted({*runner.CASE_INPUTS, *(f for s in runner.STAGES.values() fo
 TEMPLATES = sorted(p.name for p in FIXTURES_DIR.iterdir())
 
 # The templates whose reply is read as a YAML mapping, and whose unreadable reply ends in a failure the
-# engine sees: a retry, which the fixtures do not hold, or, for the eval templates, a failed case. Not
-# causal_pass: it asks once and keeps the graph without causal edges when the reply is unreadable, as
-# it would for a model that proposes none.
+# engine sees: a retry, which the fixtures do not hold, so the step either fails its case or falls back
+# and leaves its row degraded, to run again.
 STRUCTURED = (
+    "causal_pass",
     "diagnosis_acceptability",
     "extract_entities",
     "extract_episodes",
