@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -53,12 +54,13 @@ from .gateway import HttpBackend, LlmGateway, MockBackend, collect_failures
 from .model import SemanticGraph
 from .narrator import generate, plan_outline
 from .perturbation import perturb
-from .yamlio import load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
+from .yamlio import json_dump, load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
 # A case's corpus entry, written into its directory by every stage that reads
 # the corpus, each file rendered from the narrative. A stage that finds them
-# changed removes what the other corpus stages made from the earlier input,
-# unless its matching trace shows the change was a hand edit.
+# changed removes what the other corpus stages made from the earlier input
+# before it writes them, unless its matching trace shows the change was a
+# hand edit.
 CASE_INPUTS = {
     "original.txt": lambda narrative: narrative.text,
     "meta.yaml": lambda narrative: safe_dump(
@@ -283,6 +285,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read(path: str) -> bytes | None:
+    """The bytes of the file at path; None when it is missing or unreadable."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError:
+        return None
+
+
 def _trace(*parts: str) -> str:
     """One trace: 32 hex digits over parts, which are names and digests."""
     return _digest("\0".join(parts).encode("utf-8"))[:32]
@@ -362,6 +373,8 @@ def run_stage(
         row's product."""
         first, source = starts[case_id]
         case_dir = out_dir / case_id
+        # A str path: pathlib passes every path part, here each file name, through sys.intern.
+        prefix = os.path.join(out_dir, case_id, "")
         ran: dict[str, str | None] = {}
         skipped: list[str] = []
         degraded: list[str] = []
@@ -371,10 +384,8 @@ def run_stage(
 
         def digest_of(file: str) -> str:
             if file not in digests:
-                try:
-                    digests[file] = _digest((case_dir / file).read_bytes())
-                except FileNotFoundError:
-                    digests[file] = "-"
+                data = _read(prefix + file)
+                digests[file] = "-" if data is None else _digest(data)
             return digests[file]
 
         for name in chain[first:]:
@@ -382,26 +393,34 @@ def run_stage(
             written = stage.outputs + stage.side_outputs
             try:
                 if stage.source is None:
-                    case_dir.mkdir(parents=True, exist_ok=True)
-                    inputs = [render(source) for render in CASE_INPUTS.values()]
-                    new_input = any([write_atomic(case_dir / f, text) for f, text in zip(CASE_INPUTS, inputs)])
+                    entry = {file: render(source) for file, render in CASE_INPUTS.items()}
+                    # Read once: these bytes decide both whether the entry is new and what to write.
+                    changed = [file for file, text in entry.items() if _read(prefix + file) != text.encode("utf-8")]
                 key = None
+                matched = False
                 if written:
                     input_digests = (
-                        [_digest(text.encode("utf-8")) for text in inputs]
+                        [_digest(text.encode("utf-8")) for text in entry.values()]
                         if stage.source is None
                         else [digest_of(stage.source)]
                     )
                     key = (name, case_id, base, *input_digests)
-                    if name in entries and entries[name] == _trace(*key, *map(digest_of, written)):
-                        ran[name] = None
-                        skipped.append(name)
-                        source = None  # not in memory: a later row that runs reads it from disk
-                        continue
-                # Not after a matching trace: it proves the other corpus outputs were made from this entry
-                # too, as a corpus row that writes another entry removes the other corpus rows' outputs and traces.
-                if stage.source is None and new_input:
-                    _remove(case_dir, STALE_ON_NEW_INPUT[name], traces)
+                    matched = name in entries and entries[name] == _trace(*key, *map(digest_of, written))
+                if stage.source is None and changed:
+                    # Remove what the other corpus rows made from the earlier entry before writing this one,
+                    # so that a command killed in between finds the entry new again. Not after a matching
+                    # trace: it proves the other corpus outputs were made from this entry too, as a corpus
+                    # row that writes another entry removes the other corpus rows' outputs and traces.
+                    if not matched:
+                        _remove(case_dir, STALE_ON_NEW_INPUT[name], traces)
+                    case_dir.mkdir(parents=True, exist_ok=True)
+                    for file in changed:
+                        write_atomic(prefix + file, entry[file])
+                if matched:
+                    ran[name] = None
+                    skipped.append(name)
+                    source = None  # not in memory: a later row that runs reads it from disk
+                    continue
                 # None: the first row of a file-selected case, or the row after a skipped one
                 if source is None and isinstance(stage.source, str):
                     source = parse_yaml((case_dir / stage.source).read_text(encoding="utf-8"))
@@ -410,7 +429,7 @@ def run_stage(
                 with collect_failures() as failures:
                     texts, source = stage.work(case_dir, source, shared)
                 for file, text in zip(stage.outputs, texts, strict=True):
-                    write_atomic(case_dir / file, text)
+                    write_atomic(prefix + file, text)
                 ran[name] = None
                 if failures:
                     degraded.append(name)
@@ -520,4 +539,4 @@ def _update_manifest(
     if provenance:  # none until a traced row has run here
         doc["provenance"] = provenance
     if doc != loaded:
-        write_atomic(out_dir / "run_manifest.yaml", safe_dump(doc, sort_keys=True))
+        write_atomic(out_dir / "run_manifest.yaml", json_dump(doc))

@@ -10,7 +10,10 @@ violations raise with the offending path.
 Every other YAML read and write of the program also goes through this module:
 `load_yaml` for YAML the program wrote or ships, `safe_load` for model replies
 and user files, `reply_mapping` for a model reply that must be a mapping, and
-`safe_dump` for the program's own documents.
+`safe_dump` for the program's own documents. One file is canonical JSON, which
+YAML reads as the same value: `run_manifest.yaml`, which every command loads
+and writes back, goes out through `json_dump` and is read by `load_yaml`
+through `json`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ _NUMBER_LIKE = re.compile(r"[-+]?\d+(\.\d+)?")
 # Characters JSON leaves raw but YAML either forbids (DEL, C1) or treats as
 # line breaks inside double-quoted scalars (NEL, LS, PS).
 _YAML_UNSAFE = re.compile("[\x7f-\x9f  ￾￿]")
+# The same, and lone surrogates, which UTF-8 cannot encode: a case directory
+# whose name is not UTF-8 puts them into the run manifest. `json` and pure
+# PyYAML read their escapes back; libyaml refuses them.
+_JSON_UNSAFE = re.compile("[\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
 
 
 # libyaml (PyYAML's C binding, when installed) is several times faster than
@@ -67,7 +74,17 @@ _RESOLVER = yaml.resolver.Resolver()
 
 
 def load_yaml(text: str):
-    """Load YAML the program itself wrote or packages, through libyaml if present."""
+    """Load YAML the program itself wrote or packages: JSON through `json`, the rest through libyaml if present.
+
+    A text that starts with `{` and is JSON is what `json_dump` wrote; any
+    other text, such as a block-YAML manifest of an earlier version or one
+    edited by hand, goes to libyaml.
+    """
+    if text.startswith("{"):
+        try:
+            return json.loads(text)
+        except ValueError:
+            pass  # a YAML flow mapping that is not JSON
     return yaml.load(text, Loader=_CLoader or yaml.SafeLoader)
 
 
@@ -189,14 +206,62 @@ def safe_dump(doc, *, sort_keys: bool = True, allow_unicode: bool = False) -> st
     return yaml.dump(doc, Dumper=dumper, sort_keys=sort_keys, allow_unicode=allow_unicode)
 
 
+def _json_reads_alike(doc) -> bool:
+    """True when YAML reads `doc` written as JSON as `json.loads` does.
+
+    Every key is a string of at most 128 characters: escaped, that stays
+    under the 1024 characters a YAML flow key may span (PyYAML's emitter
+    writes a longer key as `? key` for the same reason). Every scalar is a
+    string, an int, a bool or None: YAML 1.1 reads a float without a dot,
+    such as JSON's `1e-05`, as a string. No list or dict appears twice,
+    which also ends the walk on a cyclic document.
+    """
+    stack = [doc]
+    seen = set()
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is dict or kind is list:
+            if id(value) in seen:
+                return False
+            seen.add(id(value))
+            if kind is list:
+                stack.extend(value)
+                continue
+            for key in value:
+                if not (type(key) is str and len(key) <= 128):
+                    return False
+            stack.extend(value.values())
+        elif not (kind is str or value is None or kind is int or kind is bool):
+            return False
+    return True
+
+
+def json_dump(doc) -> str:
+    """`doc` as canonical JSON, which every YAML reader loads as the same value.
+
+    Keys sorted, 2-space indent, non-ASCII text as it is, a final newline.
+    DEL, C1, NEL, LS and PS are escaped as in `_quote`, because YAML forbids
+    the first two and reads the last three as line breaks; so are lone
+    surrogates (`_JSON_UNSAFE`). A document that `_json_reads_alike` refuses
+    is written by `safe_dump` as block YAML.
+    """
+    if not _json_reads_alike(doc):
+        return safe_dump(doc, sort_keys=True)
+    return _JSON_UNSAFE.sub(_escape, json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)) + "\n"
+
+
 def _plain_is_str(value: str) -> bool:
     """True when a plain scalar reads back as this string, not a bool, number or date."""
     return _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR_TAG
 
 
+def _escape(match: re.Match) -> str:
+    return "\\u%04x" % ord(match.group(0))
+
+
 def _quote(value: str) -> str:
-    out = json.dumps(value, ensure_ascii=False)
-    return _YAML_UNSAFE.sub(lambda m: "\\u%04x" % ord(m.group(0)), out)
+    return _YAML_UNSAFE.sub(_escape, json.dumps(value, ensure_ascii=False))
 
 
 def _scalar(value) -> str:

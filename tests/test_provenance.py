@@ -103,6 +103,19 @@ def test_a_manifest_with_equal_content_is_left_as_it_is(completed_run, tmp_path)
     assert manifest.read_text(encoding="utf-8") == reformatted
 
 
+def test_a_block_yaml_manifest_of_an_earlier_version_is_read_and_left_as_it_is(completed_run, tmp_path):
+    # Before the manifest was written as JSON, it was written as block YAML.
+    out_dir = tmp_path / "run"
+    shutil.copytree(completed_run, out_dir)
+    manifest = out_dir / "run_manifest.yaml"
+    block = runner.safe_dump(yaml.safe_load(manifest.read_text(encoding="utf-8")), sort_keys=True)
+    manifest.write_text(block, encoding="utf-8")
+    results = _workflow("run", CORPUS_DIR, out_dir, _config())
+    rows = [list(STAGED)] + [[name] for name in BASELINES]
+    assert [r.skipped for r in results] == [{case_id: skipped for case_id in CASE_IDS} for skipped in rows]
+    assert manifest.read_bytes() == block.encode("utf-8")
+
+
 def test_a_failed_row_drops_the_entries_of_what_it_removed(tmp_path, monkeypatch):
     config = _config()
     out_dir = tmp_path / "run"

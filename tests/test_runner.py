@@ -9,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import yaml
 
 import anonpsy
 import anonpsy.runner as runner
@@ -18,7 +19,8 @@ from anonpsy.gateway import LlmGateway, MockBackend
 from anonpsy.perturbation import config as perturb_tables
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
-from .helpers import assert_provenance, assert_same_typed, shared_containers
+from .helpers import SpyBackend, assert_provenance, assert_same_typed, shared_containers
+from .synthesis import synthesize
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
 
@@ -173,6 +175,37 @@ def test_changed_diagnoses_clear_the_baselines_at_convert(tmp_path):
     after = _tree(out_dir / "case_001")
     assert set(before) - set(after) == {f"baseline.{name}.txt" for name in runner.BASELINE_NAMES}
     assert b"dysthymia" in after["meta.yaml"]
+
+
+def test_a_run_killed_after_writing_a_new_entry_leaves_no_baseline_of_the_old_one(tmp_path, monkeypatch):
+    # Synthesized replies: the mock fixtures miss the edited narrative, so convert would fail and
+    # clear the case for that reason instead.
+    gateway = LlmGateway(SpyBackend(lambda req: synthesize(req.template_id, dict(req.variables))), model="mock-model")
+    monkeypatch.setattr(runner, "build_gateway", lambda _config: gateway)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    config = _config()
+    out_dir = tmp_path / "run"
+    _full_run(corpus, out_dir, config)
+    text = corpus / "case_001.txt"
+    text.write_text(text.read_text(encoding="utf-8") + "He returned for review a week later.\n", encoding="utf-8")
+
+    real_write = runner.write_atomic
+
+    def killed_after_the_new_text(path, data):
+        written = real_write(path, data)
+        if Path(path) == out_dir / "case_001" / "original.txt":
+            raise KeyboardInterrupt  # the process dies right after writing the new entry's text
+        return written
+
+    monkeypatch.setattr(runner, "write_atomic", killed_after_the_new_text)
+    with pytest.raises(KeyboardInterrupt):
+        runner.run_pipeline(corpus, out_dir, config)
+    monkeypatch.setattr(runner, "write_atomic", real_write)
+    assert runner.run_pipeline(corpus, out_dir, config).ok
+
+    # The baselines were made from the old entry, and eval would score them against the new one.
+    assert sorted(p.name for p in (out_dir / "case_001").glob("baseline.*")) == []
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +365,32 @@ def test_run_parses_no_graph_and_writes_the_manifest_once(tmp_path, monkeypatch)
     generated = runner.run_generate(out_dir, config)
     assert generated.ok and generated.skipped == {case_id: ["generate"] for case_id in CASE_IDS}
     assert parsed == [graph.read_text(encoding="utf-8")]
+
+
+def test_a_warm_rerun_neither_parses_nor_serialises_the_manifest_through_pyyaml(tmp_path, monkeypatch):
+    config = _config()
+    out_dir = tmp_path / "run"
+    _full_run(CORPUS_DIR, out_dir, config)
+    assert runner.run_evaluation(out_dir, config).ok
+    manifest = (out_dir / "run_manifest.yaml").read_text(encoding="utf-8")
+    loaded, dumped = [], []
+    real_load, real_dump = yaml.load, runner.json_dump
+
+    def counting_load(stream, Loader):
+        loaded.append(stream)
+        return real_load(stream, Loader=Loader)
+
+    def counting_dump(doc):
+        dumped.append(doc)
+        return real_dump(doc)
+
+    monkeypatch.setattr(yaml, "load", counting_load)
+    monkeypatch.setattr(runner, "json_dump", counting_dump)
+    _full_run(CORPUS_DIR, out_dir, config)
+    assert runner.run_evaluation(out_dir, config).ok
+    # Each of the five commands reads the manifest, through `json`; none has a change to write.
+    assert (loaded.count(manifest), dumped) == (0, [])
+    assert (out_dir / "run_manifest.yaml").read_text(encoding="utf-8") == manifest
 
 
 def test_graphs_handed_over_in_memory_equal_their_parsed_yaml(tmp_path):

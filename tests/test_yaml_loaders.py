@@ -10,6 +10,7 @@ the old parse is kept here as the reference.
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 
 import pytest
@@ -17,7 +18,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonpsy import runner, yamlio
+from anonpsy import prompts, runner, yamlio
 from anonpsy.config import RunConfig
 from anonpsy.converter import CaseNarrative, ConversionError, extract_entities
 from anonpsy.yamlio import (
@@ -111,6 +112,8 @@ def test_run_artifacts_load_equal(mock_run):
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert load_yaml(text) == yaml.safe_load(text), path
+    manifest = (mock_run / "run_manifest.yaml").read_text(encoding="utf-8")
+    assert json.loads(manifest) == yaml.safe_load(manifest)
 
 
 def test_eval_report_matches_golden(mock_run):
@@ -274,6 +277,61 @@ _CYCLE["self"] = _CYCLE
 def test_safe_dump_matches_pure_pyyaml(doc, sort_keys, allow_unicode):
     expected = yaml.safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode)
     assert safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode) == expected
+
+
+_HEX = "0123456789abcdef"
+# Case ids and messages from all of Unicode but the surrogates; a case id is a key, of at most 128 characters.
+_CASE_ID = st.text(min_size=1, max_size=128) | st.sampled_from(("case_001", 'a"b\\c', "\x7f\x85\x9f\u2028\u2029"))
+_ROW = st.sampled_from(tuple(runner.STAGES))
+_STAGE_STATUS = st.fixed_dictionaries(
+    {"succeeded": st.lists(_CASE_ID, max_size=4), "failed": st.dictionaries(_CASE_ID, st.text(), max_size=4)},
+    optional={"degraded": st.lists(_CASE_ID, max_size=4)},
+)
+_MANIFESTS = st.fixed_dictionaries(
+    {
+        "config_digest": st.text(_HEX, min_size=64, max_size=64),
+        "seed": st.integers(),
+        "backend": st.sampled_from(("mock", "live")),
+        "model": st.text(),
+        "judge_model": st.text(),
+        "prompt_assets": st.dictionaries(st.sampled_from(prompts.list_templates()), st.text(_HEX, min_size=64, max_size=64)),
+        "stages": st.dictionaries(_ROW, _STAGE_STATUS, max_size=4),
+    },
+    optional={
+        "provenance": st.dictionaries(
+            _CASE_ID, st.dictionaries(_ROW, st.text(_HEX, min_size=32, max_size=32), min_size=1), max_size=4
+        )
+    },
+)
+_YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+_STRANGE = '"\\ \n\t\r\x00\x1b\x7f\x80\x85\x9f\xa0\u2028\u2029\ufeff\ufffe\uffff\U0001f600 #: - ? {}'
+
+
+@given(_MANIFESTS)
+@example({"stages": {"eval": {"succeeded": [_STRANGE], "failed": {_STRANGE: _STRANGE}}}, "seed": -1})
+@example({"provenance": {"é" * 128: {"convert": "0" * 32}}, "model": "1e-05"})
+def test_the_manifest_reads_alike_as_json_and_as_yaml(doc):
+    text = yamlio.json_dump(doc)
+    assert text.startswith("{") and text.endswith("}\n")
+    assert json.loads(text) == doc
+    assert load_yaml(text) == doc
+    for loader in _YAML_LOADERS:
+        assert yaml.load(text, Loader=loader) == doc, loader
+
+
+def test_a_case_id_that_is_not_utf8_round_trips_through_the_manifest():
+    # A case directory whose name is not UTF-8 has lone surrogates in its id; raw, they cannot be written.
+    doc = {"stages": {"eval": {"succeeded": [], "failed": {"case_\udcff": "UnicodeEncodeError"}}}}
+    text = yamlio.json_dump(doc)
+    text.encode("utf-8")
+    assert json.loads(text) == load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader) == doc
+
+
+@pytest.mark.parametrize("doc", [{"k" * 129: 1}, {"\x01" * 171: 1}, {"a": 1e-05}, {"a": 1.5}, {1: "a"}])
+def test_what_yaml_would_read_otherwise_is_written_as_block_yaml(doc):
+    text = yamlio.json_dump(doc)
+    assert text == safe_dump(doc, sort_keys=True)
+    assert load_yaml(text) == yaml.safe_load(text) == doc
 
 
 @pytest.mark.parametrize("reply", _REPLIES)
