@@ -6,23 +6,29 @@ the files it writes per case, and the work that produces their text and its
 product. One engine, `run_stage`, runs one row or a chain of rows (`run` is
 the chain convert -> perturb -> generate; `eval` is one row whose product is
 a case's scores): it loads the inputs and builds the gateway and embedder
-once per command, runs each case's rows one after another on one task of a
-bounded worker pool, hands each row's product (a graph) to the next row in
-memory, writes each output atomically, records every row in
-run_manifest.yaml once and returns each case's last product. A case that
-fails a stage loses that stage's outputs and those of every stage that
-reads them, directly or not, so nothing downstream reads artifacts made
-from an earlier input.
+once per command, verifies every case, runs each case with a row left to
+run on one task of a bounded worker pool, hands each row's product (a
+graph) to the next row in memory, writes each output atomically, records
+every row in run_manifest.yaml once and returns each case's last product.
+A case that fails a stage loses that stage's outputs and those of every
+stage that reads them, directly or not, so nothing downstream reads
+artifacts made from an earlier input; so does a row's output whose bytes
+change, for every row that reads it and was not made from the new bytes.
 
 Every row that writes files keeps a verifying trace per case in the
 manifest's `provenance` section: one digest over the row name, the case id,
 the command's base key (config digest, prompt asset hashes and the
-package's own files), the row's input bytes and its outputs as written. A
-row whose recorded trace matches the files on disk is skipped: no work, no
-model call, no write, no parse. A row that reruns and writes the same bytes
-leaves the next row's input unchanged, so that row is skipped too (early
-cutoff). A row during which a step fell back on a failed model call keeps
-no trace, so the next command runs it again; the manifest lists it under
+package's own files), the row's input bytes and its outputs as written.
+Verifying comes before scheduling. On the calling thread, and reading only,
+`verify` finds each case's first row whose trace does not match the files
+on disk, or, for a corpus row, whose corpus entry on disk is not the one
+rendered. A case with no such row is recorded as skipped: no work, no model
+call, no write, no parse, and a command where every case is skipped starts
+no pool. The others run on the pool from that row on, reusing the digests
+verify read. A row that reruns and writes the same bytes leaves the next
+row's input unchanged, so that row is skipped too (early cutoff). A row
+during which a step fell back on a failed model call keeps no trace, so the
+next command runs it again; the manifest lists it under
 `stages.<row>.degraded`. The manifest itself is rewritten only when its
 content changes.
 
@@ -141,29 +147,46 @@ def build_embedder(config: RunConfig):
     return HashedTfEmbedder()
 
 
-def load_corpus(corpus_dir: str | Path) -> list[CaseNarrative]:
-    corpus_dir = Path(corpus_dir)
-    manifest_path = corpus_dir / "manifest.yaml"
-    if not manifest_path.is_file():
+def load_corpus(corpus_dir: str | os.PathLike) -> list[CaseNarrative]:
+    # Str paths, as in run_stage's per-case work: pathlib passes every path part through sys.intern.
+    manifest_path = os.path.join(corpus_dir, "manifest.yaml")
+    if not os.path.isfile(manifest_path):
         raise UsageError(f"corpus manifest not found: {manifest_path}")
-    doc = safe_load(manifest_path.read_text(encoding="utf-8")) or {}
-    entries = doc.get("cases")
+    with open(manifest_path, encoding="utf-8") as f:
+        doc = safe_load(f.read()) or {}
+    entries = doc.get("cases") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         raise UsageError(f"corpus manifest {manifest_path} has no cases")
     narratives = []
-    for entry in entries:
+    seen: dict[str, int] = {}  # case id -> index of its entry
+    for i, entry in enumerate(entries):
+        where = f"corpus manifest {manifest_path}: cases[{i}]"
+        if not isinstance(entry, dict):
+            raise UsageError(f"{where} is a {type(entry).__name__}, not a mapping with a case_id")
+        if entry.get("case_id") in (None, ""):
+            raise UsageError(f"{where} has no case_id")
         case_id = str(entry["case_id"])
-        file_name = str(entry.get("file", f"{case_id}.txt"))
-        text_path = corpus_dir / file_name
-        if not text_path.is_file():
+        # The case id names the case's directory, which must lie inside the run directory.
+        if case_id in (".", "..") or "/" in case_id or os.sep in case_id or "\0" in case_id:
+            raise UsageError(f"{where}: case_id {case_id!r} is not a directory name")
+        if case_id in seen:
+            raise UsageError(f"{where}: case_id {case_id!r} repeats cases[{seen[case_id]}]")
+        seen[case_id] = i
+        diagnoses = entry.get("diagnoses")
+        if diagnoses is None:
+            diagnoses = []
+        # A string here would read as one label per character.
+        if not isinstance(diagnoses, list):
+            raise UsageError(f"{where} ({case_id}): diagnoses must be a list of labels, got {type(diagnoses).__name__}")
+        for j, label in enumerate(diagnoses):
+            if label is None or isinstance(label, (dict, list)):
+                raise UsageError(f"{where} ({case_id}): diagnoses[{j}] must be a label, got {type(label).__name__}")
+        text_path = os.path.join(corpus_dir, str(entry.get("file", f"{case_id}.txt")))
+        if not os.path.isfile(text_path):
             raise UsageError(f"case file missing: {text_path}")
-        narratives.append(
-            CaseNarrative(
-                case_id=case_id,
-                text=text_path.read_text(encoding="utf-8"),
-                ground_truth_diagnoses=[str(d) for d in entry.get("diagnoses", [])],
-            )
-        )
+        with open(text_path, encoding="utf-8") as f:
+            text = f.read()
+        narratives.append(CaseNarrative(case_id=case_id, text=text, ground_truth_diagnoses=[str(d) for d in diagnoses]))
     return narratives
 
 
@@ -304,13 +327,34 @@ def _base_key(config_digest: str, prompt_assets: dict[str, str]) -> str:
     return _trace(config_digest, *(f"{name}={h}" for name, h in sorted(prompt_assets.items())), source_digest())
 
 
-def _remove(case_dir: Path, files: list[str], traces: dict[str, str | None]) -> None:
-    """Delete files from case_dir and drop the trace of every row that wrote one of them."""
-    for file in files:
-        (case_dir / file).unlink(missing_ok=True)
-    for name, stage in STAGES.items():
-        if not set(files).isdisjoint(stage.outputs + stage.side_outputs):
-            traces[name] = None
+class _CaseFiles:
+    """One case directory's files as one command reads and writes them."""
+
+    def __init__(self, out_dir: Path, case_id: str) -> None:
+        # A str path: pathlib passes every path part, here each file name, through sys.intern.
+        self.prefix = os.path.join(out_dir, case_id, "")
+        self.digests: dict[str, str] = {}  # file -> digest of its bytes as last read or written; "-": missing
+
+    def read(self, file: str) -> bytes | None:
+        return _read(self.prefix + file)
+
+    def digest(self, file: str) -> str:
+        if file not in self.digests:
+            data = self.read(file)
+            self.digests[file] = "-" if data is None else _digest(data)
+        return self.digests[file]
+
+    def remove(self, files: list[str], traces: dict[str, str | None]) -> None:
+        """Delete files and drop the trace of every row that wrote one of them."""
+        for file in files:
+            try:
+                os.unlink(self.prefix + file)
+            except FileNotFoundError:
+                pass
+            self.digests[file] = "-"
+        for name, stage in STAGES.items():
+            if not set(files).isdisjoint(stage.outputs + stage.side_outputs):
+                traces[name] = None
 
 
 def run_stage(
@@ -320,14 +364,16 @@ def run_stage(
 
     In a chain each row's source is the previous row's first output, which it
     takes as the previous row's product, in memory. A case starts at the first
-    row whose source it holds (the corpus for a corpus row), runs every later
-    row on the same pool task, and stops at its first failure. corpus_dir is
-    read only when the first row's cases come from the corpus. The result
+    row whose source it holds (the corpus for a corpus row), and stops at its
+    first failure. corpus_dir is read only when the first row's cases come
+    from the corpus. Every case is verified first, on the calling thread: a
+    row whose trace matches the manifest's entry, and whose corpus entry on
+    disk is the one rendered, is skipped and counts as succeeded. Each case
+    with a row left to run then runs on the pool from that row on. The result
     lists a case as succeeded, with the product of its last row, when it ran
-    every row from its start, else with the error of the row it failed. A
-    row that writes files keeps a trace; when it matches the row's entry in
-    the manifest, the row is skipped and counts as succeeded. Its product is
-    then None, and the next row that runs parses its source from disk.
+    every row from its start, else with the error of the row it failed. The
+    product of a skipped row is None, and the next row that runs parses its
+    source from disk.
     """
     chain = (names,) if isinstance(names, str) else tuple(names)
     rows = [STAGES[name] for name in chain]
@@ -367,59 +413,77 @@ def run_stage(
     prompt_assets = {name: prompts.asset_hash(name) for name in prompts.list_templates()}
     base = _base_key(config.digest(), prompt_assets)
 
-    def one(case_id: str) -> tuple[dict[str, str | None], list[str], list[str], dict[str, str | None], Any]:
-        """Each row this case reached, with its error or None; the rows it skipped; those that
-        fell back on a failed model call; its new traces (None: drop the entry); and the last
-        row's product."""
+    def check(case_id: str, name: str, entry: dict[str, str] | None, files: _CaseFiles) -> tuple[tuple, bool]:
+        """The row's trace key (empty when it writes no file), and whether its recorded trace matches
+        the files on disk. entry: the rendered corpus entry, for a corpus row."""
+        stage = STAGES[name]
+        written = stage.outputs + stage.side_outputs
+        if not written:
+            return (), False
+        inputs = [_digest(text.encode("utf-8")) for text in entry.values()] if entry else [files.digest(stage.source)]
+        key = (name, case_id, base, *inputs)
+        entries = recorded.get(case_id) or {}
+        return key, name in entries and entries[name] == _trace(*key, *map(files.digest, written))
+
+    def verify(case_id: str) -> tuple[int, _CaseFiles]:
+        """The index of the first row this case must run (len(chain): none), and the files it read.
+
+        A row must run when its trace does not match, or when it is a corpus row
+        whose entry on disk is not the rendered one. Writes nothing.
+        """
+        first, narrative = starts[case_id]
+        files = _CaseFiles(out_dir, case_id)
+        for i in range(first, len(chain)):
+            try:
+                entry = None
+                if rows[i].source is None:
+                    entry = {file: render(narrative) for file, render in CASE_INPUTS.items()}
+                    if any(files.read(file) != text.encode("utf-8") for file, text in entry.items()):
+                        return i, files
+                if not check(case_id, chain[i], entry, files)[1]:
+                    return i, files
+            except Exception:  # the row meets it again on its task, which fails just this case
+                return i, files
+        return len(chain), files
+
+    def one(
+        case_id: str, start: int, files: _CaseFiles
+    ) -> tuple[dict[str, str | None], list[str], list[str], dict[str, str | None], Any]:
+        """Run the case's rows from start on. Each row this case reached, with its error or None;
+        the rows it skipped; those that fell back on a failed model call; its new traces (None:
+        drop the entry); and the last row's product."""
         first, source = starts[case_id]
         case_dir = out_dir / case_id
-        # A str path: pathlib passes every path part, here each file name, through sys.intern.
-        prefix = os.path.join(out_dir, case_id, "")
-        ran: dict[str, str | None] = {}
-        skipped: list[str] = []
+        skipped = list(chain[first:start])  # verified
+        ran: dict[str, str | None] = dict.fromkeys(skipped)
+        if skipped:
+            source = None  # not in memory: a later row that runs reads it from disk
         degraded: list[str] = []
         traces: dict[str, str | None] = {}
-        entries = recorded.get(case_id) or {}
-        digests: dict[str, str] = {}  # file -> digest of its bytes as this task last read or wrote them
-
-        def digest_of(file: str) -> str:
-            if file not in digests:
-                data = _read(prefix + file)
-                digests[file] = "-" if data is None else _digest(data)
-            return digests[file]
-
-        for name in chain[first:]:
+        for name in chain[start:]:
             stage = STAGES[name]
             written = stage.outputs + stage.side_outputs
             try:
+                entry = None
                 if stage.source is None:
                     entry = {file: render(source) for file, render in CASE_INPUTS.items()}
                     # Read once: these bytes decide both whether the entry is new and what to write.
-                    changed = [file for file, text in entry.items() if _read(prefix + file) != text.encode("utf-8")]
-                key = None
-                matched = False
-                if written:
-                    input_digests = (
-                        [_digest(text.encode("utf-8")) for text in entry.values()]
-                        if stage.source is None
-                        else [digest_of(stage.source)]
-                    )
-                    key = (name, case_id, base, *input_digests)
-                    matched = name in entries and entries[name] == _trace(*key, *map(digest_of, written))
+                    changed = [file for file, text in entry.items() if files.read(file) != text.encode("utf-8")]
+                key, matched = check(case_id, name, entry, files)
                 if stage.source is None and changed:
                     # Remove what the other corpus rows made from the earlier entry before writing this one,
                     # so that a command killed in between finds the entry new again. Not after a matching
                     # trace: it proves the other corpus outputs were made from this entry too, as a corpus
                     # row that writes another entry removes the other corpus rows' outputs and traces.
                     if not matched:
-                        _remove(case_dir, STALE_ON_NEW_INPUT[name], traces)
+                        files.remove(STALE_ON_NEW_INPUT[name], traces)
                     case_dir.mkdir(parents=True, exist_ok=True)
                     for file in changed:
-                        write_atomic(prefix + file, entry[file])
+                        write_atomic(files.prefix + file, entry[file])
                 if matched:
                     ran[name] = None
                     skipped.append(name)
-                    source = None  # not in memory: a later row that runs reads it from disk
+                    source = None
                     continue
                 # None: the first row of a file-selected case, or the row after a skipped one
                 if source is None and isinstance(stage.source, str):
@@ -428,19 +492,34 @@ def run_stage(
                     source = read_case_inputs(case_dir)
                 with collect_failures() as failures:
                     texts, source = stage.work(case_dir, source, shared)
-                for file, text in zip(stage.outputs, texts, strict=True):
-                    write_atomic(prefix + file, text)
+                for file in stage.side_outputs:
+                    files.digests.pop(file, None)  # the work wrote them
+                digests = {file: _digest(text.encode("utf-8")) for file, text in zip(stage.outputs, texts, strict=True)}
+                changing = [file for file, digest in digests.items() if files.digest(file) != digest]
+                files.digests.update(digests)
+                # Before an output's bytes change, remove what each row reading it made from the earlier
+                # bytes, and what was made from that, so that a command killed in between finds the
+                # output changed again. Not where the reader's trace matches the new bytes: it proves
+                # the reader's outputs were made from them.
+                files.remove(
+                    [
+                        file
+                        for reader, row in STAGES.items()
+                        if row.source in changing and not check(case_id, reader, None, files)[1]
+                        for file in _with_readers(list(row.outputs))
+                    ],
+                    traces,
+                )
+                for file, text in zip(stage.outputs, texts):
+                    write_atomic(files.prefix + file, text)
                 ran[name] = None
                 if failures:
                     degraded.append(name)
-                if key is not None:
-                    for file in stage.side_outputs:
-                        digests.pop(file, None)
-                    digests.update((file, _digest(text.encode("utf-8"))) for file, text in zip(stage.outputs, texts))
+                if key:
                     # A row that fell back on a failed call keeps no trace: the next command runs it again.
-                    traces[name] = None if failures else _trace(*key, *map(digest_of, written))
+                    traces[name] = None if failures else _trace(*key, *map(files.digest, written))
             except Exception as exc:  # isolate: one bad case never sinks the run
-                _remove(case_dir, STALE_ON_FAILURE[name], traces)
+                files.remove(STALE_ON_FAILURE[name], traces)
                 ran[name] = f"{type(exc).__name__}: {exc}"
                 break
         return ran, skipped, degraded, traces, source
@@ -449,27 +528,34 @@ def run_stage(
     by_stage = {name: StageResult(stage=name) for name in chain}
     provenance = dict(recorded)
     case_ids = sorted(starts)
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        for case_id, (ran, skipped, degraded, traces, product) in zip(case_ids, pool.map(one, case_ids)):
-            for name, error in ran.items():
-                if error is None:
-                    by_stage[name].succeeded.append(case_id)
-                else:
-                    by_stage[name].failed[case_id] = result.failed[case_id] = error
-            for name in degraded:
-                by_stage[name].degraded[case_id] = [name]
-            if case_id not in result.failed:
-                result.succeeded.append(case_id)
-                result.products[case_id] = product
-            if skipped:
-                result.skipped[case_id] = skipped
-            if degraded:
-                result.degraded[case_id] = degraded
-            merged = {name: t for name, t in {**recorded.get(case_id, {}), **traces}.items() if t is not None}
-            if merged:
-                provenance[case_id] = merged
+    plans = {case_id: verify(case_id) for case_id in case_ids}
+    # A case every row of which verified is recorded here; only a case with a row to run needs the pool.
+    outcomes = {case_id: one(case_id, *plan) for case_id, plan in plans.items() if plan[0] == len(chain)}
+    pending = [case_id for case_id in case_ids if case_id not in outcomes]
+    if pending:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            outcomes.update(zip(pending, pool.map(lambda case_id: one(case_id, *plans[case_id]), pending)))
+    for case_id in case_ids:
+        ran, skipped, degraded, traces, product = outcomes[case_id]
+        for name, error in ran.items():
+            if error is None:
+                by_stage[name].succeeded.append(case_id)
             else:
-                provenance.pop(case_id, None)
+                by_stage[name].failed[case_id] = result.failed[case_id] = error
+        for name in degraded:
+            by_stage[name].degraded[case_id] = [name]
+        if case_id not in result.failed:
+            result.succeeded.append(case_id)
+            result.products[case_id] = product
+        if skipped:
+            result.skipped[case_id] = skipped
+        if degraded:
+            result.degraded[case_id] = degraded
+        merged = {name: t for name, t in {**recorded.get(case_id, {}), **traces}.items() if t is not None}
+        if merged:
+            provenance[case_id] = merged
+        else:
+            provenance.pop(case_id, None)
     # A stage no case reached gets no entry, as when it is run on its own and finds no case.
     reached = [r for r in by_stage.values() if r.succeeded or r.failed]
     _update_manifest(out_dir, manifest, config, prompt_assets, reached, provenance)
@@ -503,8 +589,16 @@ def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
     """Score every case on the pool, then report the succeeded ones in case-id order."""
     result = run_stage("eval", out_dir, config)
     report = run_eval([result.products[case_id] for case_id in result.succeeded])
-    write_atomic(Path(out_dir) / "report.yaml", report.to_yaml())
-    write_atomic(Path(out_dir) / "report.csv", report.to_csv())
+    yaml_path, csv_path = os.path.join(out_dir, "report.yaml"), os.path.join(out_dir, "report.csv")
+    text = report.to_yaml()
+    if _read(yaml_path) != text.encode("utf-8"):
+        # A command killed between the two writes leaves no CSV of an earlier eval beside the new YAML.
+        try:
+            os.unlink(csv_path)
+        except FileNotFoundError:
+            pass
+    write_atomic(yaml_path, text)
+    write_atomic(csv_path, report.to_csv())
     return result
 
 

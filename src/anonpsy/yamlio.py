@@ -195,12 +195,69 @@ def _emits_alike(doc) -> bool:
     return True
 
 
-def safe_dump(doc, *, sort_keys: bool = True, allow_unicode: bool = False) -> str:
-    """`yaml.safe_dump(doc, ...)`, through libyaml where that gives the same bytes.
+# Printable ASCII that starts with a letter or digit and ends in neither a
+# space nor a colon: with no `: ` or ` #` inside, and read back as a string,
+# both emitters write it as a plain scalar.
+_PLAIN_STR = re.compile(r"[A-Za-z0-9](?:[ -~]*[!-9;-~])?")
 
-    libyaml writes only a mapping at the top level (PyYAML ends a top-level
-    scalar with `...`) that `_emits_alike`; anything else goes to pure PyYAML.
+
+def _plain(value) -> bool:
+    return (
+        type(value) is str
+        and _PLAIN_STR.fullmatch(value) is not None
+        and ": " not in value
+        and " #" not in value
+        and _plain_is_str(value)
+    )
+
+
+def _flat_dump(doc: dict, sort_keys: bool) -> str | None:
+    """`yaml.safe_dump(doc)` for a flat mapping whose values are plain strings or lists of them; else None.
+
+    Every key and string is `_plain`, and every line at most 80 characters, so
+    PyYAML never folds one. No list appears twice: PyYAML would write an alias.
+    This is the shape of a case's `meta.yaml`, which every corpus row renders
+    to compare with the file on disk.
     """
+    keys = list(doc)
+    if not keys or not all(_plain(key) and len(key) <= 78 for key in keys):
+        return None
+    if sort_keys:
+        keys.sort()
+    lines = []
+    lists = set()
+    for key in keys:
+        value = doc[key]
+        if type(value) is list:
+            if id(value) in lists:
+                return None
+            lists.add(id(value))
+            if not value:
+                lines.append(f"{key}: []")
+                continue
+            lines.append(f"{key}:")
+            for item in value:
+                if not (_plain(item) and len(item) <= 78):
+                    return None
+                lines.append(f"- {item}")
+        elif _plain(value) and len(key) + len(value) <= 78:
+            lines.append(f"{key}: {value}")
+        else:
+            return None
+    return "\n".join(lines) + "\n"
+
+
+def safe_dump(doc, *, sort_keys: bool = True, allow_unicode: bool = False) -> str:
+    """`yaml.safe_dump(doc, ...)`, written by hand or through libyaml where that gives the same bytes.
+
+    A flat mapping of plain strings is written by `_flat_dump`. libyaml
+    writes only a mapping at the top level (PyYAML ends a top-level scalar
+    with `...`) that `_emits_alike`; anything else goes to pure PyYAML.
+    """
+    if type(doc) is dict:
+        text = _flat_dump(doc, sort_keys)
+        if text is not None:
+            return text
     fast = _CDumper is not None and type(doc) is dict and _emits_alike(doc)
     dumper = _CDumper if fast else yaml.SafeDumper
     return yaml.dump(doc, Dumper=dumper, sort_keys=sort_keys, allow_unicode=allow_unicode)

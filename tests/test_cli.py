@@ -293,6 +293,44 @@ class TestUsageErrors:
         assert code == 2
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("entry", "message"),
+        [
+            pytest.param(
+                {"case_id": "case_001", "diagnoses": "major depressive disorder"},
+                "cases[0] (case_001): diagnoses must be a list of labels, got str",
+                id="diagnoses-a-string",
+            ),
+            pytest.param(
+                {"case_id": "case_001", "diagnoses": [["major depressive disorder"]]},
+                "cases[0] (case_001): diagnoses[0] must be a label, got list",
+                id="diagnoses-nested",
+            ),
+            pytest.param({"file": "case_001.txt", "diagnoses": []}, "cases[0] has no case_id", id="no-case-id"),
+            pytest.param("case_001", "cases[0] is a str, not a mapping with a case_id", id="bare-string"),
+            pytest.param(
+                {"case_id": "../case_001", "file": "case_001.txt"},
+                "cases[0]: case_id '../case_001' is not a directory name",
+                id="case-id-a-path",
+            ),
+            pytest.param(
+                [{"case_id": "case_001", "diagnoses": ["a"]}, {"case_id": "case_001", "diagnoses": ["b"]}],
+                "cases[1]: case_id 'case_001' repeats cases[0]",
+                id="case-id-twice",
+            ),
+        ],
+    )
+    def test_a_malformed_corpus_entry_exits_two_naming_it(self, tmp_path, capsys, entry, message):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        entries = entry if isinstance(entry, list) else [entry]
+        (corpus / "manifest.yaml").write_text(yaml.safe_dump({"cases": entries}), encoding="utf-8")
+        for command in (["run"], ["convert"], ["baseline", "phi"]):
+            code = main([*command, str(corpus), str(tmp_path / "out"), "--config", str(_write_config(tmp_path))])
+            assert code == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "case_001").exists()
+
     def test_mock_backend_requires_fixtures_dir(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump({"gateway": {"backend": "mock"}}))

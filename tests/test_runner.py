@@ -3,8 +3,12 @@
 import ast
 import copy
 import inspect
+import os
+import re
 import shutil
 import textwrap
+import threading
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -173,7 +177,9 @@ def test_changed_diagnoses_clear_the_baselines_at_convert(tmp_path):
     assert runner.run_convert(corpus, out_dir, config).ok
 
     after = _tree(out_dir / "case_001")
-    assert set(before) - set(after) == {f"baseline.{name}.txt" for name in runner.BASELINE_NAMES}
+    # The new diagnoses change the graph, so what was made from the old graph goes too.
+    made_from_the_graph = {"graph.perturbed.yaml", "perturb.audit.yaml", "outline.yaml", "deid.txt"}
+    assert set(before) - set(after) == {f"baseline.{name}.txt" for name in runner.BASELINE_NAMES} | made_from_the_graph
     assert b"dysthymia" in after["meta.yaml"]
 
 
@@ -206,6 +212,72 @@ def test_a_run_killed_after_writing_a_new_entry_leaves_no_baseline_of_the_old_on
 
     # The baselines were made from the old entry, and eval would score them against the new one.
     assert sorted(p.name for p in (out_dir / "case_001").glob("baseline.*")) == []
+
+
+def _age_follows_the_text(req) -> str:
+    """The synthesized reply, but the extracted age is read from the narrative: an edited text gives a new graph."""
+    reply = synthesize(req.template_id, dict(req.variables))
+    if req.template_id == "extract_entities":
+        doc = yaml.safe_load(reply)
+        doc["demographics"]["age"] = int(re.search(r"(\d+)-year-old", dict(req.variables)["narrative"]).group(1))
+        reply = yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
+    return reply
+
+
+def test_a_staged_convert_that_writes_a_new_graph_removes_what_was_made_from_the_old_one(tmp_path, monkeypatch):
+    gateway = LlmGateway(SpyBackend(_age_follows_the_text), model="mock-model")
+    monkeypatch.setattr(runner, "build_gateway", lambda _config: gateway)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    config = _config()
+    out_dir = tmp_path / "run"
+    _full_run(corpus, out_dir, config)
+    assert runner.run_evaluation(out_dir, config).ok
+    text = corpus / "case_001.txt"
+    text.write_text(text.read_text(encoding="utf-8").replace("32-year-old", "33-year-old"), encoding="utf-8")
+    graph = (out_dir / "case_001" / "graph.yaml").read_bytes()
+
+    assert runner.run_convert(corpus, out_dir, config).ok
+
+    assert (out_dir / "case_001" / "graph.yaml").read_bytes() != graph
+    made_from_the_graph = {"graph.perturbed.yaml", "perturb.audit.yaml", "outline.yaml", "deid.txt"}
+    assert _case_files(out_dir)["case_001"] & made_from_the_graph == set()
+    assert _case_files(out_dir)["case_002"] >= made_from_the_graph
+    # eval would score the old entry's deid.txt against the new original.txt
+    with pytest.raises(runner.UsageError, match="case_001/deid.txt"):
+        runner.run_evaluation(out_dir, config)
+    assert_provenance(out_dir)  # the removed outputs took perturb's and generate's traces with them
+
+
+def test_a_run_killed_between_the_report_files_leaves_no_csv_of_an_earlier_eval(tmp_path, monkeypatch):
+    out_dir = tmp_path / "run"
+    config = _config()
+    _full_run(CORPUS_DIR, out_dir, config)
+    assert runner.run_evaluation(out_dir, config).ok
+    (out_dir / "case_001" / "baseline.phi.txt").unlink()  # the next report has no phi variant for case_001
+    real_write = runner.write_atomic
+    written = []
+
+    def killed_after_the_yaml(path, text):
+        written.append(os.path.basename(path))
+        real_write(path, text)
+        if os.path.basename(path) == "report.yaml":
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "write_atomic", killed_after_the_yaml)
+    with pytest.raises(KeyboardInterrupt):
+        runner.run_evaluation(out_dir, config)
+    assert written[-1] == "report.yaml" and not (out_dir / "report.csv").exists()
+
+    # A warm eval writes neither file.
+    monkeypatch.setattr(runner, "write_atomic", real_write)
+    assert runner.run_evaluation(out_dir, config).ok
+    report = {name: (out_dir / name).stat().st_mtime_ns for name in ("report.yaml", "report.csv")}
+    writes = []
+    monkeypatch.setattr(runner, "write_atomic", lambda path, text: writes.append(path) or real_write(path, text))
+    assert runner.run_evaluation(out_dir, config).ok
+    assert writes == [os.path.join(out_dir, "report.yaml"), os.path.join(out_dir, "report.csv")]
+    assert {name: (out_dir / name).stat().st_mtime_ns for name in report} == report
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +463,69 @@ def test_a_warm_rerun_neither_parses_nor_serialises_the_manifest_through_pyyaml(
     # Each of the five commands reads the manifest, through `json`; none has a change to write.
     assert (loaded.count(manifest), dumped) == (0, [])
     assert (out_dir / "run_manifest.yaml").read_text(encoding="utf-8") == manifest
+
+
+def test_a_warm_command_starts_no_pool_and_renders_nothing_through_pyyaml(full_run, tmp_path, monkeypatch):
+    out_dir = tmp_path / "run"
+    shutil.copytree(full_run, out_dir)
+    before = _tree(out_dir)
+    pools, represented = [], []
+    real_pool, real_represent = runner.ThreadPoolExecutor, yaml.representer.BaseRepresenter.represent
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", lambda *args, **kwargs: pools.append(kwargs) or real_pool(*args, **kwargs))
+    monkeypatch.setattr(
+        yaml.representer.BaseRepresenter, "represent", lambda self, data: represented.append(data) or real_represent(self, data)
+    )
+    _full_run(CORPUS_DIR, out_dir, _config())
+    # Every case verifies on the calling thread; each corpus entry renders without PyYAML.
+    assert (pools, represented) == ([], [])
+    assert _tree(out_dir) == before
+    # Eval keeps no trace, so its cases still go to the pool.
+    assert runner.run_evaluation(out_dir, _config()).ok
+    assert len(pools) == 1
+
+
+def test_only_the_case_that_fails_to_verify_runs_and_two_jobs_write_what_one_writes(full_run, tmp_path, monkeypatch):
+    current = threading.local()
+    calls = []
+    for name, stage in runner.STAGES.items():
+
+        def work(case_dir, source, shared, _work=stage.work):
+            current.case = case_dir.name
+            try:
+                return _work(case_dir, source, shared)
+            finally:
+                current.case = None
+
+        monkeypatch.setitem(runner.STAGES, name, replace(stage, work=work))
+    real_complete = LlmGateway.complete
+    monkeypatch.setattr(LlmGateway, "complete", lambda self, req: calls.append(current.case) or real_complete(self, req))
+    trees = []
+    for jobs in (1, 2):
+        out_dir = tmp_path / f"jobs-{jobs}"
+        shutil.copytree(full_run, out_dir)
+        # case_002's convert and perturb outputs edited by hand: each of its rows runs again
+        graph, perturbed = out_dir / "case_002" / "graph.yaml", out_dir / "case_002" / "graph.perturbed.yaml"
+        graph.write_text(graph.read_text(encoding="utf-8").replace("age: 19", "age: 20"), encoding="utf-8")
+        perturbed.write_text(perturbed.read_text(encoding="utf-8") + "# edited by hand\n", encoding="utf-8")
+        calls.clear()
+        result = runner.run_pipeline(CORPUS_DIR, out_dir, replace(_config(), jobs=jobs))
+        assert result.ok
+        assert result.skipped == {"case_001": list(runner.PIPELINE), "case_003": list(runner.PIPELINE)}
+        assert calls and set(calls) == {"case_002"}
+        assert "case_002" not in result.skipped
+        trees.append(_tree(out_dir))
+    assert trees[0] == trees[1] == _tree(full_run)
+
+
+def test_a_case_whose_trace_cannot_be_computed_fails_alone(full_run, tmp_path):
+    # A directory name that is not UTF-8 gives a case id with a lone surrogate, which no trace can
+    # encode: verifying it must not sink the command, and its row fails as every other row error does.
+    out_dir = tmp_path / "run"
+    shutil.copytree(full_run, out_dir)
+    shutil.copytree(out_dir / "case_001", os.fsdecode(os.path.join(os.fsencode(out_dir), b"case_\xff")))
+    result = runner.run_perturb(out_dir, _config())
+    assert result.succeeded == CASE_IDS
+    assert list(result.failed) == ["case_\udcff"] and result.failed["case_\udcff"].startswith("UnicodeEncodeError")
 
 
 def test_graphs_handed_over_in_memory_equal_their_parsed_yaml(tmp_path):

@@ -34,6 +34,7 @@ from anonpsy.yamlio import (
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
 from .helpers import FakeGateway, minimal_graph
+from .synthesis import GOLD_DIAGNOSES
 
 
 def _old_guard(value: str) -> bool:
@@ -277,6 +278,53 @@ _CYCLE["self"] = _CYCLE
 def test_safe_dump_matches_pure_pyyaml(doc, sort_keys, allow_unicode):
     expected = yaml.safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode)
     assert safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode) == expected
+
+
+# Corpus entries, `meta.yaml`'s shape: a flat mapping of labels and lists of
+# labels, from all of Unicode and from the edges of `yamlio._flat_dump`.
+_LABEL_EDGES = st.sampled_from(
+    (
+        *("major depressive disorder", "case_001", "steroid-induced psychosis", "bipolar I disorder (current)"),
+        *("", " a", "a ", "a  b", "a: b", "a:", "a:b", "a::", "a #b", "a#b", "#a", "-a", "- a", "?a", ":a", "a\tb", "a\nb"),
+        *("'q'", '"q"', "a'b", "!a", "&a", "*a", "%a", "@a", "`a", "|a", ">a", "---a", "...a", "[a", "{a", "a, b", "a [b]"),
+        *("yes", "No", "on", "OFF", "y", "null", "Null", "~", "=", "<<", "true", "False"),
+        *("1", "-1", "+1", "1.5", "1.", "1e3", "0x1F", "0o7", "0777", "1_000", ".inf", ".NaN", "1:20", "190:20:30"),
+        *("2020-01-02", "2020-1-2 10:00:00", "é", "a\x85b", "a" * 78, "a" * 79, "a " * 38 + "b", "a " * 40 + "b"),
+    )
+)
+_LABELS = (
+    st.from_regex(r"[a-z][a-z0-9 ()'-]{0,90}[a-z]", fullmatch=True)
+    | _LABEL_EDGES
+    | st.text("aby01 -:#.'", min_size=1, max_size=40)
+    | st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))
+    | st.text()
+)
+_ENTRIES = st.fixed_dictionaries({"case_id": _LABELS, "diagnoses": st.lists(_LABELS, max_size=4)}) | st.dictionaries(
+    _LABELS, _LABELS | st.lists(_LABELS, max_size=4), max_size=4
+)
+_SHARED: list = ["a"]
+
+
+# Each example is written wrongly without one rule of `yamlio._flat_dump`.
+@given(_ENTRIES, st.booleans())
+@example({"case_id": "case_001", "diagnoses": []}, False)
+@example({"a": _SHARED, "b": _SHARED}, False)
+@example({"a": "b " * 38 + "c"}, False)
+@example({"a": ["b " * 39 + "c"]}, False)
+@example({"a" * 200: ["b"]}, False)
+@example({"b": "1", "a": "2001-12-14"}, True)
+def test_a_flat_entry_renders_as_pure_pyyaml_writes_it(doc, sort_keys):
+    expected = yaml.safe_dump(doc, sort_keys=sort_keys)
+    assert yamlio._flat_dump(doc, sort_keys) in (None, expected)
+    assert safe_dump(doc, sort_keys=sort_keys) == expected
+
+
+def test_every_test_corpus_entry_takes_the_fast_path():
+    # The corpus under tests/data, and the benchmark's replicas (case_101 on) of the synthesized cases.
+    entries = [{"case_id": n.case_id, "diagnoses": n.ground_truth_diagnoses} for n in runner.load_corpus(CORPUS_DIR)]
+    entries += [{"case_id": f"case_{101 + i:03d}", "diagnoses": d} for i, d in enumerate(GOLD_DIAGNOSES.values())]
+    for entry in entries:
+        assert yamlio._flat_dump(entry, False) == yaml.safe_dump(entry, sort_keys=False), entry
 
 
 _HEX = "0123456789abcdef"
