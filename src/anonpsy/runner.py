@@ -12,8 +12,12 @@ graph) to the next row in memory, writes each output atomically, records
 every row in run_manifest.yaml once and returns each case's last product.
 A case that fails a stage loses that stage's outputs and those of every
 stage that reads them, directly or not, so nothing downstream reads
-artifacts made from an earlier input; so does a row's output whose bytes
-change, for every row that reads it and was not made from the new bytes.
+artifacts made from an earlier input. Every case file a row writes, its
+corpus entry as well as its outputs, goes through one step: before a file
+changes, every other row that reads it loses its outputs, and everything
+made from them, unless its trace shows it was made from the new bytes; only
+then are the changed files written, so a command killed in between finds
+them changed again.
 
 Every row that writes files keeps a verifying trace per case in the
 manifest's `provenance` section: one digest over the row name, the case id,
@@ -62,11 +66,9 @@ from .narrator import generate, plan_outline
 from .perturbation import perturb
 from .yamlio import json_dump, load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
-# A case's corpus entry, written into its directory by every stage that reads
-# the corpus, each file rendered from the narrative. A stage that finds them
-# changed removes what the other corpus stages made from the earlier input
-# before it writes them, unless its matching trace shows the change was a
-# hand edit.
+# A case's corpus entry, each file rendered from the narrative and written
+# into its directory, like any other case file, by every stage that reads
+# the corpus.
 CASE_INPUTS = {
     "original.txt": lambda narrative: narrative.text,
     "meta.yaml": lambda narrative: safe_dump(
@@ -256,27 +258,18 @@ BASELINE_NAMES = tuple(name.removeprefix("baseline.") for name in STAGES if name
 PIPELINE = ("convert", "perturb", "generate")
 
 
-def _with_readers(files: list[str]) -> list[str]:
+def _reads(stage: Stage) -> tuple[str, ...]:
+    """The case files a stage reads: its source graph, or the corpus entry."""
+    return (stage.source,) if isinstance(stage.source, str) else tuple(CASE_INPUTS)
+
+
+def _with_readers(files: tuple[str, ...]) -> list[str]:
     """files, and the outputs of every stage that reads them, directly or not."""
     files = list(files)
     for stage in STAGES.values():
         if stage.source in files:
             files += stage.outputs
     return files
-
-
-# What a case loses when a stage fails for it: that stage's outputs and
-# everything made from them.
-STALE_ON_FAILURE = {name: _with_readers(stage.outputs) for name, stage in STAGES.items()}
-# What a case loses when a corpus stage finds its CASE_INPUTS changed: what
-# every other corpus stage made from the earlier input.
-STALE_ON_NEW_INPUT = {
-    name: _with_readers(
-        [f for other, s in STAGES.items() if s.source is None and other != name for f in s.outputs + s.side_outputs]
-    )
-    for name, stage in STAGES.items()
-    if stage.source is None
-}
 
 
 @functools.cache
@@ -330,13 +323,29 @@ def _base_key(config_digest: str, prompt_assets: dict[str, str]) -> str:
 class _CaseFiles:
     """One case directory's files as one command reads and writes them."""
 
-    def __init__(self, out_dir: Path, case_id: str) -> None:
+    def __init__(self, out_dir: Path, case_id: str, narrative: CaseNarrative | None) -> None:
+        self.case_id = case_id
+        self.narrative = narrative  # what the corpus entry renders from, for a case from the corpus
         # A str path: pathlib passes every path part, here each file name, through sys.intern.
         self.prefix = os.path.join(out_dir, case_id, "")
         self.digests: dict[str, str] = {}  # file -> digest of its bytes as last read or written; "-": missing
 
+    @functools.cached_property
+    def entry(self) -> dict[str, str]:
+        """The corpus entry, file -> text, rendered once."""
+        return {file: render(self.narrative) for file, render in CASE_INPUTS.items()}
+
     def read(self, file: str) -> bytes | None:
         return _read(self.prefix + file)
+
+    def holds(self, texts: dict[str, str]) -> bool:
+        """Whether each file holds its text, compared by bytes; notes the digest of each that does."""
+        for file, text in texts.items():
+            data = text.encode("utf-8")
+            if self.read(file) != data:
+                return False
+            self.digests[file] = _digest(data)
+        return True
 
     def digest(self, file: str) -> str:
         if file not in self.digests:
@@ -378,7 +387,7 @@ def run_stage(
     chain = (names,) if isinstance(names, str) else tuple(names)
     rows = [STAGES[name] for name in chain]
     # The files a case directory holds to start at each row; none for a corpus row.
-    held = [(row.source,) if isinstance(row.source, str) else row.source or () for row in rows]
+    held = [_reads(row) if row.source else () for row in rows]
     out_dir = Path(out_dir)
     # case id -> (index of its first row in the chain, its CaseNarrative when that row is a corpus row)
     starts: dict[str, tuple[int, CaseNarrative | None]] = {}
@@ -413,17 +422,42 @@ def run_stage(
     prompt_assets = {name: prompts.asset_hash(name) for name in prompts.list_templates()}
     base = _base_key(config.digest(), prompt_assets)
 
-    def check(case_id: str, name: str, entry: dict[str, str] | None, files: _CaseFiles) -> tuple[tuple, bool]:
+    def check(name: str, files: _CaseFiles) -> tuple[tuple, bool]:
         """The row's trace key (empty when it writes no file), and whether its recorded trace matches
-        the files on disk. entry: the rendered corpus entry, for a corpus row."""
+        the files on disk."""
         stage = STAGES[name]
         written = stage.outputs + stage.side_outputs
         if not written:
             return (), False
-        inputs = [_digest(text.encode("utf-8")) for text in entry.values()] if entry else [files.digest(stage.source)]
-        key = (name, case_id, base, *inputs)
-        entries = recorded.get(case_id) or {}
+        key = (name, files.case_id, base, *map(files.digest, _reads(stage)))
+        entries = recorded.get(files.case_id) or {}
         return key, name in entries and entries[name] == _trace(*key, *map(files.digest, written))
+
+    def write(name: str, files: _CaseFiles, texts: dict[str, str], traces: dict[str, str | None]) -> None:
+        """Write, for row name, the files among texts whose bytes change.
+
+        First remove the outputs of every other row that reads one of them, and
+        everything made from those, so that a command killed in between finds the
+        files changed again. Not where the reader's trace matches the new bytes:
+        it proves the reader's outputs were made from them.
+        """
+        digests = {file: _digest(text.encode("utf-8")) for file, text in texts.items()}
+        changing = [file for file, digest in digests.items() if files.digest(file) != digest]
+        if not changing:
+            return
+        files.digests.update(digests)
+        files.remove(
+            [
+                file
+                for reader, row in STAGES.items()
+                if reader != name and not set(_reads(row)).isdisjoint(changing) and not check(reader, files)[1]
+                for file in _with_readers(row.outputs + row.side_outputs)
+            ],
+            traces,
+        )
+        os.makedirs(files.prefix, exist_ok=True)
+        for file in changing:
+            write_atomic(files.prefix + file, texts[file])
 
     def verify(case_id: str) -> tuple[int, _CaseFiles]:
         """The index of the first row this case must run (len(chain): none), and the files it read.
@@ -432,15 +466,10 @@ def run_stage(
         whose entry on disk is not the rendered one. Writes nothing.
         """
         first, narrative = starts[case_id]
-        files = _CaseFiles(out_dir, case_id)
+        files = _CaseFiles(out_dir, case_id, narrative)
         for i in range(first, len(chain)):
             try:
-                entry = None
-                if rows[i].source is None:
-                    entry = {file: render(narrative) for file, render in CASE_INPUTS.items()}
-                    if any(files.read(file) != text.encode("utf-8") for file, text in entry.items()):
-                        return i, files
-                if not check(case_id, chain[i], entry, files)[1]:
+                if (rows[i].source is None and not files.holds(files.entry)) or not check(chain[i], files)[1]:
                     return i, files
             except Exception:  # the row meets it again on its task, which fails just this case
                 return i, files
@@ -464,22 +493,9 @@ def run_stage(
             stage = STAGES[name]
             written = stage.outputs + stage.side_outputs
             try:
-                entry = None
                 if stage.source is None:
-                    entry = {file: render(source) for file, render in CASE_INPUTS.items()}
-                    # Read once: these bytes decide both whether the entry is new and what to write.
-                    changed = [file for file, text in entry.items() if files.read(file) != text.encode("utf-8")]
-                key, matched = check(case_id, name, entry, files)
-                if stage.source is None and changed:
-                    # Remove what the other corpus rows made from the earlier entry before writing this one,
-                    # so that a command killed in between finds the entry new again. Not after a matching
-                    # trace: it proves the other corpus outputs were made from this entry too, as a corpus
-                    # row that writes another entry removes the other corpus rows' outputs and traces.
-                    if not matched:
-                        files.remove(STALE_ON_NEW_INPUT[name], traces)
-                    case_dir.mkdir(parents=True, exist_ok=True)
-                    for file in changed:
-                        write_atomic(files.prefix + file, entry[file])
+                    write(name, files, files.entry, traces)
+                key, matched = check(name, files)
                 if matched:
                     ran[name] = None
                     skipped.append(name)
@@ -494,24 +510,7 @@ def run_stage(
                     texts, source = stage.work(case_dir, source, shared)
                 for file in stage.side_outputs:
                     files.digests.pop(file, None)  # the work wrote them
-                digests = {file: _digest(text.encode("utf-8")) for file, text in zip(stage.outputs, texts, strict=True)}
-                changing = [file for file, digest in digests.items() if files.digest(file) != digest]
-                files.digests.update(digests)
-                # Before an output's bytes change, remove what each row reading it made from the earlier
-                # bytes, and what was made from that, so that a command killed in between finds the
-                # output changed again. Not where the reader's trace matches the new bytes: it proves
-                # the reader's outputs were made from them.
-                files.remove(
-                    [
-                        file
-                        for reader, row in STAGES.items()
-                        if row.source in changing and not check(case_id, reader, None, files)[1]
-                        for file in _with_readers(list(row.outputs))
-                    ],
-                    traces,
-                )
-                for file, text in zip(stage.outputs, texts):
-                    write_atomic(files.prefix + file, text)
+                write(name, files, dict(zip(stage.outputs, texts, strict=True)), traces)
                 ran[name] = None
                 if failures:
                     degraded.append(name)
@@ -519,7 +518,7 @@ def run_stage(
                     # A row that fell back on a failed call keeps no trace: the next command runs it again.
                     traces[name] = None if failures else _trace(*key, *map(files.digest, written))
             except Exception as exc:  # isolate: one bad case never sinks the run
-                files.remove(STALE_ON_FAILURE[name], traces)
+                files.remove(_with_readers(stage.outputs), traces)
                 ran[name] = f"{type(exc).__name__}: {exc}"
                 break
         return ran, skipped, degraded, traces, source

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import re
 from fractions import Fraction
@@ -19,7 +20,7 @@ from pathlib import Path
 import yaml
 
 import anonpsy
-from anonpsy import runner
+from anonpsy import converter, runner
 from anonpsy.model import (
     CaseAttributes,
     Demographics,
@@ -556,3 +557,31 @@ def assert_provenance(run_dir, rows=None, cases=None) -> None:
                 for file in inputs + stage.outputs + stage.side_outputs
             ]
             assert recorded == trace(name, case_id, base, *digests), f"{case_id}/{name}: the trace does not match"
+
+
+# --- process kills --------------------------------------------------------------
+
+
+def kill_after(monkeypatch, out_dir: Path, k: int) -> list[str]:
+    """The process dies right after the k-th file it writes or unlinks under out_dir: that call, and every
+    later one, raises KeyboardInterrupt. Returns the paths touched, in order."""
+    touched = []
+    real_write, real_unlink = runner.write_atomic, os.unlink
+
+    def touch(path, change) -> None:
+        if len(touched) >= k:
+            raise KeyboardInterrupt  # dead already: no later write or unlink happens
+        if change():
+            touched.append(os.fspath(path))
+            if len(touched) == k:
+                raise KeyboardInterrupt
+
+    def unlink(path, *args, **kwargs):
+        if not os.fspath(path).startswith(os.fspath(out_dir)):
+            return real_unlink(path, *args, **kwargs)
+        touch(path, lambda: real_unlink(path, *args, **kwargs) or True)
+
+    for module in (runner, converter):
+        monkeypatch.setattr(module, "write_atomic", lambda path, text: touch(path, lambda: real_write(path, text)))
+    monkeypatch.setattr(os, "unlink", unlink)
+    return touched

@@ -62,7 +62,7 @@ def test_warm_rerun_calls_no_model_and_writes_nothing(tmp_path, monkeypatch, mod
     assert runner.run_evaluation(out_dir, config).ok
     before = _tree(out_dir)
     calls, writes, manifests = [], [], []
-    real_complete, real_replace, real_dump = LlmGateway.complete, os.replace, runner.safe_dump
+    real_complete, real_replace, real_dump = LlmGateway.complete, os.replace, runner.json_dump
 
     def counting_complete(self, req):
         calls.append(req.template_id)
@@ -72,14 +72,13 @@ def test_warm_rerun_calls_no_model_and_writes_nothing(tmp_path, monkeypatch, mod
         writes.append(dst)
         return real_replace(src, dst)
 
-    def counting_dump(doc, **kwargs):
-        if "config_digest" in doc:
-            manifests.append(doc)
-        return real_dump(doc, **kwargs)
+    def counting_dump(doc):
+        manifests.append(doc)
+        return real_dump(doc)
 
     monkeypatch.setattr(LlmGateway, "complete", counting_complete)
     monkeypatch.setattr(os, "replace", counting_replace)
-    monkeypatch.setattr(runner, "safe_dump", counting_dump)
+    monkeypatch.setattr(runner, "json_dump", counting_dump)  # the manifest's one serialiser
     results = _workflow(mode, CORPUS_DIR, out_dir, config)
     assert calls == []
     assert runner.run_evaluation(out_dir, config).ok  # untraced: it calls the model, and writes the same bytes

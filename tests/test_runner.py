@@ -3,6 +3,7 @@
 import ast
 import copy
 import inspect
+import itertools
 import os
 import re
 import shutil
@@ -23,7 +24,7 @@ from anonpsy.gateway import LlmGateway, MockBackend
 from anonpsy.perturbation import config as perturb_tables
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
-from .helpers import SpyBackend, assert_provenance, assert_same_typed, shared_containers
+from .helpers import SpyBackend, assert_provenance, assert_same_typed, kill_after, shared_containers
 from .synthesis import synthesize
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
@@ -249,6 +250,35 @@ def test_a_staged_convert_that_writes_a_new_graph_removes_what_was_made_from_the
     assert_provenance(out_dir)  # the removed outputs took perturb's and generate's traces with them
 
 
+@pytest.mark.parametrize("made_under", ["this config", "an older config"])
+def test_a_rewritten_entry_removes_a_baseline_exactly_when_its_trace_no_longer_verifies(tmp_path, monkeypatch, made_under):
+    # One rule for every reader of a rewritten file: its own trace decides, not the writer's.
+    # This config: no convert trace exists, yet the baseline's trace proves it was made from this entry.
+    # An older config: convert's trace matches the entry, but the baseline's no longer verifies.
+    config = _config()
+    out_dir = tmp_path / "run"
+    if made_under == "this config":
+        assert runner.run_baseline("llm_only", CORPUS_DIR, out_dir, config).ok
+    else:
+        assert runner.run_baseline("llm_only", CORPUS_DIR, out_dir, replace(config, retries=config.retries + 1)).ok
+        assert runner.run_convert(CORPUS_DIR, out_dir, config).ok
+    baseline = out_dir / "case_001" / "baseline.llm_only.txt"
+    (out_dir / "case_001" / "original.txt").unlink()
+    assert runner.run_convert(CORPUS_DIR, out_dir, config).ok
+    assert baseline.is_file() == (made_under == "this config")
+
+    calls = []
+    real_complete = LlmGateway.complete
+    monkeypatch.setattr(LlmGateway, "complete", lambda self, req: calls.append(req) or real_complete(self, req))
+    result = runner.run_baseline("llm_only", CORPUS_DIR, out_dir, config)
+    assert result.ok and baseline.is_file()
+    if made_under == "this config":
+        assert "case_001" in result.skipped and calls == []  # the paid baseline was kept, and is not paid again
+    else:
+        assert "case_001" not in result.skipped and calls != []
+    assert_provenance(out_dir)
+
+
 def test_a_run_killed_between_the_report_files_leaves_no_csv_of_an_earlier_eval(tmp_path, monkeypatch):
     out_dir = tmp_path / "run"
     config = _config()
@@ -280,6 +310,68 @@ def test_a_run_killed_between_the_report_files_leaves_no_csv_of_an_earlier_eval(
     assert {name: (out_dir / name).stat().st_mtime_ns for name in report} == report
 
 
+WORKFLOW = ("run", *(f"baseline {name}" for name in runner.BASELINE_NAMES), "eval")
+
+
+def _command(command: str, corpus: Path, out_dir: Path, config: RunConfig) -> runner.StageResult:
+    if command == "run":
+        return runner.run_pipeline(corpus, out_dir, config)
+    if command == "eval":
+        return runner.run_evaluation(out_dir, config)
+    return runner.run_baseline(command.removeprefix("baseline "), corpus, out_dir, config)
+
+
+def test_a_workflow_killed_after_any_write_or_unlink_leaves_no_file_of_the_old_entry(tmp_path, monkeypatch):
+    # After a full workflow two corpus texts change: case_001's extracted age, so its graph changes, and
+    # case_002's text alone. Each command of the workflow is killed right after each of its writes and
+    # unlinks in turn, then run again to the end: every case file it leaves must be a clean run's.
+    gateway = LlmGateway(SpyBackend(_age_follows_the_text), model="mock-model")
+    monkeypatch.setattr(runner, "build_gateway", lambda _config: gateway)
+    config = _config()
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    start = tmp_path / "start"  # the run directory as the workflow leaves it before each command
+    for command in WORKFLOW:
+        assert _command(command, corpus, start, config).ok
+    for case_id, old, new in (("case_001", "32-year-old", "33-year-old"), ("case_002", ".\n", ". She lives alone.\n")):
+        text = corpus / f"{case_id}.txt"
+        text.write_text(text.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+    clean = tmp_path / "clean"
+    for command in WORKFLOW:
+        assert _command(command, corpus, clean, config).ok
+    clean_tree, old_tree = _tree(clean), _tree(start)
+    assert clean_tree["case_002/original.txt"] != old_tree["case_002/original.txt"]
+    assert clean_tree["case_001/graph.yaml"] != old_tree["case_001/graph.yaml"]
+
+    points = 0
+    for i, command in enumerate(WORKFLOW):
+        for k in itertools.count(1):
+            out_dir = tmp_path / f"killed-{i}-{k}"
+            shutil.copytree(start, out_dir)
+            with monkeypatch.context() as m:
+                touched = kill_after(m, out_dir, k)
+                try:
+                    _command(command, corpus, out_dir, config)
+                except KeyboardInterrupt:
+                    pass
+            if len(touched) < k:  # the command ended before its k-th write or unlink
+                shutil.rmtree(out_dir)
+                break
+            points += 1
+            where = f"{command} killed after {touched[-1]}"
+            assert _command(command, corpus, out_dir, config).ok, where
+            tree = _tree(out_dir)
+            stale = sorted(f for f, data in tree.items() if "/" in f and clean_tree.get(f) != data)
+            assert stale == [], where
+            for rest in WORKFLOW[i + 1 :]:
+                assert _command(rest, corpus, out_dir, config).ok, where
+            assert _tree(out_dir) == clean_tree, where  # the manifest and the report pair included
+            shutil.rmtree(out_dir)
+        assert _command(command, corpus, start, config).ok
+    assert _tree(start) == clean_tree
+    assert points > len(WORKFLOW)
+
+
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory) -> Path:
     out_dir = tmp_path_factory.mktemp("full") / "run"
@@ -290,8 +382,8 @@ def full_run(tmp_path_factory) -> Path:
 @pytest.mark.parametrize("command", ["run", "convert", *(f"baseline {name}" for name in runner.BASELINE_NAMES)])
 @pytest.mark.parametrize("change", ["delete original.txt", "delete meta.yaml", "edit original.txt"])
 def test_a_hand_changed_corpus_entry_keeps_the_baselines(full_run, tmp_path, monkeypatch, command, change):
-    # The command's own trace matches the corpus entry, so every corpus row was
-    # made from it: the rewritten file is no new input.
+    # Every other corpus row's trace matches the rewritten entry, so each was
+    # made from it: the rewrite removes nothing.
     out_dir = tmp_path / "run"
     shutil.copytree(full_run, out_dir)
     before = _tree(out_dir)

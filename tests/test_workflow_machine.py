@@ -2,8 +2,9 @@
 
 Hypothesis runs random sequences of every command (`run`, the three staged
 commands, the three baselines and `eval`), hand edits and deletions of case
-files, a corpus text edited and restored, and faults switched on and off in a
-seeded backend. After each command every trace in the manifest verifies and
+files, a corpus text edited and restored, faults switched on and off in a
+seeded backend, and a command killed right after its k-th file write or
+unlink. After each command that completes, every trace it wrote verifies and
 no case keeps the outputs of a row that failed; `eval` writes a report of
 every case it scored. At the end the faults are cleared, the corpus is
 restored and the full workflow runs once more: the run directory, its
@@ -21,6 +22,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -31,12 +33,13 @@ from anonpsy.config import RunConfig
 from anonpsy.gateway import GatewayError, LlmGateway, MockBackend, TransientBackendError
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR
-from .helpers import assert_provenance
+from .helpers import assert_provenance, kill_after
 
 CONFIG = RunConfig(seed=42, jobs=1, backend="mock", fixtures_dir=str(FIXTURES_DIR))
 CASES = ("case_001", "case_002", "case_003")
 CASE_FILES = sorted({*runner.CASE_INPUTS, *(f for s in runner.STAGES.values() for f in s.outputs + s.side_outputs)})
 TEMPLATES = sorted(p.name for p in FIXTURES_DIR.iterdir())
+COMMANDS = ("run", *runner.STAGES)  # every row is a command of its own
 
 # The templates whose reply is read as a YAML mapping, and whose unreadable reply ends in a failure the
 # engine sees: a retry, which the fixtures do not hold, so the step either fails its case or falls back
@@ -145,6 +148,19 @@ class Workflow(RuleBasedStateMachine):
     @rule(name=st.sampled_from(runner.BASELINE_NAMES))
     def baseline(self, name):
         self._command((f"baseline.{name}",))
+
+    @rule(command=st.sampled_from(COMMANDS), k=st.integers(1, 12))
+    def kill(self, command, k):
+        """The command dies right after its k-th file write or unlink; the next command finds what it left."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            kill_after(monkeypatch, self.out, k)
+            try:
+                if command == "eval":
+                    runner.run_evaluation(self.out, CONFIG)
+                else:
+                    runner.run_stage(runner.PIPELINE if command == "run" else (command,), self.out, CONFIG, self.corpus)
+            except (KeyboardInterrupt, runner.UsageError):
+                pass
 
     @rule()
     def eval(self):
