@@ -1,7 +1,7 @@
 """Privacy/utility metrics and the statistics behind the evaluation."""
 
 from .canon import canonical_label_set, canonicalize_diagnosis, soft_f1
-from .embedding import HashedTfEmbedder, HttpEmbedder, cosine, doc_similarity
+from .embedding import HashedTfEmbedder, HttpEmbedder, doc_similarity
 from .judge import AT_RISK_THRESHOLD, JudgeError, JudgeResult, judge_risk
 from .report import EvalReport, run_eval
 from .stats import (
@@ -28,7 +28,6 @@ __all__ = [
     "canonical_label_set",
     "canonicalize_diagnosis",
     "cochran_q",
-    "cosine",
     "doc_similarity",
     "friedman",
     "holm_correct",

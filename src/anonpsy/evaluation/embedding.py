@@ -6,16 +6,25 @@ network. An HTTP backend covers deployments with a real embedding endpoint;
 the embedding model identifier is a config string, not a code dependency.
 
 `HashedTfEmbedder` hashes each distinct term once per instance: a memo on the
-instance maps a term to its bucket. `runner.build_embedder` makes one
-instance per command, so the memo lives for one command and nothing
-outlives it. The memo is cleared when it holds `MEMO_CAP` terms, about 2 MB,
-so memory does not grow with the corpus. Counts stay integer-valued floats,
-so every vector is bit-identical to hashing each term occurrence anew.
+instance maps a term to its bucket. `embed` looks every term up in one
+`map` over the memo; only a text with a term the memo lacks takes the path
+that hashes and stores it. `runner.build_embedder` makes one instance per
+command, so the memo lives for one command and nothing outlives it. The
+memo is cleared when it holds `MEMO_CAP` terms, about 2 MB, so memory does
+not grow with the corpus. The bucket counts are integers and the norm is
+taken over them exactly, so every vector is bit-identical to hashing each
+term occurrence anew into a dense float vector.
 
 The eval cases of one command run on the worker pool and share that memo.
 Each dict read, write and clear is atomic, and a term's bucket depends on
 the term alone, so the worst a race does is hash a term twice, or after a
 clear hash it again, into the same bucket: every vector stays bit-identical.
+
+`similarities` scores one case: it embeds the original and takes its norm
+once, and each variant's norm once. Every sum runs over the nonzero entries
+in ascending index order; a running sum that starts at 0 is unchanged by
+adding a zero, so a dense vector, as the HTTP embedder returns, scores with
+the same bits as its sparse map.
 """
 
 from __future__ import annotations
@@ -24,7 +33,9 @@ import hashlib
 import http.client
 import json
 import math
+import operator
 from collections import Counter
+from collections.abc import Iterable
 
 from ..gateway import post_json
 from ..textproc import tokenize
@@ -51,20 +62,22 @@ class HashedTfEmbedder:
     def embed(self, text: str) -> dict[int, float]:
         """Sparse vector: the nonzero buckets only, in ascending bucket order."""
         tokens = tokenize(text)
-        terms = Counter(tokens)
-        terms.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+        terms = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
         memo = self._buckets
-        counts: dict[int, float] = {}
-        for term, n in terms.items():
-            bucket = memo.get(term)
-            if bucket is None:
-                if len(memo) >= MEMO_CAP:
-                    memo.clear()
-                bucket = memo[term] = _bucket(term, self.dimensions)
-            counts[bucket] = counts.get(bucket, 0.0) + n
-        buckets = sorted(counts)
-        norm = math.sqrt(sum(counts[k] * counts[k] for k in buckets))
-        return {k: counts[k] / norm for k in buckets}
+        buckets = list(map(memo.get, terms))
+        if None in buckets:  # a term not yet hashed, or the memo was cleared
+            found = dict(zip(terms, buckets))
+            for term, bucket in found.items():
+                if bucket is None:
+                    if len(memo) >= MEMO_CAP:
+                        memo.clear()
+                    found[term] = memo[term] = _bucket(term, self.dimensions)
+            buckets = list(map(found.__getitem__, terms))
+        counts = Counter(buckets)
+        keys = sorted(counts)
+        values = list(map(counts.__getitem__, keys))
+        norm = math.sqrt(sum(map(operator.mul, values, values)))
+        return dict(zip(keys, [v / norm for v in values]))
 
 
 class HttpEmbedder:
@@ -102,30 +115,33 @@ def _sparse(u) -> dict[int, float]:
     return {i: x for i, x in enumerate(u) if x}
 
 
-def cosine(u, v) -> float:
-    """Cosine of two vectors, each a dense list or a sparse {index: value} map.
+def _norm(u: dict[int, float]) -> float:
+    values = [u[k] for k in sorted(u)]
+    return math.sqrt(sum(map(operator.mul, values, values)))
 
-    Sums run over the nonzero entries in ascending index order. A running sum
-    that starts at 0 is unchanged by adding a zero, so a sparse vector gives
-    the same bits as its dense list.
-    """
-    u, v = _sparse(u), _sparse(v)
-    dot = sum(u[k] * v[k] for k in sorted(u.keys() & v.keys()))
-    nu = math.sqrt(sum(u[k] * u[k] for k in sorted(u)))
-    nv = math.sqrt(sum(v[k] * v[k] for k in sorted(v)))
+
+def _cosine(u: dict[int, float], nu: float, v: dict[int, float], nv: float) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return dot / (nu * nv)
+    keys = sorted(u.keys() & v.keys())
+    return sum(map(operator.mul, map(u.__getitem__, keys), map(v.__getitem__, keys))) / (nu * nv)
 
 
-def embedded_similarity(a: str, ua, b: str, ub) -> float:
-    """doc_similarity of a and b given their embeddings ua and ub."""
-    ua, ub = _sparse(ua), _sparse(ub)
-    if not ua and not ub:
-        return 1.0 if a == b else 0.0
-    return cosine(ua, ub)
+def similarities(original: str, texts: Iterable[str], embedder) -> list[float]:
+    """`doc_similarity(original, text, embedder)` for each text; the original is embedded and its norm taken once."""
+    u = _sparse(embedder.embed(original))
+    nu = _norm(u)
+    scores = []
+    for text in texts:
+        v = _sparse(embedder.embed(text))
+        if not u and not v:
+            scores.append(1.0 if text == original else 0.0)
+        else:
+            scores.append(_cosine(u, nu, v, _norm(v)))
+    return scores
 
 
 def doc_similarity(a: str, b: str, embedder) -> float:
     """Cosine similarity of two documents under the configured embedder."""
-    return embedded_similarity(a, embedder.embed(a), b, embedder.embed(b))
+    (score,) = similarities(a, [b], embedder)
+    return score

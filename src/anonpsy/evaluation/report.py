@@ -20,7 +20,7 @@ from ..converter import CaseNarrative
 from ..gateway import GatewayError, LlmGateway, validated_call
 from ..yamlio import reply_mapping, safe_dump
 from .canon import canonical_label_set, soft_f1
-from .embedding import embedded_similarity
+from .embedding import similarities
 from .judge import JudgeError, judge_risk
 from .stats import (
     TestOutcome,
@@ -149,18 +149,14 @@ def eval_case(
     case_id, original = narrative.case_id, narrative.text
     gold = canonical_label_set(narrative.ground_truth_diagnoses)
     case = CaseEval(case_id=case_id, gold=gold)
+    cosines = {"original": 1.0, **dict(zip(texts, similarities(original, texts.values(), embedder)))}
     texts = {"original": original, **texts}
 
-    original_vector = embedder.embed(original)
     for variant, text in texts.items():
         predicted_raw = _predict_diagnoses(gw, text, case_id, variant)
         predicted = canonical_label_set(predicted_raw)
         score = soft_f1(predicted, gold, threshold=match_threshold)
-        cos = (
-            1.0
-            if variant == "original"
-            else embedded_similarity(original, original_vector, text, embedder.embed(text))
-        )
+        cos = cosines[variant]
         acceptable = None
         if gold:
             acceptable = _judge_acceptability(gw, text, gold, case_id, variant)

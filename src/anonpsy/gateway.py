@@ -295,9 +295,10 @@ class LlmGateway:
         path = self._cache_path(req)
         if path is None:
             return None
+        # Bytes, not text mode, which would turn the reply's CRLF and CR into LF.
         try:
-            with open(path, encoding="utf-8") as cached:
-                return cached.read()
+            with open(path, "rb") as cached:
+                return cached.read().decode("utf-8")
         except FileNotFoundError:
             return None
 

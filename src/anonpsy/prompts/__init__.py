@@ -66,22 +66,25 @@ def _split_sections(text: str) -> list[tuple[str, str]]:
     return sections
 
 
+# Parsed once per process, like the file it reads.
+@functools.cache
+def _template(template_id: str) -> tuple[tuple[tuple[str, str], ...], frozenset[str]]:
+    """The template's (role, content) sections and the names of its placeholders."""
+    text = _asset_text(template_id)
+    return tuple(_split_sections(text)), frozenset(_PLACEHOLDER.findall(text))
+
+
 def render(template_id: str, variables: dict[str, str]) -> list[tuple[str, str]]:
     """Render a template into (role, content) messages.
 
     Every placeholder in the template must be provided; extra variables are
     allowed (they still participate in mock fixture digests).
     """
-    text = _asset_text(template_id)
-    needed = set(_PLACEHOLDER.findall(text))
+    sections, needed = _template(template_id)
     missing = needed - set(variables)
     if missing:
         raise TemplateError(
             f"template {template_id!r} missing variables: {', '.join(sorted(missing))}"
         )
-    messages = []
-    for role, content in _split_sections(text):
-        for name in needed:
-            content = content.replace("{" + name + "}", str(variables[name]))
-        messages.append((role, content))
-    return messages
+    # One pass per section: a value that holds a placeholder is never filled in again.
+    return [(role, _PLACEHOLDER.sub(lambda m: str(variables[m.group(1)]), content)) for role, content in sections]

@@ -612,6 +612,14 @@ def _update_manifest(
     """Record config digest, seeds, model ids, prompt hashes, stage status and provenance over the
     manifest as loaded; write it when that changed its content."""
     stages = dict(loaded.get("stages") or {})
+    for name, entry in stages.items():
+        # A failure an earlier command recorded, whose outputs a command killed since has written: the row
+        # is no longer listed as failed for that case, nor as succeeded, until it runs there again.
+        outputs = STAGES[name].outputs if name in STAGES else ()
+        failed = entry.get("failed") or {}
+        kept = {k: v for k, v in failed.items() if not any(os.path.exists(out_dir / k / f) for f in outputs)}
+        if kept != failed:
+            stages[name] = {**entry, "failed": kept}
     for result in results:
         stages[result.stage] = {
             "succeeded": sorted(result.succeeded),

@@ -14,6 +14,14 @@ and user files, `reply_mapping` for a model reply that must be a mapping, and
 YAML reads as the same value: `run_manifest.yaml`, which every command loads
 and writes back, goes out through `json_dump` and is read by `load_yaml`
 through `json`.
+
+The common shapes skip PyYAML's Python layers. A flat mapping of plain
+scalars and lists of them, `meta.yaml` and the eval's and judge's replies,
+is written by `_flat_dump` and read by `_flat_load` line by line. Any other
+document libyaml writes as pure PyYAML does is built as a node tree in one
+walk (`_node_tree`) and handed to libyaml's serializer, so PyYAML's Python
+representer walk never runs. Each fast path gives what `yaml.safe_load` or
+`yaml.safe_dump` gives, or declines and leaves the text or document to them.
 """
 
 from __future__ import annotations
@@ -70,21 +78,30 @@ _JSON_UNSAFE = re.compile("[\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
 _CLoader = getattr(yaml, "CSafeLoader", None)
 _CDumper = getattr(yaml, "CSafeDumper", None)
 _STR_TAG = "tag:yaml.org,2002:str"
+_INT_TAG = "tag:yaml.org,2002:int"
+_BOOL_TAG = "tag:yaml.org,2002:bool"
+_NULL_TAG = "tag:yaml.org,2002:null"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
 _RESOLVER = yaml.resolver.Resolver()
 
 
 def load_yaml(text: str):
     """Load YAML the program itself wrote or packages: JSON through `json`, the rest through libyaml if present.
 
-    A text that starts with `{` and is JSON is what `json_dump` wrote; any
-    other text, such as a block-YAML manifest of an earlier version or one
-    edited by hand, goes to libyaml.
+    A text that starts with `{` and is JSON is what `json_dump` wrote, and a
+    flat mapping such as `meta.yaml` is read by `_flat_load`; any other text,
+    such as a block-YAML manifest of an earlier version or one edited by
+    hand, goes to libyaml.
     """
     if text.startswith("{"):
         try:
             return json.loads(text)
         except ValueError:
             pass  # a YAML flow mapping that is not JSON
+    doc = _flat_load(text)
+    if doc is not None:
+        return doc
     return yaml.load(text, Loader=_CLoader or yaml.SafeLoader)
 
 
@@ -125,14 +142,19 @@ def _reads_alike(text: str) -> bool:
 
 
 def safe_load(text: str):
-    """`yaml.safe_load(text)`, through libyaml where that gives the same value.
+    """`yaml.safe_load(text)`, by hand or through libyaml where that gives the same value.
 
-    Any text libyaml rejects is parsed again by pure PyYAML, so every error
-    and its message come from pure PyYAML. Every parse error is a `YAMLError`:
+    A flat mapping, such as most model replies the eval reads, is read by
+    `_flat_load`. Any text libyaml rejects is parsed again by pure PyYAML,
+    so every error and its message come from pure PyYAML. Every parse error
+    is a `YAMLError`:
     a bad date or number raises `yaml.constructor.ConstructorError`, where
     `yaml.safe_load` raises a bare `ValueError`, and a document nested too
     deeply raises `NestingTooDeepError`, where it raises `RecursionError`.
     """
+    doc = _flat_load(text)
+    if doc is not None:
+        return doc
     if _CLoader is not None and _reads_alike(text):
         try:
             return yaml.load(text, Loader=_CLoader)
@@ -160,39 +182,6 @@ def reply_mapping(text: str, reject: Callable[[str], Any]) -> dict | None:
     if isinstance(doc, dict):
         return doc
     return reject(f"expected mapping, got {type(doc).__name__}")
-
-
-def _emits_alike(doc) -> bool:
-    """True when libyaml's emitter writes `doc` byte for byte as pure PyYAML.
-
-    Every string is printable ASCII (so no line break), every key a string of
-    1 to 64 characters, and no list or dict appears twice, which also ends the
-    walk on a cyclic document. PyYAML writes an empty key as `? ''` and a key
-    of 123 to 128 characters as `? key`, where libyaml writes `'':` and
-    `key:`; the two emitters fold double-quoted strings differently.
-    """
-    stack = [doc]
-    seen = set()
-    while stack:
-        value = stack.pop()
-        kind = type(value)
-        if kind is str:
-            if not (value.isascii() and value.isprintable()):
-                return False
-        elif kind is dict or kind is list:
-            if id(value) in seen:
-                return False
-            seen.add(id(value))
-            if kind is list:
-                stack.extend(value)
-                continue
-            for key in value:
-                if not (type(key) is str and 0 < len(key) <= 64 and key.isascii() and key.isprintable()):
-                    return False
-            stack.extend(value.values())
-        elif not (value is None or kind is int or kind is float or kind is bool):
-            return False
-    return True
 
 
 # Printable ASCII that starts with a letter or digit and ends in neither a
@@ -247,20 +236,144 @@ def _flat_dump(doc: dict, sort_keys: bool) -> str | None:
     return "\n".join(lines) + "\n"
 
 
+# A scalar `_flat_load` cannot read: it leaves the text to the YAML parsers.
+_NOT_FLAT = object()
+# Decimal digits without `_`; at most 100, far below the length at which `int` refuses a string.
+_DECIMAL = re.compile(r"0|[1-9][0-9]{0,99}")
+
+
+def _flat_scalar(text: str):
+    """The value of a plain scalar: a string, a decimal int, `true`/`false` or null; else `_NOT_FLAT`."""
+    if _PLAIN_STR.fullmatch(text) is None or ": " in text or " #" in text:
+        return _NOT_FLAT
+    tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
+    if tag == _STR_TAG:
+        return text
+    if tag == _NULL_TAG:
+        return None
+    if tag == _BOOL_TAG and text in ("true", "false"):
+        return text == "true"
+    if tag == _INT_TAG and _DECIMAL.fullmatch(text):
+        return int(text)
+    return _NOT_FLAT
+
+
+def _flat_load(text: str) -> dict | None:
+    """`yaml.safe_load(text)` for a flat mapping, the inverse of `_flat_dump`; else None.
+
+    Each line is `key: scalar`, `key: []`, `key:` or `- scalar`; a `- ` line
+    is an item of the list of the `key:` above it, and a `key:` without items
+    reads as null. Every key is `_plain` and at most 128 characters (PyYAML
+    refuses a key of over 1024). Every scalar is plain and reads as a
+    string, a decimal int, `true`/`false` or null. Anything else, an empty
+    line, a comment, an indent, a tab or a CR among it, is None: the YAML
+    parsers read it, and word its errors. Model replies of the eval and the
+    judge, and a case's `meta.yaml`, have this shape.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    doc = {}
+    key = items = None  # the last `key:`, and its list once a `- ` line follows
+    for line in lines:
+        if line.startswith("- "):
+            item = _flat_scalar(line[2:])
+            if key is None or item is _NOT_FLAT:
+                return None
+            if items is None:
+                items = doc[key] = []
+            items.append(item)
+            continue
+        name, colon, value = line.partition(": ")
+        if not colon:
+            if not line.endswith(":"):
+                return None
+            name = line[:-1]
+        if len(name) > 128 or not _plain(name):
+            return None
+        key = items = None
+        if not colon:
+            key = name
+            doc[name] = None
+        elif value == "[]":
+            doc[name] = []
+        else:
+            value = _flat_scalar(value)
+            if value is _NOT_FLAT:
+                return None
+            doc[name] = value
+    return doc or None
+
+
+def _node_tree(doc: dict, sort_keys: bool) -> yaml.MappingNode | None:
+    """The nodes `yaml.safe_dump` represents `doc` as, where libyaml's emitter writes them as pure PyYAML's; else None.
+
+    Scalars are made by `SafeRepresenter`'s own methods, lists and dicts as
+    its block-style nodes, with `sorted(items)` under sort_keys. The walk
+    refuses what the two emitters write apart: every string must be
+    printable ASCII (so no line break), every key a string of 1 to 64
+    characters, and no list or dict may appear twice (PyYAML would write an
+    alias), which also ends the walk on a cyclic document. PyYAML writes an
+    empty key as `? ''` and a key of 123 to 128 characters as `? key`, where
+    libyaml writes `'':` and `key:`; the two emitters fold double-quoted
+    strings differently.
+    """
+    seen = set()
+
+    def build(value):
+        kind = type(value)
+        if kind is str:
+            return _REPRESENTER.represent_str(value) if value.isascii() and value.isprintable() else None
+        if kind is dict or kind is list:
+            if id(value) in seen:
+                return None
+            seen.add(id(value))
+            if kind is list:
+                items = [build(item) for item in value]
+                return None if None in items else yaml.SequenceNode(_SEQ_TAG, items, flow_style=False)
+            for key in value:
+                if not (type(key) is str and 0 < len(key) <= 64 and key.isascii() and key.isprintable()):
+                    return None
+            pairs = []
+            for key, item in sorted(value.items()) if sort_keys else value.items():
+                node = build(item)
+                if node is None:
+                    return None
+                pairs.append((_REPRESENTER.represent_str(key), node))
+            return yaml.MappingNode(_MAP_TAG, pairs, flow_style=False)
+        scalar = _SCALAR_NODES.get(kind)
+        return None if scalar is None else scalar(value)
+
+    return build(doc)
+
+
+# The representer `yaml.safe_dump` uses. Its scalar methods make a node and
+# record nothing while no alias key is set, so one instance serves every walk.
+_REPRESENTER = yaml.representer.SafeRepresenter()
+_SCALAR_NODES = {
+    type(None): _REPRESENTER.represent_none,
+    bool: _REPRESENTER.represent_bool,
+    int: _REPRESENTER.represent_int,
+    float: _REPRESENTER.represent_float,
+}
+
+
 def safe_dump(doc, *, sort_keys: bool = True, allow_unicode: bool = False) -> str:
     """`yaml.safe_dump(doc, ...)`, written by hand or through libyaml where that gives the same bytes.
 
     A flat mapping of plain strings is written by `_flat_dump`. libyaml
     writes only a mapping at the top level (PyYAML ends a top-level scalar
-    with `...`) that `_emits_alike`; anything else goes to pure PyYAML.
+    with `...`), from the nodes `_node_tree` builds; anything else goes to
+    pure PyYAML.
     """
     if type(doc) is dict:
         text = _flat_dump(doc, sort_keys)
         if text is not None:
             return text
-    fast = _CDumper is not None and type(doc) is dict and _emits_alike(doc)
-    dumper = _CDumper if fast else yaml.SafeDumper
-    return yaml.dump(doc, Dumper=dumper, sort_keys=sort_keys, allow_unicode=allow_unicode)
+        node = _node_tree(doc, sort_keys) if _CDumper is not None else None
+        if node is not None:
+            return yaml.serialize(node, Dumper=_CDumper, allow_unicode=allow_unicode)
+    return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=sort_keys, allow_unicode=allow_unicode)
 
 
 def _json_reads_alike(doc) -> bool:

@@ -36,6 +36,8 @@ from anonpsy.model import (
     VisitEvent,
 )
 
+from .synthesis import synthesize
+
 # --- temporal oracles --------------------------------------------------------
 
 
@@ -523,6 +525,30 @@ def package_digest() -> str:
     return h.hexdigest()
 
 
+def _trace(*parts: str) -> str:
+    return _sha("\0".join(parts).encode("utf-8"))[:32]
+
+
+def _base(doc: dict) -> str:
+    """The base key of the command that wrote the manifest doc."""
+    prompts = (f"{name}={h}" for name, h in sorted(doc["prompt_assets"].items()))
+    return _trace(doc["config_digest"], *prompts, package_digest())
+
+
+def _row_trace(base: str, case_dir: Path, name: str, inputs: dict[str, bytes] | None = None) -> str:
+    """The trace of row name over its input files (from disk, or these bytes) and its outputs on disk."""
+    stage = runner.STAGES[name]
+    files = tuple(runner.CASE_INPUTS) if stage.source is None else (stage.source,)
+    if inputs is None:
+        inputs = {file: (case_dir / file).read_bytes() for file in files if (case_dir / file).is_file()}
+    digests = [_sha(inputs[file]) if file in inputs else "-" for file in files]
+    digests += [
+        _sha((case_dir / file).read_bytes()) if (case_dir / file).is_file() else "-"
+        for file in stage.outputs + stage.side_outputs
+    ]
+    return _trace(name, case_dir.name, base, *digests)
+
+
 def assert_provenance(run_dir, rows=None, cases=None) -> None:
     """Every provenance entry in run_dir's manifest, or each of the given rows and cases, matches the files on disk.
 
@@ -533,12 +559,7 @@ def assert_provenance(run_dir, rows=None, cases=None) -> None:
     """
     run_dir = Path(run_dir)
     doc = yaml.safe_load((run_dir / "run_manifest.yaml").read_text(encoding="utf-8"))
-
-    def trace(*parts: str) -> str:
-        return _sha("\0".join(parts).encode("utf-8"))[:32]
-
-    prompts = (f"{name}={h}" for name, h in sorted(doc["prompt_assets"].items()))
-    base = trace(doc["config_digest"], *prompts, package_digest())
+    base = _base(doc)
     for case_id, entries in doc.get("provenance", {}).items():
         if cases is not None and case_id not in cases:
             continue
@@ -551,12 +572,27 @@ def assert_provenance(run_dir, rows=None, cases=None) -> None:
             assert stage and stage.outputs + stage.side_outputs, f"{case_id}: {name} is not a traced row"
             for file in stage.outputs:
                 assert (case_dir / file).is_file(), f"{case_id}/{name}: the entry outlived {file}"
-            inputs = tuple(runner.CASE_INPUTS) if stage.source is None else (stage.source,)
-            digests = [
-                _sha((case_dir / file).read_bytes()) if (case_dir / file).is_file() else "-"
-                for file in inputs + stage.outputs + stage.side_outputs
-            ]
-            assert recorded == trace(name, case_id, base, *digests), f"{case_id}/{name}: the trace does not match"
+            assert recorded == _row_trace(base, case_dir, name), f"{case_id}/{name}: the trace does not match"
+
+
+def made_from(run_dir, case_id: str, name: str, inputs: dict[str, bytes]) -> bool:
+    """Whether the manifest records row name's outputs on disk for case_id as made from these input bytes."""
+    manifest = Path(run_dir) / "run_manifest.yaml"
+    if not manifest.is_file():  # no command has completed yet
+        return False
+    doc = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+    recorded = doc.get("provenance", {}).get(case_id, {}).get(name)
+    return recorded == _row_trace(_base(doc), Path(run_dir) / case_id, name, inputs)
+
+
+def age_follows_the_text(req) -> str:
+    """The synthesized reply, but the extracted age is read from the narrative: an edited text gives a new graph."""
+    reply = synthesize(req.template_id, dict(req.variables))
+    if req.template_id == "extract_entities":
+        doc = yaml.safe_load(reply)
+        doc["demographics"]["age"] = int(re.search(r"(\d+)-year-old", dict(req.variables)["narrative"]).group(1))
+        reply = yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
+    return reply
 
 
 # --- process kills --------------------------------------------------------------

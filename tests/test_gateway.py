@@ -70,6 +70,12 @@ class TestPromptAssets:
         with pytest.raises(prompts.TemplateError, match="case_text"):
             prompts.render("llm_only_rewrite", {})
 
+    def test_a_value_holding_a_placeholder_is_not_filled_in_again(self):
+        # Replaced one name after another, in set order, one of the two values was read as a template.
+        variables = {"case_id": "{narrative}", "variant": "v", "narrative": "a {case_id} b"}
+        messages = prompts.render("predict_diagnoses", variables)
+        assert messages[-1][1].endswith("--- CASE {narrative} ---\na {case_id} b")
+
     def test_system_section_split(self):
         messages = prompts.render("llm_only_rewrite", {"case_text": "X"})
         assert [role for role, _ in messages] == ["system", "user"]
@@ -81,11 +87,13 @@ class TestPromptAssets:
         for name, path in files.items():
             assert prompts.asset_hash(name) == hashlib.sha256(path.read_bytes()).hexdigest()
             variables = {v: f"<{v} {name}>" for v in re.findall(r"\{([a-z][a-z0-9_]*)\}", path.read_text("utf-8"))}
-            hits = prompts._asset_text.cache_info().hits
+            hits = prompts._template.cache_info().hits
             cached[name] = prompts.render(name, variables), variables
             assert prompts.render(name, variables) == cached[name][0]
-            assert prompts._asset_text.cache_info().hits > hits
+            assert prompts._template.cache_info().hits > hits
+        # Parse each package file anew.
         monkeypatch.setattr(prompts, "_asset_text", lambda name: files[name].read_text(encoding="utf-8"))
+        monkeypatch.setattr(prompts, "_template", prompts._template.__wrapped__)
         for name, (messages, variables) in cached.items():
             assert prompts.render(name, variables) == messages
 
@@ -205,6 +213,16 @@ class TestRetryAndCache:
         assert first.backend == "live"
         assert second.backend == "cache"
         assert second.text == first.text
+        assert backend.attempts == 1
+
+    def test_cache_hit_keeps_carriage_returns(self, tmp_path):
+        # Read in text mode, the entry came back with every CRLF and lone CR as LF.
+        text = "diagnoses:\r\n- x\r\nnote: a\rb\n"
+        backend = _FlakyBackend(failures=0, text=text)
+        gw = LlmGateway(backend, model="m", cache_dir=tmp_path / "cache")
+        assert gw.complete(_request()).text == text
+        second = gw.complete(_request())
+        assert (second.backend, second.text) == ("cache", text)
         assert backend.attempts == 1
 
     def test_cache_entry_removed_after_a_check_is_a_miss(self, tmp_path, monkeypatch):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anonpsy.converter import CaseNarrative
 from anonpsy.evaluation import embedding
 from anonpsy.evaluation.canon import canonical_label_set, canonicalize_diagnosis, soft_f1
 from anonpsy.evaluation.embedding import FALLBACK_DIMENSIONS, HashedTfEmbedder, _bucket, doc_similarity
+from anonpsy.evaluation.report import eval_case
 from anonpsy.textproc import tokenize
 
 from .conftest import CORPUS_DIR, GOLDEN_DIR
-from .helpers import tf_cosine_oracle
+from .helpers import FakeGateway, tf_cosine_oracle
 from .synthesis import CASE_001, CASE_002
 
 # Frozen once from the independent sparse term-vector oracle.
@@ -170,6 +172,19 @@ def _dense_as_sparse(text: str) -> dict[int, float]:
 def _all_texts() -> list[str]:
     paths = sorted(CORPUS_DIR.glob("*.txt")) + sorted(GOLDEN_DIR.glob("*.txt"))
     return [p.read_text(encoding="utf-8") for p in paths] + ["", "alpha beta gamma"]
+
+
+class TestEvalCaseCosines:
+    def test_equal_the_dense_reference_bit_for_bit(self):
+        # Unrounded: the golden report.yaml rounds to 6 digits, so it cannot show a last-bit change.
+        texts = _all_texts()
+        variants = {f"v{i}": text for i, text in enumerate(texts)}
+        gateway = FakeGateway(lambda _template, _variables: "diagnoses: []\n")
+        embedder = HashedTfEmbedder()
+        for original in filter(str.strip, texts):
+            case = eval_case(CaseNarrative("case_x", original), variants, gateway, embedder, 0.85, 42)
+            expected = {name: _dense_similarity(original, text) for name, text in variants.items()}
+            assert {name: m.cosine for name, m in case.variants.items()} == {"original": 1.0, **expected}
 
 
 class TestBucketMemo:

@@ -5,7 +5,6 @@ import copy
 import inspect
 import itertools
 import os
-import re
 import shutil
 import textwrap
 import threading
@@ -24,7 +23,14 @@ from anonpsy.gateway import LlmGateway, MockBackend
 from anonpsy.perturbation import config as perturb_tables
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
-from .helpers import SpyBackend, assert_provenance, assert_same_typed, kill_after, shared_containers
+from .helpers import (
+    SpyBackend,
+    age_follows_the_text,
+    assert_provenance,
+    assert_same_typed,
+    kill_after,
+    shared_containers,
+)
 from .synthesis import synthesize
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
@@ -93,6 +99,42 @@ def test_failed_baseline_removes_its_previous_output(tmp_path):
     assert "sdc" not in variants["case_001"]
     assert "sdc" in variants["case_002"]
     assert_provenance(out_dir)
+
+
+def test_a_failure_whose_outputs_a_killed_command_wrote_is_not_written_back(tmp_path, monkeypatch):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, fixtures)
+    config = _config(fixtures)
+    out_dir = tmp_path / "run"
+    assert runner.run_pipeline(CORPUS_DIR, out_dir, config).ok
+    text = (CORPUS_DIR / "case_001.txt").read_text(encoding="utf-8")
+    fixture = Path(MockBackend(fixtures).fixture_path("sdc_rewrite", {"case_text": text}))
+    reply = fixture.read_bytes()
+    fixture.unlink()
+    assert list(runner.run_baseline("sdc", CORPUS_DIR, out_dir, config).failed) == ["case_001"]
+    fixture.write_bytes(reply)
+
+    output = out_dir / "case_001" / "baseline.sdc.txt"
+    real_write = runner.write_atomic
+
+    def killed_after_the_output(path, data):
+        written = real_write(path, data)
+        if Path(path) == output:
+            raise KeyboardInterrupt  # dies before the manifest records that the row succeeded
+        return written
+
+    monkeypatch.setattr(runner, "write_atomic", killed_after_the_output)
+    with pytest.raises(KeyboardInterrupt):
+        runner.run_baseline("sdc", CORPUS_DIR, out_dir, config)
+    monkeypatch.setattr(runner, "write_atomic", real_write)
+    assert output.is_file()
+    assert runner.run_baseline("phi", CORPUS_DIR, out_dir, config).ok
+
+    # The next command that completes writes the manifest; it no longer lists the row as failed for a case
+    # that holds the row's output.
+    manifest = runner.safe_load((out_dir / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert manifest["stages"]["baseline.sdc"]["failed"] == {}
+    assert runner.run_baseline("sdc", CORPUS_DIR, out_dir, config).ok
 
 
 def test_each_stage_adds_exactly_its_declared_outputs(tmp_path):
@@ -215,18 +257,8 @@ def test_a_run_killed_after_writing_a_new_entry_leaves_no_baseline_of_the_old_on
     assert sorted(p.name for p in (out_dir / "case_001").glob("baseline.*")) == []
 
 
-def _age_follows_the_text(req) -> str:
-    """The synthesized reply, but the extracted age is read from the narrative: an edited text gives a new graph."""
-    reply = synthesize(req.template_id, dict(req.variables))
-    if req.template_id == "extract_entities":
-        doc = yaml.safe_load(reply)
-        doc["demographics"]["age"] = int(re.search(r"(\d+)-year-old", dict(req.variables)["narrative"]).group(1))
-        reply = yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
-    return reply
-
-
 def test_a_staged_convert_that_writes_a_new_graph_removes_what_was_made_from_the_old_one(tmp_path, monkeypatch):
-    gateway = LlmGateway(SpyBackend(_age_follows_the_text), model="mock-model")
+    gateway = LlmGateway(SpyBackend(age_follows_the_text), model="mock-model")
     monkeypatch.setattr(runner, "build_gateway", lambda _config: gateway)
     corpus = tmp_path / "corpus"
     shutil.copytree(CORPUS_DIR, corpus)
@@ -325,7 +357,7 @@ def test_a_workflow_killed_after_any_write_or_unlink_leaves_no_file_of_the_old_e
     # After a full workflow two corpus texts change: case_001's extracted age, so its graph changes, and
     # case_002's text alone. Each command of the workflow is killed right after each of its writes and
     # unlinks in turn, then run again to the end: every case file it leaves must be a clean run's.
-    gateway = LlmGateway(SpyBackend(_age_follows_the_text), model="mock-model")
+    gateway = LlmGateway(SpyBackend(age_follows_the_text), model="mock-model")
     monkeypatch.setattr(runner, "build_gateway", lambda _config: gateway)
     config = _config()
     corpus = tmp_path / "corpus"

@@ -4,11 +4,13 @@ Hypothesis runs random sequences of every command (`run`, the three staged
 commands, the three baselines and `eval`), hand edits and deletions of case
 files, a corpus text edited and restored, faults switched on and off in a
 seeded backend, and a command killed right after its k-th file write or
-unlink. After each command that completes, every trace it wrote verifies and
-no case keeps the outputs of a row that failed; `eval` writes a report of
-every case it scored. At the end the faults are cleared, the corpus is
-restored and the full workflow runs once more: the run directory, its
-manifest included, is then byte-identical to a clean run's.
+unlink, or right after it writes a corpus entry that was just edited. After
+each command that completes, every trace it wrote verifies and no case keeps
+the outputs of a row that failed; after it and after each kill, no case that
+holds its current corpus entry keeps another row's outputs made from an older
+one; `eval` writes a report of every case it scored. At the end the faults
+are cleared, the corpus is restored and the full workflow runs once more: the
+run directory, its manifest included, is then byte-identical to a clean run's.
 
 `pytest --hypothesis-profile=fuzz` runs the machine on 2,000 sequences
 instead of 40.
@@ -17,7 +19,9 @@ instead of 40.
 from __future__ import annotations
 
 import functools
+import os
 import random
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -30,10 +34,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_sta
 
 from anonpsy import runner
 from anonpsy.config import RunConfig
-from anonpsy.gateway import GatewayError, LlmGateway, MockBackend, TransientBackendError
+from anonpsy.gateway import GatewayError, LlmGateway, MockBackend, MockFixtureMissing, TransientBackendError
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR
-from .helpers import assert_provenance, kill_after
+from .helpers import age_follows_the_text, assert_provenance, kill_after, made_from
 
 CONFIG = RunConfig(seed=42, jobs=1, backend="mock", fixtures_dir=str(FIXTURES_DIR))
 CASES = ("case_001", "case_002", "case_003")
@@ -64,6 +68,9 @@ FAULTS = ("429", "503", "timeout", "non_json", "empty", *BAD_REPLIES)
 class FaultyBackend:
     """The mock backend with faults switched on per template, each call drawn from a seeded RNG.
 
+    A first attempt the fixtures lack, such as one about an edited corpus
+    text, gets the synthesized reply whose extracted age follows the text
+    (`helpers.age_follows_the_text`), so every row reads and writes new bytes.
     The faults are those a live backend produces: a 429 or 503 status and a
     timeout, which the gateway retries; a body that is not JSON and an empty
     completion, which end the call; and, for the STRUCTURED templates, broken
@@ -78,7 +85,12 @@ class FaultyBackend:
         self.faults: dict[str | None, tuple[str, float]] = {}  # template id (None: every one) -> (fault, rate)
 
     def complete(self, req) -> str:
-        text = self.mock.complete(req)  # a request the fixtures lack fails as it does without faults
+        try:
+            text = self.mock.complete(req)
+        except MockFixtureMissing:
+            if "attempt" in dict(req.variables):
+                raise  # a retry: the fixtures hold none, so a clean rerun never keeps its reply
+            text = age_follows_the_text(req)
         fault, rate = self.faults.get(req.template_id) or self.faults.get(None) or ("", 0.0)
         if not fault or (fault in BAD_REPLIES and req.template_id not in STRUCTURED) or self.rng.random() >= rate:
             return text
@@ -117,6 +129,37 @@ class Workflow(RuleBasedStateMachine):
         self.tmp = Path(tempfile.mkdtemp(prefix="anonpsy-workflow-"))
         self.corpus, self.out = self.tmp / "corpus", self.tmp / "run"
         shutil.copytree(CORPUS_DIR, self.corpus)
+        self.entries: dict[str, list[dict[str, bytes]]] = {}  # case id -> each corpus entry it has had, the last current
+        self._new_entries()
+        # (case id, corpus row) that a kill may have stopped between its new entry and its own outputs
+        self.unfinished: set[tuple[str, str]] = set()
+
+    def _new_entries(self) -> None:
+        for narrative in runner.load_corpus(self.corpus):
+            entry = {file: render(narrative).encode("utf-8") for file, render in runner.CASE_INPUTS.items()}
+            seen = self.entries.setdefault(narrative.case_id, [])
+            if entry in seen:
+                seen.remove(entry)
+            seen.append(entry)
+
+    def _check_entries(self) -> None:
+        """Where a case holds its current corpus entry, no other row that reads it keeps outputs made from an older one.
+
+        A corpus row removes the other readers' outputs before it writes a new
+        entry; written first, a kill in between would leave them beside the new
+        entry. The row's own outputs stay until it writes new ones, so a kill
+        in between leaves them (`unfinished`) until the row runs again.
+        """
+        for case_id, (*older, current) in self.entries.items():
+            case_dir = self.out / case_id
+            if any(not (case_dir / f).is_file() or (case_dir / f).read_bytes() != b for f, b in current.items()):
+                continue
+            for name, stage in runner.STAGES.items():
+                if (case_id, name) in self.unfinished or stage.source is not None or not stage.outputs:
+                    continue
+                if all((case_dir / f).is_file() for f in stage.outputs):
+                    for entry in older:
+                        assert not made_from(self.out, case_id, name, entry), f"{case_id}/{name}: made from an older entry"
 
     @initialize(seed=st.integers(0, 2**32 - 1))
     def seed_faults(self, seed):
@@ -131,6 +174,8 @@ class Workflow(RuleBasedStateMachine):
             return
         # A hand edit leaves stale the traces of the rows and cases the command did not reach, until it does.
         assert_provenance(self.out, rows, [*result.succeeded, *result.failed])
+        self.unfinished -= {(case_id, row) for case_id in result.succeeded for row in rows}
+        self._check_entries()
         manifest = yaml.safe_load((self.out / "run_manifest.yaml").read_text(encoding="utf-8"))
         for row, entry in manifest["stages"].items():
             for case_id in entry["failed"]:
@@ -149,18 +194,41 @@ class Workflow(RuleBasedStateMachine):
     def baseline(self, name):
         self._command((f"baseline.{name}",))
 
+    def _killed(self, command: str) -> None:
+        """Run command until a patched write or unlink kills it; check the corpus entries it left."""
+        rows = runner.PIPELINE if command == "run" else () if command == "eval" else (command,)
+        self.unfinished |= {(case_id, row) for case_id in CASES for row in rows}
+        try:
+            if command == "eval":
+                runner.run_evaluation(self.out, CONFIG)
+            else:
+                runner.run_stage(rows, self.out, CONFIG, self.corpus)
+        except (KeyboardInterrupt, runner.UsageError):
+            pass
+        self._check_entries()
+
     @rule(command=st.sampled_from(COMMANDS), k=st.integers(1, 12))
     def kill(self, command, k):
         """The command dies right after its k-th file write or unlink; the next command finds what it left."""
         with pytest.MonkeyPatch.context() as monkeypatch:
             kill_after(monkeypatch, self.out, k)
-            try:
-                if command == "eval":
-                    runner.run_evaluation(self.out, CONFIG)
-                else:
-                    runner.run_stage(runner.PIPELINE if command == "run" else (command,), self.out, CONFIG, self.corpus)
-            except (KeyboardInterrupt, runner.UsageError):
-                pass
+            self._killed(command)
+
+    @rule(case_id=st.sampled_from(CASES), command=st.sampled_from(COMMANDS))
+    def edit_and_kill_after_the_entry(self, case_id, command):
+        """A corpus edit; then the command dies right after it writes a corpus entry file, a corpus row's first write."""
+        self.edit_corpus_text(case_id)
+        real_write = runner.write_atomic
+
+        def write(path, text):
+            written = real_write(path, text)
+            if os.path.basename(path) in runner.CASE_INPUTS:
+                raise KeyboardInterrupt
+            return written
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(runner, "write_atomic", write)
+            self._killed(command)
 
     @rule()
     def eval(self):
@@ -190,13 +258,17 @@ class Workflow(RuleBasedStateMachine):
 
     @rule(case_id=st.sampled_from(CASES))
     def edit_corpus_text(self, case_id):
+        """One year older: convert extracts a new age, so every row made from the case writes new bytes."""
         path = self.corpus / f"{case_id}.txt"
-        path.write_text(path.read_text(encoding="utf-8") + "\nShe has since moved abroad.\n", encoding="utf-8")
+        older = re.sub(r"(\d+)-year-old", lambda m: f"{int(m.group(1)) + 1}-year-old", path.read_text(encoding="utf-8"))
+        path.write_text(older, encoding="utf-8")
+        self._new_entries()
 
     @rule()
     def restore_corpus(self):
         shutil.rmtree(self.corpus)
         shutil.copytree(CORPUS_DIR, self.corpus)
+        self._new_entries()
 
     @rule(
         fault=st.sampled_from(FAULTS),

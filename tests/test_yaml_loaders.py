@@ -11,6 +11,7 @@ the old parse is kept here as the reference.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -267,7 +268,7 @@ _CYCLE["self"] = _CYCLE
 
 
 # Each example differs between the two emitters, or would stall the walk,
-# without one rule of `yamlio._emits_alike`.
+# without one rule of `yamlio._node_tree`.
 @given(_DOCS, st.booleans(), st.booleans())
 @example("text", True, False)
 @example({"": 1}, True, False)
@@ -277,6 +278,27 @@ _CYCLE["self"] = _CYCLE
 @example(_CYCLE, True, False)
 def test_safe_dump_matches_pure_pyyaml(doc, sort_keys, allow_unicode):
     expected = yaml.safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode)
+    assert safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode) == expected
+
+
+_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-05, 1e16, 1e17, 0.1 + 0.2, 2.5, -7.0]
+
+
+# The documents `_node_tree` builds: mappings of printable-ASCII keys of 1 to
+# 64 characters over printable-ASCII strings and any number, bool or null.
+@pytest.mark.skipif(yamlio._CDumper is None, reason="libyaml is not installed")
+@given(st.dictionaries(_ASCII_KEYS, _nodes(_ASCII_KEYS, _ASCII | _WORDS), max_size=8), st.booleans(), st.booleans())
+@example({"f": _FLOATS, "g": {"x": 1e-05, "y": -0.0}}, True, False)
+@example({"b": True, "i": 1, "z": 0, "n": False, "m": -1, "big": 2**70}, False, False)
+@example({"e": {}, "l": [], "n": [[1, [2, []]], [{}], {"k": []}], "": None}, True, True)
+@example({"z": None, "a": [None, True, 1, 1.5, "1.5", "true"], "m": {"b": "x", "a": "y"}}, True, False)
+def test_a_node_tree_is_written_as_pure_pyyaml_writes_the_document(doc, sort_keys, allow_unicode):
+    expected = yaml.safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode)
+    node = yamlio._node_tree(doc, sort_keys)
+    if "" in doc:  # an empty key: a document libyaml writes apart
+        assert node is None
+    else:
+        assert yaml.serialize(node, Dumper=yamlio._CDumper, allow_unicode=allow_unicode) == expected
     assert safe_dump(doc, sort_keys=sort_keys, allow_unicode=allow_unicode) == expected
 
 
@@ -315,8 +337,83 @@ _SHARED: list = ["a"]
 @example({"b": "1", "a": "2001-12-14"}, True)
 def test_a_flat_entry_renders_as_pure_pyyaml_writes_it(doc, sort_keys):
     expected = yaml.safe_dump(doc, sort_keys=sort_keys)
-    assert yamlio._flat_dump(doc, sort_keys) in (None, expected)
+    text = yamlio._flat_dump(doc, sort_keys)
+    assert text in (None, expected)
+    assert text is None or yamlio._flat_load(text) == doc
     assert safe_dump(doc, sort_keys=sort_keys) == expected
+
+
+# The flat grammar of `yamlio._flat_load`, and near-misses: YAML 1.1 words and
+# numbers, keys that read as no string, duplicate keys, and layout.
+_FLAT_KEYS = st.sampled_from(("diagnoses", "acceptable", "choice", "risk_a", "a b", "a:b", "a-", "x"))
+_FLAT_KEY_MISSES = st.sampled_from(("true", "null", "on", "No", "1", "~", "-a", "a ", " a", "'a'", "k" * 129, "k" * 1100))
+_FLAT_SCALARS = st.sampled_from(
+    (
+        *("true", "false", "null", "Null", "NULL", "0", "7", "42", "1" * 100, "A", "B", "case_001", "1e5"),
+        *("major depressive disorder", "a#b", "a:b", "a, b", "a [b]", "a'b", "a-", "x y z"),
+    )
+)
+_FLAT_SCALAR_MISSES = st.sampled_from(
+    (
+        *("True", "FALSE", "yes", "No", "on", "off", "y", "~", "", "-1", "+1", "00", "012", "08", "1_000", "0x1f"),
+        *("0b1", "12:30", "190:20:30", "2021-01-01", ".5", "1.", "1.5", ".inf", ".NaN", "1" * 101, "a: b", "a #b", "a:"),
+        *("'q'", '"q"', "[a]", "{a: b}", "*a", "&a", "!a", "|", ">", "%a", "@a", "`a", "?a", "-a", "- a", "a ", " a"),
+        "é",
+    )
+)
+_FLAT_SPLICES = st.sampled_from(
+    ("\n", "\n\n", " ", "  ", "\t", "\r", "\r\n", "#", " #c", "\n# c\n", "- ", ": ", "---\n", "\ufeff")
+)
+
+
+@st.composite
+def _flat_texts(draw):
+    """A flat mapping; about one line in four has a near-miss key or value, and one text in two a splice."""
+
+    def pick(good, miss):
+        return draw(miss if draw(st.integers(0, 3)) == 0 else good)
+
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        key = pick(_FLAT_KEYS, _FLAT_KEY_MISSES)
+        shape = draw(st.sampled_from(("scalar", "scalar", "empty", "items", "none")))
+        if shape == "scalar":
+            lines.append(f"{key}: {pick(_FLAT_SCALARS, _FLAT_SCALAR_MISSES)}")
+        elif shape == "empty":
+            lines.append(f"{key}: []")
+        else:
+            lines.append(f"{key}:")
+            indent = "  " if draw(st.integers(0, 3)) == 0 else ""
+            if shape == "items":
+                lines += [f"{indent}- {pick(_FLAT_SCALARS, _FLAT_SCALAR_MISSES)}" for _ in range(draw(st.integers(1, 3)))]
+    text = "\n".join(lines) + draw(st.sampled_from(("\n", "\n", "")))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_FLAT_SPLICES) + text[at:]
+    return text
+
+
+# Each example is read wrongly without one rule of `yamlio._flat_load`.
+@given(_flat_texts() | _REPLY_TEXTS)
+@example("choice: yes\n")
+@example("risk_a: 012\n")
+@example("risk_a: 0x1f\n")
+@example("k" * 1100 + ": a\n")
+@example("diagnoses:\n  - a\n")
+@example("diagnoses: []\n- a\n")
+@example("a: 1\na:\n- 2\na: true\n")
+@example("diagnoses:\r\n- x\r\n")
+def test_the_flat_reader_reads_as_pyyaml_or_not_at_all(text):
+    value = yamlio._flat_load(text)
+    if value is not None:
+        assert repr(value) == repr(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize(
+    "reply", [text for text in _REPLIES if text.startswith(("diagnoses:", "acceptable:", "choice:"))]
+)
+def test_every_eval_and_judge_fixture_reply_takes_the_flat_reader(reply):
+    assert yamlio._flat_load(reply) is not None
 
 
 def test_every_test_corpus_entry_takes_the_fast_path():
@@ -324,7 +421,9 @@ def test_every_test_corpus_entry_takes_the_fast_path():
     entries = [{"case_id": n.case_id, "diagnoses": n.ground_truth_diagnoses} for n in runner.load_corpus(CORPUS_DIR)]
     entries += [{"case_id": f"case_{101 + i:03d}", "diagnoses": d} for i, d in enumerate(GOLD_DIAGNOSES.values())]
     for entry in entries:
-        assert yamlio._flat_dump(entry, False) == yaml.safe_dump(entry, sort_keys=False), entry
+        text = yamlio._flat_dump(entry, False)
+        assert text == yaml.safe_dump(entry, sort_keys=False), entry
+        assert yamlio._flat_load(text) == entry
 
 
 _HEX = "0123456789abcdef"
@@ -397,7 +496,7 @@ _DUMPED_GOLDENS = sorted(
 def test_every_dumped_golden_is_emitted_by_libyaml_unchanged(name):
     text = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     doc = yaml.safe_load(text)
-    assert yamlio._emits_alike(doc)
+    assert yamlio._node_tree(doc, False) is not None
     assert safe_dump(doc, sort_keys=False, allow_unicode=True) == text
 
 
