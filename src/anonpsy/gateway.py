@@ -7,18 +7,28 @@ backend selection. The mock backend resolves requests against an on-disk
 fixture directory and fails loudly on misses, which keeps the whole pipeline
 byte-reproducible offline. `validated_call` is the one loop that retries a
 model step until its validator accepts a reply.
+
+`post_json` is the package's one HTTP client, which the live backend and the
+HTTP embedder share: one HTTP/1.1 exchange per call, on a connection of its
+own. What does not change between calls, the proxy route of an endpoint and
+the TLS context, is worked out once per process.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import contextvars
+import functools
 import hashlib
 import http.client
 import json
 import os
+import re
+import socket
+import ssl
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,28 +158,208 @@ class MockBackend:
             raise MockFixtureMissing(req.template_id, f"no mock fixture at {path} (digest {digest})") from None
 
 
+# Caps on a reply's head, as `http.client` sets them: they bound what a faulty
+# or hostile endpoint can make the client buffer.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_READ_CHUNK = 1 << 20  # a Content-Length is read in pieces, not allocated at once
+_STATUS_LINE = re.compile(rb"HTTP/1\.[0-9] ([1-9][0-9][0-9])\b")
+_UNSAFE_URL_CHARS = re.compile(r"[\x00-\x20\x7f]")
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How requests to one (scheme, netloc) reach it."""
+
+    host: str  # the host and port the socket connects to: the endpoint's or its proxy's
+    port: int
+    tls_hostname: str | None  # wrap the connection in TLS for this server name
+    tunnel: bytes | None  # the CONNECT request that opens a tunnel through the proxy first
+    absolute: bool  # the request line carries the absolute URL (through an http proxy)
+    headers: str  # Host, and Proxy-Authorization to an http proxy: header lines ending in CRLF
+
+
+def _authority(hostport: str, default_port: int) -> tuple[str, int]:
+    """The host and port of a `host[:port]` authority; IPv6 hosts in brackets."""
+    parts = urllib.parse.urlsplit(f"//{hostport}")
+    try:
+        port = parts.port or default_port
+    except ValueError as exc:
+        raise http.client.InvalidURL(f"invalid port in {hostport!r}") from exc
+    if not parts.hostname:
+        raise http.client.InvalidURL(f"no host in {hostport!r}")
+    return parts.hostname, port
+
+
+@functools.cache
+def _route(scheme: str, netloc: str) -> _Route:
+    """The route to netloc over scheme, worked out once per process.
+
+    The proxy is the one `urllib.request` picks: `getproxies()` (on Linux,
+    `HTTP_PROXY`/`HTTPS_PROXY`) and `proxy_bypass` (`NO_PROXY`). An https
+    endpoint is reached through a CONNECT tunnel, an http one by sending the
+    absolute URL to the proxy.
+    """
+    if scheme not in ("http", "https"):
+        raise http.client.InvalidURL(f"unsupported URL scheme: {scheme!r}")
+    hostport = netloc.rpartition("@")[2]
+    if not hostport.isascii():  # an internationalized host name, sent and resolved as its ASCII form
+        hostport = hostport.encode("idna").decode("ascii")
+    if _UNSAFE_URL_CHARS.search(hostport):
+        raise http.client.InvalidURL(f"URL host can't contain control characters: {hostport!r}")
+    default_port = 443 if scheme == "https" else 80
+    host, port = _authority(hostport, default_port)
+    tls_hostname = host if scheme == "https" else None
+    headers = f"Host: {hostport}\r\n"
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(hostport):
+        return _Route(host, port, tls_hostname, None, False, headers)
+    # `ProxyHandler`'s own parse of a proxy setting, so that one is read as before.
+    proxy_scheme, user, password, proxy_hostport = urllib.request._parse_proxy(proxy)
+    proxy_scheme = proxy_scheme or scheme
+    auth = ""
+    if user and password:
+        creds = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
+        auth = f"Proxy-Authorization: Basic {base64.b64encode(creds.encode()).decode('ascii')}\r\n"
+    proxy_hostport = urllib.parse.unquote(proxy_hostport)
+    if scheme == "https":
+        proxy_host, proxy_port = _authority(proxy_hostport, default_port)
+        target = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+        tunnel = f"CONNECT {target} HTTP/1.0\r\nHost: {target}\r\n{auth}\r\n".encode("ascii")
+        return _Route(proxy_host, proxy_port, tls_hostname, tunnel, False, headers)
+    if proxy_scheme not in ("http", "https"):
+        raise http.client.InvalidURL(f"unsupported proxy scheme: {proxy_scheme!r}")
+    proxy_host, proxy_port = _authority(proxy_hostport, 443 if proxy_scheme == "https" else 80)
+    return _Route(
+        proxy_host, proxy_port, proxy_host if proxy_scheme == "https" else None, None, True, headers + auth
+    )
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """The one TLS context of the process: default CA paths, which `SSL_CERT_FILE` overrides."""
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    return context
+
+
+def _read_exact(reader, size: int) -> bytes:
+    """size bytes from reader; `IncompleteRead` when it ends first."""
+    parts = []
+    left = size
+    while left:
+        part = reader.read(min(left, _READ_CHUNK))
+        if not part:
+            raise http.client.IncompleteRead(b"".join(parts), left)
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def _read_line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_headers(reader) -> dict[bytes, bytes]:
+    """Header lines up to the blank line or EOF, by lowercased name; the first of a repeated name."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.partition(b":")
+        headers.setdefault(name.strip().lower(), value.strip())
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_head(reader) -> tuple[int, dict[bytes, bytes]]:
+    """The status and headers of the first final response; 1xx responses are skipped."""
+    while True:
+        line = _read_line(reader, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        match = _STATUS_LINE.match(line)
+        if match is None:
+            raise http.client.BadStatusLine(line.decode("latin-1"))
+        headers = _read_headers(reader)
+        status = int(match[1])
+        if status >= 200:
+            return status, headers
+
+
+def _read_chunked(reader) -> bytes:
+    parts = []
+    while True:
+        size_field = _read_line(reader, "chunk size").split(b";", 1)[0]
+        try:
+            size = int(size_field, 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise http.client.IncompleteRead(b"".join(parts))
+        if size == 0:
+            _read_headers(reader)  # the trailer
+            return b"".join(parts)
+        parts.append(_read_exact(reader, size))
+        _read_exact(reader, 2)  # the CRLF after the chunk
+
+
+def _read_reply(reader) -> tuple[int, bytes]:
+    status, headers = _read_head(reader)
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(reader)
+    try:
+        length = int(headers[b"content-length"])
+    except (KeyError, ValueError):
+        length = -1
+    return status, _read_exact(reader, length) if length >= 0 else reader.read()
+
+
 def post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
     """POST `payload` as JSON to `url`; return the reply's status and body.
 
-    An HTTP error status comes back like any other. Connection, timeout and
-    protocol failures raise `OSError` or `http.client.HTTPException`.
-    `urllib.request` takes proxies from `HTTP(S)_PROXY`/`NO_PROXY` and, for
-    https, CA certificates from the default SSL paths.
+    One HTTP/1.1 exchange on a connection of its own, closed after the reply.
+    Every status comes back as is, and redirects are not followed.
+    Connection, timeout and protocol failures raise `OSError` or
+    `http.client.HTTPException`. The proxy route of each (scheme, netloc) is
+    worked out once per process from `HTTP(S)_PROXY`/`NO_PROXY` (`_route`);
+    https uses one default TLS context per process, which reads
+    `SSL_CERT_FILE` (`_tls_context`).
     """
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
+    parts = urllib.parse.urlsplit(url)
+    route = _route(parts.scheme, parts.netloc)
+    if route.absolute:
+        target = url.partition("#")[0]
+    else:
+        target = f"{parts.path or '/'}?{parts.query}" if parts.query else parts.path or "/"
+    if _UNSAFE_URL_CHARS.search(target):
+        raise http.client.InvalidURL(f"URL can't contain control characters: {target!r}")
+    body = json.dumps(payload).encode("utf-8")
+    head = (
+        f"POST {target} HTTP/1.1\r\n{route.headers}Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\nAccept-Encoding: identity\r\nConnection: close\r\n"
+        "User-Agent: anonpsy\r\n\r\n"
+    ).encode("ascii")
+    sock = socket.create_connection((route.host, route.port), timeout)
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        try:
-            return exc.code, exc.read()
-        finally:
-            exc.close()
+        # A CONNECT, a TLS handshake and the request are separate writes: none may wait on a delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if route.tunnel is not None:
+            sock.sendall(route.tunnel)
+            with sock.makefile("rb") as reader:
+                status, _ = _read_head(reader)
+            if status != 200:
+                raise OSError(f"Tunnel connection failed: {status}")
+        if route.tls_hostname is not None:
+            sock = _tls_context().wrap_socket(sock, server_hostname=route.tls_hostname)
+        sock.sendall(head + body)
+        with sock.makefile("rb") as reader:
+            return _read_reply(reader)
+    finally:
+        sock.close()
 
 
 class HttpBackend:
@@ -208,7 +398,10 @@ class HttpBackend:
         message = body.get("message") or {}
         if not isinstance(message, dict):
             raise GatewayError(req.template_id, f"response message is not an object: {type(message).__name__}")
-        return message.get("content", "")
+        content = message.get("content", "")
+        if not isinstance(content, str):
+            raise GatewayError(req.template_id, f"response content is not a string: {type(content).__name__}")
+        return content
 
 
 class LlmGateway:

@@ -99,7 +99,7 @@ class PerturbConfig:
 
 def case_seed(global_seed: int, case_id: str) -> int:
     """Per-case RNG seed derived from the run seed and the case id."""
-    digest = hashlib.sha256(f"{global_seed}:{case_id}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{global_seed}:{case_id}".encode("utf-8", "surrogateescape")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -311,8 +311,12 @@ def _read(path: str) -> bytes | None:
 
 
 def _trace(*parts: str) -> str:
-    """One trace: 32 hex digits over parts, which are names and digests."""
-    return _digest("\0".join(parts).encode("utf-8"))[:32]
+    """One trace: 32 hex digits over parts, which are names and digests.
+
+    `surrogateescape` gives a case id read from a directory name that is not
+    UTF-8 its original bytes; every other part encodes as strict UTF-8 would.
+    """
+    return _digest("\0".join(parts).encode("utf-8", "surrogateescape"))[:32]
 
 
 def _base_key(config_digest: str, prompt_assets: dict[str, str]) -> str:

@@ -54,13 +54,18 @@ def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
+class RawReply(bytes):
+    """A reply `HttpStub` writes to the socket as it is, then closes the connection."""
+
+
 class HttpStub:
     """An HTTP server on 127.0.0.1 that records each request and replies from a queue.
 
     `replies` holds (status, body) pairs, served in order: a `bytes` or `str`
-    body is sent as is, anything else as JSON. The reply `HttpStub.STALL`
-    sends nothing until the stub shuts down. `requests` collects
-    (path, parsed JSON body) pairs.
+    body is sent as is, anything else as JSON. A `RawReply` is written as it
+    is. The reply `HttpStub.STALL` sends nothing until the stub shuts down.
+    `requests` collects (path, parsed JSON body) pairs, and `headers` the
+    headers of each request.
     """
 
     STALL = object()
@@ -68,6 +73,7 @@ class HttpStub:
     def __init__(self):
         self.replies: list = []
         self.requests: list[tuple[str, object]] = []
+        self.headers: list = []
         self._release = threading.Event()
         stub = self
 
@@ -78,9 +84,14 @@ class HttpStub:
             def do_POST(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 stub.requests.append((self.path, json.loads(body)))
+                stub.headers.append(self.headers)
                 reply = stub.replies.pop(0) if stub.replies else (500, "no reply queued")
                 if reply is HttpStub.STALL:
                     stub._release.wait(timeout=30)
+                    return
+                if isinstance(reply, RawReply):
+                    self.wfile.write(reply)
+                    self.close_connection = True
                     return
                 status, payload = reply
                 if isinstance(payload, str):

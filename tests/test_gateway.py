@@ -1,6 +1,9 @@
+import base64
 import hashlib
+import json
 import os
 import re
+import ssl
 import subprocess
 import sys
 import threading
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import anonpsy
+import anonpsy.gateway
 from anonpsy import prompts, runner
 from anonpsy.gateway import (
     CALL_POLICIES,
@@ -25,7 +29,7 @@ from anonpsy.gateway import (
 )
 from tests.gen_fixtures import make_config
 
-from .conftest import CORPUS_DIR
+from .conftest import CORPUS_DIR, HttpStub, RawReply
 from .helpers import SpyBackend
 
 # Pinned hashes of the two-stage rewrite prompt assets; any edit must be
@@ -374,8 +378,14 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize(
         "body",
-        [b"<html>busy</html>", ["not", "an", "object"], {"message": "text"}],
-        ids=["body0", "body1", "body2"],
+        [
+            b"<html>busy</html>",
+            ["not", "an", "object"],
+            {"message": "text"},
+            {"message": {"content": 5}},
+            {"message": {"content": ["a"]}},
+        ],
+        ids=["body0", "body1", "body2", "body3", "body4"],
     )
     def test_malformed_body_is_gateway_error_naming_template(self, http_stub, body):
         http_stub.replies.append((200, body))
@@ -409,6 +419,145 @@ class TestHttpBackend:
         assert err.value.template_id == "lead_paragraph"
         assert sleeps == []
         assert len(http_stub.requests) == 1
+
+
+_REPLY = json.dumps({"message": {"role": "assistant", "content": "framed answer"}}).encode("utf-8")
+
+
+@pytest.fixture()
+def no_proxy_env(monkeypatch):
+    """No proxy setting in the environment, and no route worked out before or after the test."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    anonpsy.gateway._route.cache_clear()
+    yield monkeypatch
+    anonpsy.gateway._route.cache_clear()
+
+
+class TestHttpClient:
+    """`post_json`'s own HTTP/1.1 exchange, seen through `HttpBackend`."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part) for part in (_REPLY[:9], _REPLY[9:30], _REPLY[30:]))
+            + b"0\r\nX-Trailer: t\r\n\r\n",
+            b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _REPLY,
+            b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_REPLY), _REPLY),
+        ],
+        ids=["chunked", "delimited-by-close", "100-before-200"],
+    )
+    def test_reply_framings(self, http_stub, reply):
+        http_stub.replies.append(RawReply(reply))
+        assert HttpBackend(http_stub.url).complete(_request()) == "framed answer"
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_REPLY) + 10, _REPLY),
+            b"ICY 200 OK\r\n\r\n" + _REPLY,
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n" + _REPLY,
+            b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n" + _REPLY,
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n" + _REPLY,
+            b"",
+        ],
+        ids=[
+            "truncated-content-length",
+            "garbage-status-line",
+            "over-long-header-line",
+            "101-headers",
+            "bad-chunk-size",
+            "empty",
+        ],
+    )
+    def test_malformed_replies_are_transient(self, http_stub, reply):
+        http_stub.replies.append(RawReply(reply))
+        with pytest.raises(TransientBackendError):
+            HttpBackend(http_stub.url).complete(_request())
+
+    def test_a_redirect_is_a_gateway_error_and_not_followed(self, http_stub):
+        http_stub.replies.append(RawReply(b"HTTP/1.1 302 Found\r\nLocation: /api/other\r\nContent-Length: 0\r\n\r\n"))
+        sleeps = []
+        gw = LlmGateway(HttpBackend(http_stub.url), model="m", sleep=sleeps.append)
+        with pytest.raises(GatewayError, match="backend returned 302") as err:
+            gw.complete(_request())
+        assert err.value.template_id == "lead_paragraph"
+        assert sleeps == []
+        assert [path for path, _ in http_stub.requests] == ["/api/chat"]
+
+    def test_request_head(self, http_stub):
+        http_stub.replies.append((200, {"message": {"content": "ok"}}))
+        HttpBackend(http_stub.url).complete(_request())
+        [(_, payload)] = http_stub.requests
+        [headers] = http_stub.headers
+        assert headers["Host"] == http_stub.url.removeprefix("http://")
+        assert headers["Content-Length"] == str(len(json.dumps(payload).encode("utf-8")))
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert headers["Accept-Encoding"] == "identity"
+
+    @pytest.mark.parametrize(
+        "scheme,netloc,route",
+        [
+            ("http", "user:pw@127.0.0.1", ("127.0.0.1", 80, None, "Host: 127.0.0.1\r\n")),
+            ("https", "[::1]:8443", ("::1", 8443, "::1", "Host: [::1]:8443\r\n")),
+            ("http", "bücher.example:8080", ("xn--bcher-kva.example", 8080, None, "Host: xn--bcher-kva.example:8080\r\n")),
+        ],
+        ids=["userinfo", "ipv6", "idn"],
+    )
+    def test_the_direct_route_of_a_netloc(self, no_proxy_env, scheme, netloc, route):
+        found = anonpsy.gateway._route(scheme, netloc)
+        assert (found.host, found.port, found.tls_hostname, found.headers) == route
+        assert (found.tunnel, found.absolute) == (None, False)
+
+    def test_an_http_proxy_gets_the_absolute_url_unless_no_proxy_names_the_host(self, http_stub, no_proxy_env):
+        proxy = HttpStub()
+        try:
+            no_proxy_env.setenv("http_proxy", proxy.url.replace("http://", "http://user:p%40ss@"))
+            proxy.replies.append((200, {"message": {"content": "through the proxy"}}))
+            assert HttpBackend(http_stub.url).complete(_request()) == "through the proxy"
+            assert [path for path, _ in proxy.requests] == [f"{http_stub.url}/api/chat"]
+            assert proxy.headers[0]["Host"] == http_stub.url.removeprefix("http://")
+            assert proxy.headers[0]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+            # The route is worked out once per process: a changed NO_PROXY shows after the cache is cleared.
+            no_proxy_env.setenv("no_proxy", "127.0.0.1")
+            anonpsy.gateway._route.cache_clear()
+            http_stub.replies.append((200, {"message": {"content": "direct"}}))
+            assert HttpBackend(http_stub.url).complete(_request()) == "direct"
+            assert len(proxy.requests) == 1
+            assert [path for path, _ in http_stub.requests] == ["/api/chat"]
+        finally:
+            proxy.close()
+
+    def test_an_https_endpoint_is_reached_through_a_tunnel_of_its_proxy(self, http_stub, no_proxy_env):
+        # The stub serves POST alone, so it refuses the CONNECT with a 501.
+        no_proxy_env.setenv("https_proxy", http_stub.url)
+        with pytest.raises(TransientBackendError, match="Tunnel connection failed: 501"):
+            HttpBackend("https://model.invalid").complete(_request())
+        assert http_stub.requests == []
+
+    def test_https_builds_one_tls_context_per_process(self, http_stub, no_proxy_env):
+        made = []
+        real_create = ssl.create_default_context
+
+        def counting_create(*args, **kwargs):
+            made.append(args)
+            return real_create(*args, **kwargs)
+
+        no_proxy_env.setattr(ssl, "create_default_context", counting_create)
+        anonpsy.gateway._tls_context.cache_clear()
+        try:
+            backend = HttpBackend(http_stub.url.replace("http://", "https://"), timeout_seconds=0.3)
+            for _ in range(3):
+                # The stub speaks plain HTTP: every handshake fails.
+                with pytest.raises(TransientBackendError):
+                    backend.complete(_request())
+        finally:
+            anonpsy.gateway._tls_context.cache_clear()
+        assert len(made) == 1
 
 
 @pytest.mark.parametrize("module", ["requests", "scipy", "numpy"])

@@ -12,7 +12,7 @@ from anonpsy.evaluation.embedding import FALLBACK_DIMENSIONS, HashedTfEmbedder, 
 from anonpsy.evaluation.report import eval_case
 from anonpsy.textproc import tokenize
 
-from .conftest import CORPUS_DIR, GOLDEN_DIR
+from .conftest import CORPUS_DIR, GOLDEN_DIR, RawReply
 from .helpers import FakeGateway, tf_cosine_oracle
 from .synthesis import CASE_001, CASE_002
 
@@ -236,8 +236,9 @@ class TestHttpEmbedder:
             ((200, {"embedding": []}), "returned no vector"),
             ((200, {"model": "all-mpnet-base-v2"}), "returned no vector"),
             ((200, ["not", "an", "object"]), "returned no vector"),
+            (RawReply(b"HTTP/1.1 302 Found\r\nLocation: /api/other\r\nContent-Length: 0\r\n\r\n"), "returned 302: $"),
         ],
-        ids=["server-error", "client-error", "not-json", "empty-vector", "no-vector", "not-an-object"],
+        ids=["server-error", "client-error", "not-json", "empty-vector", "no-vector", "not-an-object", "redirect"],
     )
     def test_endpoint_faults_are_runtime_errors_naming_endpoint(self, http_stub, reply, fault):
         from anonpsy.evaluation.embedding import HttpEmbedder

@@ -641,15 +641,40 @@ def test_only_the_case_that_fails_to_verify_runs_and_two_jobs_write_what_one_wri
     assert trees[0] == trees[1] == _tree(full_run)
 
 
-def test_a_case_whose_trace_cannot_be_computed_fails_alone(full_run, tmp_path):
-    # A directory name that is not UTF-8 gives a case id with a lone surrogate, which no trace can
-    # encode: verifying it must not sink the command, and its row fails as every other row error does.
+def test_a_case_directory_whose_name_is_not_utf8_gets_a_trace(full_run, tmp_path, monkeypatch):
+    # A directory name that is not UTF-8 gives a case id with a lone surrogate: its seed and trace are
+    # taken over the name's own bytes, so its rows run once and a second command skips them.
+    # Synthesized replies: the mock fixtures miss the copy's perturbation, so it would fall back.
+    gateway = LlmGateway(SpyBackend(lambda req: synthesize(req.template_id, dict(req.variables))), model="mock-model")
+    monkeypatch.setattr(runner, "build_gateway", lambda _config: gateway)
     out_dir = tmp_path / "run"
     shutil.copytree(full_run, out_dir)
     shutil.copytree(out_dir / "case_001", os.fsdecode(os.path.join(os.fsencode(out_dir), b"case_\xff")))
+    first = runner.run_perturb(out_dir, _config())
+    assert first.succeeded == [*CASE_IDS, "case_\udcff"] and not first.failed and not first.degraded
+    assert "case_\udcff" not in first.skipped
+    second = runner.run_perturb(out_dir, _config())
+    assert second.succeeded == [*CASE_IDS, "case_\udcff"] and not second.failed
+    assert sorted(second.skipped) == [*CASE_IDS, "case_\udcff"]
+
+
+def test_a_recorded_trace_that_cannot_be_verified_fails_its_case_alone(full_run, tmp_path, monkeypatch):
+    # Verifying a case's recorded trace raises for case_002 only: that case's row runs on its task,
+    # meets the error again and fails, and is not counted as verified.
+    out_dir = tmp_path / "run"
+    shutil.copytree(full_run, out_dir)
+    real_trace = runner._trace
+
+    def failing_trace(*parts: str) -> str:
+        if parts[1:2] == ("case_002",):
+            raise ValueError("no trace for case_002")
+        return real_trace(*parts)
+
+    monkeypatch.setattr(runner, "_trace", failing_trace)
     result = runner.run_perturb(out_dir, _config())
-    assert result.succeeded == CASE_IDS
-    assert list(result.failed) == ["case_\udcff"] and result.failed["case_\udcff"].startswith("UnicodeEncodeError")
+    assert list(result.failed) == ["case_002"] and result.failed["case_002"] == "ValueError: no trace for case_002"
+    assert "case_002" not in result.skipped
+    assert sorted(result.skipped) == ["case_001", "case_003"]
 
 
 def test_graphs_handed_over_in_memory_equal_their_parsed_yaml(tmp_path):
