@@ -5,26 +5,32 @@ vector with L2 normalization, so the test suite and offline runs never need a
 network. An HTTP backend covers deployments with a real embedding endpoint;
 the embedding model identifier is a config string, not a code dependency.
 
-`HashedTfEmbedder` hashes each distinct term once per instance: a memo on the
-instance maps a term to its bucket. `embed` looks every term up in one
-`map` over the memo; only a text with a term the memo lacks takes the path
-that hashes and stores it. `runner.build_embedder` makes one instance per
-command, so the memo lives for one command and nothing outlives it. The
-memo is cleared when it holds `MEMO_CAP` terms, about 2 MB, so memory does
-not grow with the corpus. The bucket counts are integers and the norm is
-taken over them exactly, so every vector is bit-identical to hashing each
-term occurrence anew into a dense float vector.
+Every `HashedTfEmbedder` of one `dimensions` value shares one memo per
+process that maps a term to its bucket, so each distinct term is SHA-256
+hashed once per process, not once per command. A unigram is keyed by its
+token and a bigram by its token pair, so a memo hit builds no string. `embed`
+looks every term up in one `map` over the memo; only a text with a term the
+memo lacks takes the path that hashes and stores it. The memo is cleared when
+it holds `MEMO_CAP` terms, 2**14; full, it takes about 2.1 MB, some 130 bytes
+a term for its dict slot, its key and its bucket. So memory does not grow
+with the corpus or with the number of commands a process runs. The
+bucket counts are integers and the norm is taken over them exactly, so every
+vector is bit-identical to hashing each term occurrence anew into a dense
+float vector.
 
-The eval cases of one command run on the worker pool and share that memo.
-Each dict read, write and clear is atomic, and a term's bucket depends on
-the term alone, so the worst a race does is hash a term twice, or after a
-clear hash it again, into the same bucket: every vector stays bit-identical.
+The eval cases run on the worker pool, and the commands of one process all
+share the memo. Each dict read, write and clear is atomic, a miss is read back
+from a local map, never from the memo after a possible clear, and a term's
+bucket depends on the term alone. So the worst a race does is hash a term
+twice, or after a clear hash it again, into the same bucket: every vector
+stays bit-identical.
 
-`similarities` scores one case: it embeds the original and takes its norm
-once, and each variant's norm once. Every sum runs over the nonzero entries
-in ascending index order; a running sum that starts at 0 is unchanged by
-adding a zero, so a dense vector, as the HTTP embedder returns, scores with
-the same bits as its sparse map.
+`similarities` scores one case: it embeds the original and each variant
+once, and takes each one's norm in one pass over its nonzero entries, which
+an embedding lists in ascending index order. The dot product runs over the
+variant's entries that the original also holds, in that order. A running sum
+that starts at 0 is unchanged by adding a zero, so a dense vector, as the HTTP
+embedder returns, scores with the same bits as its sparse map.
 """
 
 from __future__ import annotations
@@ -41,8 +47,11 @@ from ..gateway import post_json
 from ..textproc import tokenize
 
 FALLBACK_DIMENSIONS = 4096
-# Terms a HashedTfEmbedder remembers before it clears its memo.
+# Terms the memo of one `dimensions` value holds before it is cleared.
 MEMO_CAP = 2**14
+# dimensions -> the memo every HashedTfEmbedder of that size shares: a token
+# or a token pair -> its bucket.
+_MEMOS: dict[int, dict[str | tuple[str, str], int]] = {}
 
 
 def _bucket(term: str, dimensions: int) -> int:
@@ -57,21 +66,23 @@ class HashedTfEmbedder:
 
     def __init__(self, dimensions: int = FALLBACK_DIMENSIONS):
         self.dimensions = dimensions
-        self._buckets: dict[str, int] = {}
+        self._buckets = _MEMOS.setdefault(dimensions, {})
 
     def embed(self, text: str) -> dict[int, float]:
         """Sparse vector: the nonzero buckets only, in ascending bucket order."""
         tokens = tokenize(text)
-        terms = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
+        terms = [*tokens, *zip(tokens, tokens[1:])]
         memo = self._buckets
-        buckets = list(map(memo.get, terms))
-        if None in buckets:  # a term not yet hashed, or the memo was cleared
-            found = dict(zip(terms, buckets))
+        try:
+            buckets = list(map(memo.__getitem__, terms))
+        except KeyError:  # a term not yet hashed, or the memo was cleared
+            found = dict(zip(terms, map(memo.get, terms)))
             for term, bucket in found.items():
                 if bucket is None:
                     if len(memo) >= MEMO_CAP:
                         memo.clear()
-                    found[term] = memo[term] = _bucket(term, self.dimensions)
+                    spelled = term if isinstance(term, str) else f"{term[0]} {term[1]}"
+                    found[term] = memo[term] = _bucket(spelled, self.dimensions)
             buckets = list(map(found.__getitem__, terms))
         counts = Counter(buckets)
         keys = sorted(counts)
@@ -109,35 +120,25 @@ class HttpEmbedder:
         return [float(v) for v in embedding]
 
 
-def _sparse(u) -> dict[int, float]:
-    if isinstance(u, dict):
-        return u
-    return {i: x for i, x in enumerate(u) if x}
-
-
-def _norm(u: dict[int, float]) -> float:
-    values = [u[k] for k in sorted(u)]
-    return math.sqrt(sum(map(operator.mul, values, values)))
-
-
-def _cosine(u: dict[int, float], nu: float, v: dict[int, float], nv: float) -> float:
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    keys = sorted(u.keys() & v.keys())
-    return sum(map(operator.mul, map(u.__getitem__, keys), map(v.__getitem__, keys))) / (nu * nv)
+def _unit(vector) -> tuple[dict[int, float], float]:
+    """The nonzero entries of an embedding, in ascending index order, and its norm."""
+    u = vector if isinstance(vector, dict) else {i: x for i, x in enumerate(vector) if x}
+    values = list(u.values())
+    return u, math.sqrt(sum(map(operator.mul, values, values)))
 
 
 def similarities(original: str, texts: Iterable[str], embedder) -> list[float]:
     """`doc_similarity(original, text, embedder)` for each text; the original is embedded and its norm taken once."""
-    u = _sparse(embedder.embed(original))
-    nu = _norm(u)
+    u, nu = _unit(embedder.embed(original))
     scores = []
     for text in texts:
-        v = _sparse(embedder.embed(text))
+        v, nv = _unit(embedder.embed(text))
         if not u and not v:
             scores.append(1.0 if text == original else 0.0)
+        elif nu == 0.0 or nv == 0.0:
+            scores.append(0.0)
         else:
-            scores.append(_cosine(u, nu, v, _norm(v)))
+            scores.append(sum([u[k] * x for k, x in v.items() if k in u]) / (nu * nv))
     return scores
 
 

@@ -96,10 +96,12 @@ class EvalReport:
         writer.writerow(["case_id", "variant", "cosine", "soft_f1", "acceptable", "risk"])
         for case in self.cases:
             risks = {"anonpsy": case.risk_anonpsy, "llm_only": case.risk_llm_only}
+            # A case directory whose name is not UTF-8 gives an id with lone surrogates: written escaped.
+            case_id = case.case_id.encode("utf-8", "backslashreplace").decode("utf-8")
             for name, metrics in sorted(case.variants.items()):
                 writer.writerow(
                     [
-                        case.case_id,
+                        case_id,
                         name,
                         f"{metrics.cosine:.6f}",
                         f"{metrics.soft_f1:.6f}",
@@ -165,7 +167,8 @@ def eval_case(
         )
 
     if "llm_only" in texts:
-        rng = random.Random(f"{seed}:{case_id}:judge")
+        # Seeded by the bytes str seeds are hashed over; surrogateescape as in `case_seed`.
+        rng = random.Random(f"{seed}:{case_id}:judge".encode("utf-8", "surrogateescape"))
         try:
             result = judge_risk(original, texts["anonpsy"], texts["llm_only"], gw, rng)
         except JudgeError as exc:

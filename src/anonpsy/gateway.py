@@ -114,10 +114,16 @@ class ChatResponse:
     latency_ms: int = 0
 
 
+def _key_bytes(canon: str) -> bytes:
+    """The bytes a key is hashed over: strict UTF-8, except that a lone surrogate, as
+    a case id read from a directory name that is not UTF-8 holds, gives back its byte."""
+    return canon.encode("utf-8", "surrogateescape")
+
+
 def variables_digest(variables: dict[str, str]) -> str:
     """Stable digest of template variables; keys mock fixtures."""
     canon = json.dumps({k: str(v) for k, v in variables.items()}, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:24]
+    return hashlib.sha256(_key_bytes(canon)).hexdigest()[:24]
 
 
 def cache_key(req: ChatRequest) -> str:
@@ -133,7 +139,7 @@ def cache_key(req: ChatRequest) -> str:
     if attempt != "1":
         doc["attempt"] = attempt
     canon = json.dumps(doc, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_key_bytes(canon)).hexdigest()
 
 
 class MockBackend:

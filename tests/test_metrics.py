@@ -1,5 +1,7 @@
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from anonpsy.converter import CaseNarrative
 from anonpsy.evaluation import embedding
 from anonpsy.evaluation.canon import canonical_label_set, canonicalize_diagnosis, soft_f1
-from anonpsy.evaluation.embedding import FALLBACK_DIMENSIONS, HashedTfEmbedder, _bucket, doc_similarity
+from anonpsy.evaluation.embedding import (
+    FALLBACK_DIMENSIONS,
+    HashedTfEmbedder,
+    _bucket,
+    doc_similarity,
+    similarities,
+)
 from anonpsy.evaluation.report import eval_case
 from anonpsy.textproc import tokenize
 
@@ -187,8 +195,32 @@ class TestEvalCaseCosines:
             assert {name: m.cosine for name, m in case.variants.items()} == {"original": 1.0, **expected}
 
 
+# Texts with no token, with one token, and with the same bigrams again and again.
+_TEXTS = st.one_of(
+    st.just(""),
+    st.text(alphabet=" .,;:!?-'\n", max_size=6),
+    st.sampled_from(["mood", "Mood.", "7"]),
+    st.lists(st.sampled_from(["low mood", "Low", "mood", "sleep", "x y", "7", "."]), max_size=12).map(" ".join),
+)
+
+
+@given(st.lists(_TEXTS, min_size=1, max_size=5))
+def test_similarities_equal_the_dense_reference_bit_for_bit(texts):
+    # One embedder per original, all sharing a memo cleared every five terms, and four threads
+    # scoring at once, as an eval at jobs 4 does.
+    expected = [[_dense_similarity(original, text).hex() for text in texts] for original in texts]
+    with mock.patch.object(embedding, "_MEMOS", {}), mock.patch.object(embedding, "MEMO_CAP", 5):
+        embedders = [HashedTfEmbedder() for _ in texts]
+        assert all(e._buckets is embedders[0]._buckets for e in embedders)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            scores = list(pool.map(lambda original, e: similarities(original, texts, e), texts, embedders))
+        assert len(embedders[0]._buckets) <= 5
+    assert [[score.hex() for score in row] for row in scores] == expected
+
+
+@pytest.mark.usefixtures("empty_memo")
 class TestBucketMemo:
-    """One embedder hashes each distinct term once; its vectors stay the dense reference's."""
+    """The embedders of one process hash each distinct term once; their vectors stay the dense reference's."""
 
     def _check_shared_embedder(self, cap):
         embedder = HashedTfEmbedder()
@@ -206,6 +238,25 @@ class TestBucketMemo:
     def test_memo_cleared_when_full_keeps_vectors_equal(self, monkeypatch):
         monkeypatch.setattr(embedding, "MEMO_CAP", 5)
         self._check_shared_embedder(5)
+
+    def test_every_embedder_of_one_size_shares_one_memo(self, monkeypatch):
+        first, second = HashedTfEmbedder(), HashedTfEmbedder()
+        assert first._buckets is second._buckets
+        assert HashedTfEmbedder(64)._buckets is not first._buckets
+        first.embed("Low mood.")
+        assert first._buckets == {
+            "low": _bucket("low", FALLBACK_DIMENSIONS),
+            "mood": _bucket("mood", FALLBACK_DIMENSIONS),
+            ("low", "mood"): _bucket("low mood", FALLBACK_DIMENSIONS),
+        }
+        monkeypatch.setattr(embedding, "_bucket", None)  # a second embedder hashes nothing it has seen
+        assert second.embed("LOW, mood") == first.embed("low mood")
+
+    def test_more_distinct_terms_than_the_cap_leave_at_most_cap_in_the_memo(self):
+        text = " ".join(f"w{i}" for i in range(embedding.MEMO_CAP + 1))
+        embedder = HashedTfEmbedder()
+        assert embedder.embed(text) == _dense_as_sparse(text)
+        assert 0 < len(embedder._buckets) <= embedding.MEMO_CAP
 
     @given(st.lists(st.lists(st.sampled_from(["mood", "sleep", "Mood", "7", "low", "x y"]), max_size=40), max_size=6))
     def test_repeated_terms_embed_as_dense_reference(self, docs):

@@ -658,6 +658,38 @@ def test_a_case_directory_whose_name_is_not_utf8_gets_a_trace(full_run, tmp_path
     assert sorted(second.skipped) == [*CASE_IDS, "case_\udcff"]
 
 
+def test_a_case_directory_whose_name_is_not_utf8_is_scored_through_the_cache(full_run, tmp_path, monkeypatch):
+    # The eval prompts name the case, so a cache key is taken over the name's own bytes, as the
+    # trace is; the cache file names of the UTF-8 cases are the ones a run without the copy writes.
+    # Synthesized replies, the copy answered as the case it was copied from.
+    def reply(req):
+        variables = dict(req.variables)
+        if variables.get("case_id") == "case_\udcff":
+            variables["case_id"] = "case_001"
+        return synthesize(req.template_id, variables)
+
+    backend = SpyBackend(reply)
+    monkeypatch.setattr(
+        runner, "build_gateway", lambda config: LlmGateway(backend, model="mock-model", cache_dir=config.cache_dir)
+    )
+    cached = {}
+    for name, copies in (("utf8", []), ("mixed", ["case_\udcff"])):
+        out_dir = tmp_path / name
+        shutil.copytree(full_run, out_dir)
+        if copies:
+            shutil.copytree(out_dir / "case_001", os.fsdecode(os.path.join(os.fsencode(out_dir), b"case_\xff")))
+        config = replace(_config(), cache_dir=str(tmp_path / f"{name}.cache"))
+        for command in (runner.run_perturb, runner.run_generate, runner.run_evaluation):
+            result = command(out_dir, config)
+            assert result.succeeded == [*CASE_IDS, *copies] and not result.failed, (command.__name__, result.failed)
+        cached[name] = set(os.listdir(config.cache_dir))
+    assert cached["utf8"] and cached["utf8"] < cached["mixed"]
+    report = runner.safe_load((tmp_path / "mixed" / "report.yaml").read_text(encoding="utf-8"))
+    assert [case["case_id"] for case in report["cases"]] == [*CASE_IDS, "case_\udcff"]
+    rows = (tmp_path / "mixed" / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert {row.split(",")[0] for row in rows[1:]} == {*CASE_IDS, "case_\\udcff"}
+
+
 def test_a_recorded_trace_that_cannot_be_verified_fails_its_case_alone(full_run, tmp_path, monkeypatch):
     # Verifying a case's recorded trace raises for case_002 only: that case's row runs on its task,
     # meets the error again and fails, and is not counted as verified.
