@@ -5,25 +5,23 @@ vector with L2 normalization, so the test suite and offline runs never need a
 network. An HTTP backend covers deployments with a real embedding endpoint;
 the embedding model identifier is a config string, not a code dependency.
 
-Every `HashedTfEmbedder` of one `dimensions` value shares one memo per
-process that maps a term to its bucket, so each distinct term is SHA-256
-hashed once per process, not once per command. A unigram is keyed by its
-token and a bigram by its token pair, so a memo hit builds no string. `embed`
-looks every term up in one `map` over the memo; only a text with a term the
-memo lacks takes the path that hashes and stores it. The memo is cleared when
-it holds `MEMO_CAP` terms, 2**14; full, it takes about 2.1 MB, some 130 bytes
-a term for its dict slot, its key and its bucket. So memory does not grow
-with the corpus or with the number of commands a process runs. The
-bucket counts are integers and the norm is taken over them exactly, so every
-vector is bit-identical to hashing each term occurrence anew into a dense
-float vector.
+`HashedTfEmbedder` hashes each distinct term once per instance: a memo on the
+instance maps a term to its bucket. A unigram is keyed by its token and a
+bigram by its token pair, so a memo hit builds no string. `embed` looks every
+term up in one `map` over the memo; only a text with a term the memo lacks
+takes the path that hashes and stores it. `runner.build_embedder` makes one
+instance per command, so the memo lives for one command and nothing outlives
+it. The memo is cleared when it holds `MEMO_CAP` terms, 2**14; full, it takes
+about 2.1 MB, some 130 bytes a term for its dict slot, its key and its bucket.
+So memory does not grow with the corpus. The bucket counts are integers and the norm is
+taken over them exactly, so every vector is bit-identical to hashing each
+term occurrence anew into a dense float vector.
 
-The eval cases run on the worker pool, and the commands of one process all
-share the memo. Each dict read, write and clear is atomic, a miss is read back
-from a local map, never from the memo after a possible clear, and a term's
-bucket depends on the term alone. So the worst a race does is hash a term
-twice, or after a clear hash it again, into the same bucket: every vector
-stays bit-identical.
+The eval cases of one command run on the worker pool and share that memo.
+Each dict read, write and clear is atomic, a miss is read back from a local
+map, never from the memo after a possible clear, and a term's bucket depends
+on the term alone. So the worst a race does is hash a term twice, or after a
+clear hash it again, into the same bucket: every vector stays bit-identical.
 
 `similarities` scores one case: it embeds the original and each variant
 once, and takes each one's norm in one pass over its nonzero entries, which
@@ -47,11 +45,8 @@ from ..gateway import post_json
 from ..textproc import tokenize
 
 FALLBACK_DIMENSIONS = 4096
-# Terms the memo of one `dimensions` value holds before it is cleared.
+# Terms a HashedTfEmbedder remembers before it clears its memo.
 MEMO_CAP = 2**14
-# dimensions -> the memo every HashedTfEmbedder of that size shares: a token
-# or a token pair -> its bucket.
-_MEMOS: dict[int, dict[str | tuple[str, str], int]] = {}
 
 
 def _bucket(term: str, dimensions: int) -> int:
@@ -66,7 +61,8 @@ class HashedTfEmbedder:
 
     def __init__(self, dimensions: int = FALLBACK_DIMENSIONS):
         self.dimensions = dimensions
-        self._buckets = _MEMOS.setdefault(dimensions, {})
+        # A token or a token pair -> its bucket.
+        self._buckets: dict[str | tuple[str, str], int] = {}
 
     def embed(self, text: str) -> dict[int, float]:
         """Sparse vector: the nonzero buckets only, in ascending bucket order."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from ..converter import CaseNarrative
 from ..gateway import GatewayError, LlmGateway, validated_call
+from ..textproc import id_bytes
 from ..yamlio import reply_mapping, safe_dump
 from .canon import canonical_label_set, soft_f1
 from .embedding import similarities
@@ -167,8 +168,8 @@ def eval_case(
         )
 
     if "llm_only" in texts:
-        # Seeded by the bytes str seeds are hashed over; surrogateescape as in `case_seed`.
-        rng = random.Random(f"{seed}:{case_id}:judge".encode("utf-8", "surrogateescape"))
+        # Seeded by the bytes a str seed is hashed over, as `case_seed` is.
+        rng = random.Random(id_bytes(f"{seed}:{case_id}:judge"))
         try:
             result = judge_risk(original, texts["anonpsy"], texts["llm_only"], gw, rng)
         except JudgeError as exc:

@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator
 
 from . import prompts
 from .fileio import write_atomic
+from .textproc import id_bytes
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,10 @@ class ChatResponse:
     latency_ms: int = 0
 
 
-def _key_bytes(canon: str) -> bytes:
-    """The bytes a key is hashed over: strict UTF-8, except that a lone surrogate, as
-    a case id read from a directory name that is not UTF-8 holds, gives back its byte."""
-    return canon.encode("utf-8", "surrogateescape")
-
-
 def variables_digest(variables: dict[str, str]) -> str:
     """Stable digest of template variables; keys mock fixtures."""
     canon = json.dumps({k: str(v) for k, v in variables.items()}, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(_key_bytes(canon)).hexdigest()[:24]
+    return hashlib.sha256(id_bytes(canon)).hexdigest()[:24]
 
 
 def cache_key(req: ChatRequest) -> str:
@@ -139,7 +134,7 @@ def cache_key(req: ChatRequest) -> str:
     if attempt != "1":
         doc["attempt"] = attempt
     canon = json.dumps(doc, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(_key_bytes(canon)).hexdigest()
+    return hashlib.sha256(id_bytes(canon)).hexdigest()
 
 
 class MockBackend:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import yaml
 
+from ..textproc import id_bytes
 from ..yamlio import load_yaml, safe_load
 
 CONSTRAINT_KINDS = ("min_present_age", "max_onset_age", "required_sex")
@@ -99,7 +100,7 @@ class PerturbConfig:
 
 def case_seed(global_seed: int, case_id: str) -> int:
     """Per-case RNG seed derived from the run seed and the case id."""
-    digest = hashlib.sha256(f"{global_seed}:{case_id}".encode("utf-8", "surrogateescape")).digest()
+    digest = hashlib.sha256(id_bytes(f"{global_seed}:{case_id}")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -64,6 +64,7 @@ from .gateway import HttpBackend, LlmGateway, MockBackend, collect_failures
 from .model import SemanticGraph
 from .narrator import generate, plan_outline
 from .perturbation import perturb
+from .textproc import id_bytes
 from .yamlio import json_dump, load_yaml, parse_yaml, safe_dump, safe_load, serialize_yaml
 
 # A case's corpus entry, each file rendered from the narrative and written
@@ -313,10 +314,10 @@ def _read(path: str) -> bytes | None:
 def _trace(*parts: str) -> str:
     """One trace: 32 hex digits over parts, which are names and digests.
 
-    `surrogateescape` gives a case id read from a directory name that is not
-    UTF-8 its original bytes; every other part encodes as strict UTF-8 would.
+    A case id read from a directory name that is not UTF-8 is hashed over its
+    original bytes (`id_bytes`).
     """
-    return _digest("\0".join(parts).encode("utf-8", "surrogateescape"))[:32]
+    return _digest(id_bytes("\0".join(parts)))[:32]
 
 
 def _base_key(config_digest: str, prompt_assets: dict[str, str]) -> str:

@@ -14,6 +14,13 @@ _NUMBER_WORDS = (
 )
 
 
+def id_bytes(text: str) -> bytes:
+    """The bytes text is hashed or seeded over: strict UTF-8, except that a lone
+    surrogate, as a case id read from a directory name that is not UTF-8 holds,
+    gives back its original byte."""
+    return text.encode("utf-8", "surrogateescape")
+
+
 def normalize_ws(text: str) -> str:
     return _WS.sub(" ", text).strip()
 

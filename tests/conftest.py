@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from anonpsy.config import RunConfig
-from anonpsy.evaluation import embedding
 from anonpsy.gateway import LlmGateway, MockBackend
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -49,21 +48,6 @@ def run_config() -> RunConfig:
 @pytest.fixture()
 def mock_gateway(run_config) -> LlmGateway:
     return LlmGateway(MockBackend(run_config.fixtures_dir), model=run_config.model)
-
-
-@pytest.fixture()
-def empty_memo(monkeypatch):
-    """An empty term->bucket memo for the embedders made from here on, so that the tests run
-    before cannot decide which terms miss, nor whether a lowered `MEMO_CAP` clears the memo.
-
-    Calling the returned function empties it again; the process memo comes back after the test.
-    """
-
-    def empty() -> None:
-        monkeypatch.setattr(embedding, "_MEMOS", {})
-
-    empty()
-    return empty
 
 
 def golden_text(name: str) -> str:

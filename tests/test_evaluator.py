@@ -241,15 +241,14 @@ class TestRunEval:
         }
 
     @pytest.mark.parametrize("jobs,memo_cap", [(2, embedding.MEMO_CAP), (4, 8)])
-    def test_pool_writes_the_bytes_of_one_job(self, full_run, monkeypatch, tmp_path, empty_memo, jobs, memo_cap):
+    def test_pool_writes_the_bytes_of_one_job(self, full_run, monkeypatch, tmp_path, jobs, memo_cap):
         # At jobs 4: more workers than cores, a thread switch every few microseconds,
-        # and a memo cleared every few terms, so the tasks race on the shared memo.
+        # and a memo cleared every few terms, so the tasks race on the shared embedder.
         out_dir, _ = full_run
         files = ("report.yaml", "report.csv", "run_manifest.yaml")
         for run_dir in (tmp_path / "serial", tmp_path / "pool"):
             shutil.copytree(out_dir, run_dir)
         assert runner.run_evaluation(tmp_path / "serial", make_config()).ok
-        empty_memo()  # else the pool finds every term in the memo the serial run filled
         monkeypatch.setattr(embedding, "MEMO_CAP", memo_cap)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -274,8 +273,9 @@ class TestRunEval:
             for _, content in prompts.render(template_id, shown):
                 assert not name.search(content), (template_id, content)
 
-    def _count_hashed(self, monkeypatch) -> list[str]:
-        """The terms `embedding._bucket` hashes from here on, one entry per call."""
+    def test_each_distinct_term_is_hashed_once(self, full_run, monkeypatch):
+        # At jobs 1: two pool tasks may each hash a term that both miss at once.
+        out_dir, config = full_run
         hashed = []
         bucket = embedding._bucket
 
@@ -284,12 +284,6 @@ class TestRunEval:
             return bucket(term, dimensions)
 
         monkeypatch.setattr(embedding, "_bucket", counting_bucket)
-        return hashed
-
-    def test_each_distinct_term_is_hashed_once(self, full_run, monkeypatch, empty_memo):
-        # At jobs 1: two pool tasks may each hash a term that both miss at once.
-        out_dir, config = full_run
-        hashed = self._count_hashed(monkeypatch)
         assert config.jobs == 1
         runner.run_evaluation(out_dir, config)
         terms = set()
@@ -300,15 +294,3 @@ class TestRunEval:
                 terms.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
         assert len(hashed) == len(terms)
         assert set(hashed) == terms
-
-    def test_a_second_eval_in_the_process_hashes_no_term(self, full_run, monkeypatch, tmp_path, empty_memo):
-        # Every embedder of the process shares one memo: the second command finds each term in it.
-        out_dir, config = full_run
-        run_dir = tmp_path / "run"
-        shutil.copytree(out_dir, run_dir)
-        assert runner.run_evaluation(run_dir, config).ok
-        files = {name: (run_dir / name).read_bytes() for name in ("report.yaml", "report.csv")}
-        hashed = self._count_hashed(monkeypatch)
-        assert runner.run_evaluation(run_dir, config).ok
-        assert hashed == []
-        assert {name: (run_dir / name).read_bytes() for name in files} == files

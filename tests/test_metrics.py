@@ -206,21 +206,18 @@ _TEXTS = st.one_of(
 
 @given(st.lists(_TEXTS, min_size=1, max_size=5))
 def test_similarities_equal_the_dense_reference_bit_for_bit(texts):
-    # One embedder per original, all sharing a memo cleared every five terms, and four threads
-    # scoring at once, as an eval at jobs 4 does.
+    # One embedder with a memo cleared every five terms, and four threads scoring on it at once,
+    # as an eval at jobs 4 does.
     expected = [[_dense_similarity(original, text).hex() for text in texts] for original in texts]
-    with mock.patch.object(embedding, "_MEMOS", {}), mock.patch.object(embedding, "MEMO_CAP", 5):
-        embedders = [HashedTfEmbedder() for _ in texts]
-        assert all(e._buckets is embedders[0]._buckets for e in embedders)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            scores = list(pool.map(lambda original, e: similarities(original, texts, e), texts, embedders))
-        assert len(embedders[0]._buckets) <= 5
+    embedder = HashedTfEmbedder()
+    with mock.patch.object(embedding, "MEMO_CAP", 5), ThreadPoolExecutor(max_workers=4) as pool:
+        scores = list(pool.map(lambda original: similarities(original, texts, embedder), texts))
+    assert len(embedder._buckets) <= 5
     assert [[score.hex() for score in row] for row in scores] == expected
 
 
-@pytest.mark.usefixtures("empty_memo")
 class TestBucketMemo:
-    """The embedders of one process hash each distinct term once; their vectors stay the dense reference's."""
+    """One embedder hashes each distinct term once; its vectors stay the dense reference's."""
 
     def _check_shared_embedder(self, cap):
         embedder = HashedTfEmbedder()
@@ -239,18 +236,16 @@ class TestBucketMemo:
         monkeypatch.setattr(embedding, "MEMO_CAP", 5)
         self._check_shared_embedder(5)
 
-    def test_every_embedder_of_one_size_shares_one_memo(self, monkeypatch):
-        first, second = HashedTfEmbedder(), HashedTfEmbedder()
-        assert first._buckets is second._buckets
-        assert HashedTfEmbedder(64)._buckets is not first._buckets
-        first.embed("Low mood.")
-        assert first._buckets == {
+    def test_a_bigram_is_kept_under_its_token_pair(self, monkeypatch):
+        embedder = HashedTfEmbedder()
+        embedder.embed("Low mood.")
+        assert embedder._buckets == {
             "low": _bucket("low", FALLBACK_DIMENSIONS),
             "mood": _bucket("mood", FALLBACK_DIMENSIONS),
             ("low", "mood"): _bucket("low mood", FALLBACK_DIMENSIONS),
         }
-        monkeypatch.setattr(embedding, "_bucket", None)  # a second embedder hashes nothing it has seen
-        assert second.embed("LOW, mood") == first.embed("low mood")
+        monkeypatch.setattr(embedding, "_bucket", None)  # terms it has seen are not hashed again
+        assert embedder.embed("LOW, mood") == _dense_as_sparse("low mood")
 
     def test_more_distinct_terms_than_the_cap_leave_at_most_cap_in_the_memo(self):
         text = " ".join(f"w{i}" for i in range(embedding.MEMO_CAP + 1))
