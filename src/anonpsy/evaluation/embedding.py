@@ -13,9 +13,9 @@ takes the path that hashes and stores it. `runner.build_embedder` makes one
 instance per command, so the memo lives for one command and nothing outlives
 it. The memo is cleared when it holds `MEMO_CAP` terms, 2**14; full, it takes
 about 2.1 MB, some 130 bytes a term for its dict slot, its key and its bucket.
-So memory does not grow with the corpus. The bucket counts are integers and the norm is
-taken over them exactly, so every vector is bit-identical to hashing each
-term occurrence anew into a dense float vector.
+So memory does not grow with the corpus. The bucket counts are integers and
+the norm is taken over them exactly, so every vector is bit-identical to
+hashing each term occurrence anew into a dense float vector.
 
 The eval cases of one command run on the worker pool and share that memo.
 Each dict read, write and clear is atomic, a miss is read back from a local
