@@ -13,9 +13,7 @@ from __future__ import annotations
 import functools
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
 
-from .fileio import write_atomic
 from .gateway import LlmGateway, validated_call
 from .model import (
     EPISODE_UNITS,
@@ -50,6 +48,7 @@ from .temporal import (
 )
 from .textproc import contains_normalized
 from .yamlio import reply_mapping, safe_dump, serialize_yaml
+
 
 class ConversionError(RuntimeError):
     """A case could not be converted; carries the staged error trail."""
@@ -373,54 +372,35 @@ def canonicalize_temporal(draft: ConverterDraft) -> tuple[SemanticGraph, list[st
     return g, warnings
 
 
-# What `convert` writes into work_dir, in the order the chain produces them.
+# The texts `convert` returns beside the graph, in the order the chain produces
+# them: the stage 1 graph, the stage 2 episodes and the warning log.
 INTERMEDIATES = ("stage1.entities.yaml", "stage2.episodes.yaml", "convert.log")
 
 
-def convert(x: CaseNarrative, gw: LlmGateway, work_dir: str | Path | None = None) -> SemanticGraph:
-    """Run the full conversion chain and return a validated graph.
+def convert(x: CaseNarrative, gw: LlmGateway) -> tuple[SemanticGraph, tuple[str, str, str]]:
+    """Run the full conversion chain; return the validated graph and the texts of INTERMEDIATES.
 
-    When work_dir is given, intermediate stage YAML and the warning log are
-    persisted there for debugging. Those the chain fails before writing are
-    removed, so none of an earlier input is left; those it rewrites unchanged
-    are not touched.
+    Writes no file: the stage runner writes the intermediates beside the graph,
+    for debugging, and a conversion that fails leaves none of them.
     """
-    pending = list(INTERMEDIATES)
-
-    def persist(name: str, producer) -> None:
-        if work_dir is not None:
-            Path(work_dir).mkdir(parents=True, exist_ok=True)
-            write_atomic(Path(work_dir) / name, producer())
-        pending.remove(name)
-
+    draft = extract_entities(x, gw)
+    entities = serialize_yaml(draft.graph)
+    draft = extract_episodes(x, draft, gw)
+    episodes = _episodes_yaml(draft)
     try:
-        draft = extract_entities(x, gw)
-        persist("stage1.entities.yaml", lambda: serialize_yaml(draft.graph))
+        g, warnings = canonicalize_temporal(draft)
+    except Exception as exc:
+        raise ConversionError(x.case_id, "canonicalize_temporal", str(exc)) from exc
 
-        draft = extract_episodes(x, draft, gw)
-        persist("stage2.episodes.yaml", lambda: _episodes_yaml(draft))
-
-        try:
-            g, warnings = canonicalize_temporal(draft)
-        except Exception as exc:
-            raise ConversionError(x.case_id, "canonicalize_temporal", str(exc)) from exc
-
-        g = build_presents_with(g)
-        g = link_etiology(g, warnings)
-        g = add_causal_edges_llm(g, x.text, gw, case_id=x.case_id, warnings=warnings)
-        persist("convert.log", lambda: "".join(f"{w}\n" for w in warnings))
-    except BaseException:
-        if work_dir is not None:
-            for name in pending:
-                (Path(work_dir) / name).unlink(missing_ok=True)
-        raise
-
+    g = build_presents_with(g)
+    g = link_etiology(g, warnings)
+    g = add_causal_edges_llm(g, x.text, gw, case_id=x.case_id, warnings=warnings)
     violations = validate_graph(g)
     if violations:
         raise ConversionError(
             x.case_id, "validate", "; ".join(str(v) for v in violations)
         )
-    return g
+    return g, (entities, episodes, "".join(f"{w}\n" for w in warnings))
 
 
 def _episodes_yaml(draft: ConverterDraft) -> str:

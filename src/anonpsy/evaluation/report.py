@@ -34,6 +34,7 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 
+
 @dataclass
 class VariantMetrics:
     cosine: float

@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -125,7 +124,6 @@ class Stage:
     # (case directory, source, shared) -> (output texts, product); the product
     # is what a stage reading outputs[0] takes.
     work: Callable[[Path, Any, Shared], tuple[tuple[str, ...], Any]]
-    side_outputs: tuple[str, ...] = ()  # files `work` writes into the case directory itself
     requires: tuple[str, ...] = ()  # files each of its cases must hold before any case runs
 
 
@@ -201,8 +199,8 @@ def read_case_inputs(case_dir: Path) -> CaseNarrative:
 
 
 def _convert(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
-    graph = convert(narrative, shared.gateway, work_dir=case_dir)
-    return (serialize_yaml(graph),), graph
+    graph, intermediates = convert(narrative, shared.gateway)
+    return (serialize_yaml(graph), *intermediates), graph
 
 
 def _perturb(case_dir: Path, graph: SemanticGraph, shared: Shared) -> tuple[tuple[str, ...], Any]:
@@ -240,7 +238,7 @@ def _eval(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tup
 # Every per-case stage, keyed by its manifest name, in pipeline order: a stage
 # comes after every stage whose outputs it reads.
 STAGES = {
-    "convert": Stage(None, ("graph.yaml",), _convert, side_outputs=INTERMEDIATES),
+    "convert": Stage(None, ("graph.yaml", *INTERMEDIATES), _convert),
     "perturb": Stage("graph.yaml", ("graph.perturbed.yaml", "perturb.audit.yaml"), _perturb),
     "generate": Stage("graph.perturbed.yaml", ("outline.yaml", "deid.txt"), _generate),
     "baseline.phi": Stage(None, ("baseline.phi.txt",), _phi),
@@ -275,20 +273,16 @@ def _with_readers(files: tuple[str, ...]) -> list[str]:
 
 @functools.cache
 def source_digest() -> str:
-    """SHA-256 over the package's own files: its loaded modules but the CLI, and every file in data/.
+    """SHA-256 over the package's own files on disk: every module but the CLI, and every file in data/.
 
-    Importing this module loads every other module of the package but
-    `anonpsy.cli`, and nothing is imported later, so every process digests
-    the same files. The CLI only picks the command and the config, which the
-    base key covers. The prompt templates are covered by their asset hashes.
-    The files do not change while the program runs: computed once per process.
+    The files are listed, not taken from the loaded modules, so the digest does
+    not depend on what has been imported. The CLI only picks the command and
+    the config, which the base key covers. The prompt templates are covered by
+    their asset hashes. The files do not change while the program runs:
+    computed once per process.
     """
-    package = Path(sys.modules[__package__].__file__).parent
-    files = sorted(
-        Path(module.__file__).relative_to(package).as_posix()
-        for name, module in list(sys.modules.items())
-        if name.partition(".")[0] == __package__ and name != f"{__package__}.cli"
-    )
+    package = Path(__file__).parent
+    files = sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py") if p.name != "cli.py")
     files += sorted(f"data/{p.name}" for p in (package / "data").iterdir())
     h = hashlib.sha256()
     for file in files:
@@ -367,7 +361,7 @@ class _CaseFiles:
                 pass
             self.digests[file] = "-"
         for name, stage in STAGES.items():
-            if not set(files).isdisjoint(stage.outputs + stage.side_outputs):
+            if not set(files).isdisjoint(stage.outputs):
                 traces[name] = None
 
 
@@ -431,12 +425,11 @@ def run_stage(
         """The row's trace key (empty when it writes no file), and whether its recorded trace matches
         the files on disk."""
         stage = STAGES[name]
-        written = stage.outputs + stage.side_outputs
-        if not written:
+        if not stage.outputs:
             return (), False
         key = (name, files.case_id, base, *map(files.digest, _reads(stage)))
         entries = recorded.get(files.case_id) or {}
-        return key, name in entries and entries[name] == _trace(*key, *map(files.digest, written))
+        return key, name in entries and entries[name] == _trace(*key, *map(files.digest, stage.outputs))
 
     def write(name: str, files: _CaseFiles, texts: dict[str, str], traces: dict[str, str | None]) -> None:
         """Write, for row name, the files among texts whose bytes change.
@@ -456,7 +449,7 @@ def run_stage(
                 file
                 for reader, row in STAGES.items()
                 if reader != name and not set(_reads(row)).isdisjoint(changing) and not check(reader, files)[1]
-                for file in _with_readers(row.outputs + row.side_outputs)
+                for file in _with_readers(row.outputs)
             ],
             traces,
         )
@@ -496,7 +489,6 @@ def run_stage(
         traces: dict[str, str | None] = {}
         for name in chain[start:]:
             stage = STAGES[name]
-            written = stage.outputs + stage.side_outputs
             try:
                 if stage.source is None:
                     write(name, files, files.entry, traces)
@@ -513,15 +505,13 @@ def run_stage(
                     source = read_case_inputs(case_dir)
                 with collect_failures() as failures:
                     texts, source = stage.work(case_dir, source, shared)
-                for file in stage.side_outputs:
-                    files.digests.pop(file, None)  # the work wrote them
                 write(name, files, dict(zip(stage.outputs, texts, strict=True)), traces)
                 ran[name] = None
                 if failures:
                     degraded.append(name)
                 if key:
                     # A row that fell back on a failed call keeps no trace: the next command runs it again.
-                    traces[name] = None if failures else _trace(*key, *map(files.digest, written))
+                    traces[name] = None if failures else _trace(*key, *map(files.digest, stage.outputs))
             except Exception as exc:  # isolate: one bad case never sinks the run
                 files.remove(_with_readers(stage.outputs), traces)
                 ran[name] = f"{type(exc).__name__}: {exc}"

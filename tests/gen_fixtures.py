@@ -33,6 +33,9 @@ GOLDEN_ARTIFACTS = (
     "outline.yaml",
     "deid.txt",
     "perturb.audit.yaml",
+    "stage1.entities.yaml",
+    "stage2.episodes.yaml",
+    "convert.log",
 )
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 import anonpsy
-from anonpsy import converter, runner
+from anonpsy import runner
 from anonpsy.model import (
     CaseAttributes,
     Demographics,
@@ -544,7 +544,7 @@ def _row_trace(base: str, case_dir: Path, name: str, inputs: dict[str, bytes] | 
     digests = [_sha(inputs[file]) if file in inputs else "-" for file in files]
     digests += [
         _sha((case_dir / file).read_bytes()) if (case_dir / file).is_file() else "-"
-        for file in stage.outputs + stage.side_outputs
+        for file in stage.outputs
     ]
     return _trace(name, case_dir.name, base, *digests)
 
@@ -569,7 +569,7 @@ def assert_provenance(run_dir, rows=None, cases=None) -> None:
             if rows is not None and name not in rows:
                 continue
             stage = runner.STAGES.get(name)
-            assert stage and stage.outputs + stage.side_outputs, f"{case_id}: {name} is not a traced row"
+            assert stage and stage.outputs, f"{case_id}: {name} is not a traced row"
             for file in stage.outputs:
                 assert (case_dir / file).is_file(), f"{case_id}/{name}: the entry outlived {file}"
             assert recorded == _row_trace(base, case_dir, name), f"{case_id}/{name}: the trace does not match"
@@ -617,7 +617,6 @@ def kill_after(monkeypatch, out_dir: Path, k: int) -> list[str]:
             return real_unlink(path, *args, **kwargs)
         touch(path, lambda: real_unlink(path, *args, **kwargs) or True)
 
-    for module in (runner, converter):
-        monkeypatch.setattr(module, "write_atomic", lambda path, text: touch(path, lambda: real_write(path, text)))
+    monkeypatch.setattr(runner, "write_atomic", lambda path, text: touch(path, lambda: real_write(path, text)))
     monkeypatch.setattr(os, "unlink", unlink)
     return touched

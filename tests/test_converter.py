@@ -3,6 +3,7 @@ import yaml
 import pytest
 
 from anonpsy.converter import (
+    INTERMEDIATES,
     CaseNarrative,
     ConversionError,
     canonicalize_temporal,
@@ -10,7 +11,6 @@ from anonpsy.converter import (
     extract_entities,
     extract_episodes,
 )
-from anonpsy.gateway import MockFixtureMissing
 from anonpsy.model import validate_graph
 from anonpsy.yamlio import serialize_yaml
 
@@ -236,14 +236,14 @@ class TestExtractEpisodes:
 class TestConvert:
     def test_fixture_corpus_matches_golden_graphs(self, corpus_dir, mock_gateway):
         for case in _load_cases(corpus_dir):
-            graph = convert(case, mock_gateway)
+            graph, _ = convert(case, mock_gateway)
             assert validate_graph(graph) == []
             assert serialize_yaml(graph) == golden_text(f"{case.case_id}.graph.yaml")
 
     def test_convert_twice_is_byte_identical(self, corpus_dir, mock_gateway):
         case = _load_cases(corpus_dir)[0]
-        first = serialize_yaml(convert(case, mock_gateway))
-        second = serialize_yaml(convert(case, mock_gateway))
+        first = serialize_yaml(convert(case, mock_gateway)[0])
+        second = serialize_yaml(convert(case, mock_gateway)[0])
         assert first == second
 
     def test_zero_symptom_narrative_yields_valid_graph(self):
@@ -273,80 +273,26 @@ class TestConvert:
                 return yaml.safe_dump({"episodes": []})
             return yaml.safe_dump({"edges": []})
 
-        graph = convert(narrative, FakeGateway(handler))
+        graph, _ = convert(narrative, FakeGateway(handler))
         assert validate_graph(graph) == []
         assert graph.symptoms == []
         assert not [r for r in graph.relations if r.relation_type == "PRESENTS_WITH"]
 
-    def test_intermediates_persisted(self, corpus_dir, mock_gateway, tmp_path):
-        case = _load_cases(corpus_dir)[0]
-        convert(case, mock_gateway, work_dir=tmp_path)
-        assert (tmp_path / "stage1.entities.yaml").is_file()
-        assert (tmp_path / "stage2.episodes.yaml").is_file()
-        assert (tmp_path / "convert.log").is_file()
-        log = (tmp_path / "convert.log").read_text()
-        assert "initial current_symptom" in log
-
-    def test_warning_log_persisted_when_validation_fails(self, corpus_dir, mock_gateway, tmp_path, monkeypatch):
-        from anonpsy import converter
-        from anonpsy.model import Violation
-
-        monkeypatch.setattr(
-            converter, "validate_graph", lambda g: [Violation("forced", "$", "forced failure")]
-        )
-        case = _load_cases(corpus_dir)[0]
-        with pytest.raises(ConversionError, match="stage validate"):
-            convert(case, mock_gateway, work_dir=tmp_path)
-        assert "initial current_symptom" in (tmp_path / "convert.log").read_text()
-
-    @pytest.mark.parametrize("failing", ["extract_entities", "extract_episodes"])
-    def test_early_failure_leaves_no_previous_intermediates(self, corpus_dir, mock_gateway, tmp_path, failing):
-        names = ("stage1.entities.yaml", "stage2.episodes.yaml", "convert.log")
-        for name in names:
-            (tmp_path / name).write_text("from the previous input\n")
-
-        def handler(template_id, variables):
-            if template_id == failing:
-                return MockFixtureMissing(template_id, "no mock fixture")
-            return mock_gateway.call(template_id, variables)
-
-        case = _load_cases(corpus_dir)[0]
-        with pytest.raises(MockFixtureMissing):
-            convert(case, FakeGateway(handler), work_dir=tmp_path)
-        left = {p.name: p.read_text() for p in tmp_path.iterdir()}
-        if failing == "extract_entities":
-            assert left == {}
-        else:
-            assert list(left) == ["stage1.entities.yaml"]
-            assert left["stage1.entities.yaml"] == serialize_yaml(extract_entities(case, mock_gateway).graph)
-
-    def test_late_failure_leaves_no_previous_warning_log(self, corpus_dir, mock_gateway, tmp_path, monkeypatch):
-        from anonpsy import converter
-
-        case = _load_cases(corpus_dir)[0]
-        convert(case, mock_gateway, work_dir=tmp_path)
-        done = {p.name: p.read_text() for p in tmp_path.iterdir()}
-        (tmp_path / "convert.log").write_text("from the previous input\n")
-
-        def failing_pass(*args, **kwargs):
-            raise RuntimeError("causal pass failed")
-
-        monkeypatch.setattr(converter, "add_causal_edges_llm", failing_pass)
-        with pytest.raises(RuntimeError, match="causal pass failed"):
-            convert(case, mock_gateway, work_dir=tmp_path)
-        left = {p.name: p.read_text() for p in tmp_path.iterdir()}
-        assert left == {name: done[name] for name in ("stage1.entities.yaml", "stage2.episodes.yaml")}
+    def test_intermediates_match_golden(self, corpus_dir, mock_gateway):
+        for case in _load_cases(corpus_dir):
+            _, intermediates = convert(case, mock_gateway)
+            assert intermediates == tuple(golden_text(f"{case.case_id}.{name}") for name in INTERMEDIATES)
 
     def test_etiology_and_causal_edges_in_case_002(self, corpus_dir, mock_gateway):
         cases = {c.case_id: c for c in _load_cases(corpus_dir)}
-        graph = convert(cases["case_002"], mock_gateway)
+        graph, _ = convert(cases["case_002"], mock_gateway)
         triples = {r.triple() for r in graph.relations}
         assert ("INDUCES", "ph_001", "dx_002") in triples  # label morphology
         assert ("INDUCES", "ph_001", "dx_001") in triples  # evidence-backed causal pass
 
     def test_gold_diagnoses_become_nodes(self, corpus_dir, mock_gateway):
         cases = {c.case_id: c for c in _load_cases(corpus_dir)}
-        graph = convert(cases["case_003"], mock_gateway)
+        graph, _ = convert(cases["case_003"], mock_gateway)
         assert [d.label for d in graph.diagnoses] == GOLD_DIAGNOSES["case_003"]
 
 
@@ -416,7 +362,7 @@ class TestConverterInvariants:
         )
 
         for case in _load_cases(corpus_dir):
-            graph = convert(case, mock_gateway)
+            graph, _ = convert(case, mock_gateway)
             assert dedup_durations(graph) == graph
             assert reconcile_node_intervals(graph) == graph
             assert split_multi_episode_symptoms(graph) == graph
@@ -426,13 +372,13 @@ class TestConverterInvariants:
         from anonpsy.textproc import contains_normalized
 
         for case in _load_cases(corpus_dir):
-            graph = convert(case, mock_gateway)
+            graph, _ = convert(case, mock_gateway)
             for symptom in graph.symptoms:
                 assert contains_normalized(case.text, symptom.evidence_text)
 
     def test_currency_flags_match_day0_coverage(self, corpus_dir, mock_gateway):
         for case in _load_cases(corpus_dir):
-            graph = convert(case, mock_gateway)
+            graph, _ = convert(case, mock_gateway)
             pool = graph.durations_by_id()
             for symptom in graph.symptoms:
                 covered = any(pool[i].covers_day0() for i in symptom.duration_ids)

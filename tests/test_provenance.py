@@ -24,9 +24,9 @@ CASE_IDS = ["case_001", "case_002", "case_003"]
 STAGED = ("convert", "perturb", "generate")
 BASELINES = tuple(f"baseline.{name}" for name in runner.BASELINE_NAMES)
 # The rows that keep a trace: every row that writes files.
-TRACED = tuple(name for name, stage in runner.STAGES.items() if stage.outputs + stage.side_outputs)
+TRACED = tuple(name for name, stage in runner.STAGES.items() if stage.outputs)
 # file -> the traced row that writes it
-OWNER = {file: name for name in TRACED for file in runner.STAGES[name].outputs + runner.STAGES[name].side_outputs}
+OWNER = {file: name for name in TRACED for file in runner.STAGES[name].outputs}
 
 
 def _config(**overrides) -> RunConfig:

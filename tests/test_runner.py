@@ -17,9 +17,11 @@ import yaml
 
 import anonpsy
 import anonpsy.runner as runner
+from anonpsy import converter
 from anonpsy.config import RunConfig
-from anonpsy.converter import INTERMEDIATES
+from anonpsy.converter import ConversionError
 from anonpsy.gateway import LlmGateway, MockBackend
+from anonpsy.model import Violation
 from anonpsy.perturbation import config as perturb_tables
 
 from .conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
@@ -155,7 +157,7 @@ def test_each_stage_adds_exactly_its_declared_outputs(tmp_path):
         after = _case_files(out_dir)
         declared = set(runner.STAGES[stage].outputs)
         if stage == "convert":
-            declared |= set(runner.CASE_INPUTS) | set(INTERMEDIATES)
+            declared |= set(runner.CASE_INPUTS)
         assert {case_id: after[case_id] - before[case_id] for case_id in CASE_IDS} == {
             case_id: declared for case_id in CASE_IDS
         }, stage
@@ -255,6 +257,53 @@ def test_a_run_killed_after_writing_a_new_entry_leaves_no_baseline_of_the_old_on
 
     # The baselines were made from the old entry, and eval would score them against the new one.
     assert sorted(p.name for p in (out_dir / "case_001").glob("baseline.*")) == []
+
+
+def _fail_convert_of_case_002(monkeypatch, step: str) -> None:
+    """Make convert fail for case_002 alone: at stage 2, or when its finished graph is validated."""
+    real = getattr(converter, step)
+    if step == "validate_graph":
+        golden = (GOLDEN_DIR / "case_002.graph.yaml").read_text(encoding="utf-8")
+
+        def failing(g):
+            return [Violation("forced", "$", "forced failure")] if runner.serialize_yaml(g) == golden else real(g)
+    else:
+
+        def failing(x, *args):
+            if x.case_id == "case_002":
+                raise ConversionError(x.case_id, step, "forced failure")
+            return real(x, *args)
+
+    monkeypatch.setattr(converter, step, failing)
+
+
+@pytest.mark.parametrize("step", ["extract_episodes", "validate_graph"])
+def test_a_failed_convert_leaves_none_of_its_files_nor_what_was_made_from_them(tmp_path, monkeypatch, step):
+    # The intermediates are convert outputs like graph.yaml: a failure after stage 1, or one at the last
+    # check, keeps none of them, so no partial text can make a later command forget the failure.
+    config = _config()
+    out_dir = tmp_path / "run"
+    _full_run(CORPUS_DIR, out_dir, config)
+    assert runner.run_evaluation(out_dir, config).ok
+    # An earlier input's intermediate: convert's trace no longer verifies, so it runs again for case_002.
+    (out_dir / "case_002" / "stage1.entities.yaml").write_text("from the previous input\n", encoding="utf-8")
+    others = {case_id: _tree(out_dir / case_id) for case_id in ("case_001", "case_003")}
+    _fail_convert_of_case_002(monkeypatch, step)
+
+    result = runner.run_pipeline(CORPUS_DIR, out_dir, config)
+
+    assert list(result.failed) == ["case_002"] and "forced failure" in result.failed["case_002"]
+    baselines = {f"baseline.{name}.txt" for name in runner.BASELINE_NAMES}
+    assert _case_files(out_dir)["case_002"] == {*runner.CASE_INPUTS, *baselines}
+    assert {case_id: _tree(out_dir / case_id) for case_id in others} == others
+    manifest = runner.safe_load((out_dir / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert list(manifest["stages"]["convert"]["failed"]) == ["case_002"]
+    assert_provenance(out_dir)
+
+    monkeypatch.undo()
+    assert runner.run_perturb(out_dir, config).ok
+    manifest = runner.safe_load((out_dir / "run_manifest.yaml").read_text(encoding="utf-8"))
+    assert list(manifest["stages"]["convert"]["failed"]) == ["case_002"]
 
 
 def test_a_staged_convert_that_writes_a_new_graph_removes_what_was_made_from_the_old_one(tmp_path, monkeypatch):
@@ -709,13 +758,11 @@ def test_a_recorded_trace_that_cannot_be_verified_fails_its_case_alone(full_run,
     assert sorted(result.skipped) == ["case_001", "case_003"]
 
 
-def test_graphs_handed_over_in_memory_equal_their_parsed_yaml(tmp_path):
+def test_graphs_handed_over_in_memory_equal_their_parsed_yaml():
     config = _config()
     gateway = runner.build_gateway(config)
     for narrative in runner.load_corpus(CORPUS_DIR):
-        case_dir = tmp_path / narrative.case_id
-        case_dir.mkdir()
-        graph = runner.convert(narrative, gateway, work_dir=case_dir)
+        graph, _ = runner.convert(narrative, gateway)
         assert_same_typed(runner.parse_yaml(runner.serialize_yaml(graph)), graph)
         assert shared_containers(graph) == []
 
@@ -798,6 +845,35 @@ def test_thread_pool_is_created_only_by_the_stage_engine():
     assert len(pools) == 1
 
 
+def _function(tree: ast.AST, *names: str) -> ast.AST:
+    """The definition reached through names, each a class or function defined in the one before."""
+    for name in names:
+        (tree,) = [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name]
+    return tree
+
+
+def test_files_are_written_only_through_the_stage_engine_the_report_the_manifest_and_the_cache():
+    # One write step for every case file: a second writer would keep a failure rule of its own.
+    src_dir = Path(anonpsy.__file__).parent
+    writes = [
+        f"{path.relative_to(src_dir)}:{line}"
+        for path in sorted(src_dir.rglob("*.py"))
+        for line in _calls_to(ast.parse(path.read_text(encoding="utf-8")), "write_atomic")
+    ]
+    writers = {
+        "runner.py": [("run_stage", "write"), ("run_evaluation",), ("_update_manifest",)],
+        "gateway.py": [("LlmGateway", "_cache_write")],
+    }
+    allowed = []
+    for file, functions in writers.items():
+        tree = ast.parse((src_dir / file).read_text(encoding="utf-8"))
+        for names in functions:
+            lines = _calls_to(_function(tree, *names), "write_atomic")
+            assert lines, names
+            allowed += [f"{file}:{line}" for line in lines]
+    assert sorted(writes) == sorted(allowed)
+
+
 def test_only_the_stage_engine_lists_a_run_directory():
     # One loop over a run's cases: a second one would select and isolate cases its own way.
     src_dir = Path(anonpsy.__file__).parent
@@ -812,8 +888,9 @@ def test_only_the_stage_engine_lists_a_run_directory():
     runner_tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
     functions = {n.name: n for n in runner_tree.body if isinstance(n, ast.FunctionDef)}
     assert _calls_to(functions["run_stage"], "iterdir") != []
-    # source_digest lists a directory too: the package's own data/, not a run's.
+    # source_digest lists directories too: the package's own modules and data/, not a run's.
     allowed = [line for name in ("run_stage", "source_digest") for line in _calls_to(functions[name], "iterdir")]
+    allowed += _calls_to(functions["source_digest"], "rglob")
     assert sorted(listings) == sorted(f"runner.py:{line}" for line in allowed)
 
 
@@ -856,5 +933,5 @@ def test_the_stage_table_alone_decides_which_rows_keep_a_trace(tmp_path):
     _full_run(CORPUS_DIR, out_dir, config)
     assert runner.run_evaluation(out_dir, config).ok
     provenance = runner.safe_load((out_dir / "run_manifest.yaml").read_text(encoding="utf-8"))["provenance"]
-    writers = sorted(name for name, stage in runner.STAGES.items() if stage.outputs + stage.side_outputs)
+    writers = sorted(name for name, stage in runner.STAGES.items() if stage.outputs)
     assert {case_id: sorted(rows) for case_id, rows in provenance.items()} == {case_id: writers for case_id in CASE_IDS}

@@ -41,7 +41,7 @@ from .helpers import age_follows_the_text, assert_provenance, kill_after, made_f
 
 CONFIG = RunConfig(seed=42, jobs=1, backend="mock", fixtures_dir=str(FIXTURES_DIR))
 CASES = ("case_001", "case_002", "case_003")
-CASE_FILES = sorted({*runner.CASE_INPUTS, *(f for s in runner.STAGES.values() for f in s.outputs + s.side_outputs)})
+CASE_FILES = sorted({*runner.CASE_INPUTS, *(f for s in runner.STAGES.values() for f in s.outputs)})
 TEMPLATES = sorted(p.name for p in FIXTURES_DIR.iterdir())
 COMMANDS = ("run", *runner.STAGES)  # every row is a command of its own
 
