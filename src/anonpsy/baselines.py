@@ -2,20 +2,15 @@
 and the two-stage constrained rewrite without graph access.
 
 The PHI rule set is a documented best-effort superset of common surface
-identifier patterns, not a claimed equivalent of any particular masker; named
-entities come from a pluggable backend and masking degrades to regex-only
-when none is configured.
+identifier patterns, not a claimed equivalent of any particular masker.
+Masking is regex-only: names and places written out in words stay.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from .gateway import LlmGateway
-
-# NER backend protocol: text -> [(start, end, label)], labels PERSON/LOC/GPE/ORG.
-NerBackend = Callable[[str], list[tuple[int, int, str]]]
 
 _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|November|December"
@@ -44,28 +39,12 @@ _PHI_RULES: list[tuple[re.Pattern[str], str]] = [
     (re.compile(r"(?<=\bage )(?:9\d|1[0-2]\d)\b"), "[AGE]"),
 ]
 
-_NER_PLACEHOLDERS = {
-    "PERSON": "[NAME]",
-    "PER": "[NAME]",
-    "LOC": "[LOC]",
-    "GPE": "[LOC]",
-    "FAC": "[LOC]",
-    "ORG": "[ORG]",
-}
-
-
-def phi_mask(text: str, ner_backend: NerBackend | None = None) -> str:
+def phi_mask(text: str) -> str:
     """Replace surface identifiers with typed placeholders.
 
-    Bytes outside matched spans are untouched. Without an NER backend only
-    the regex passes run (regex-only mode).
+    Bytes outside matched spans are untouched.
     """
     spans: list[tuple[int, int, str]] = []
-    if ner_backend is not None:
-        for start, end, label in ner_backend(text):
-            placeholder = _NER_PLACEHOLDERS.get(label.upper())
-            if placeholder and 0 <= start < end <= len(text):
-                spans.append((start, end, placeholder))
     for pattern, placeholder in _PHI_RULES:
         for match in pattern.finditer(text):
             spans.append((match.start(), match.end(), placeholder))

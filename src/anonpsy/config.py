@@ -36,8 +36,6 @@ class RunConfig:
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
     # The range a chat request accepts; see gateway.ChatRequest.
     sdc_temperature: float = setting(0.7, "baselines", "[0, 2]")
-    # Not 0: at 0 every predicted label would match a gold one.
-    match_threshold: float = setting(0.8, "eval", "(0, 1]")
     embedder: str = setting("fallback", "eval", ("fallback", "http"))
     embedding_model: str = setting("all-mpnet-base-v2", "eval")
     embedding_endpoint: str | None = setting(None, "eval")

@@ -2,7 +2,7 @@
 
 from .canon import canonical_label_set, canonicalize_diagnosis, soft_f1
 from .embedding import HashedTfEmbedder, HttpEmbedder, doc_similarity
-from .judge import AT_RISK_THRESHOLD, JudgeError, JudgeResult, judge_risk
+from .judge import JudgeError, JudgeResult, judge_risk
 from .report import EvalReport, run_eval
 from .stats import (
     TestOutcome,
@@ -17,7 +17,6 @@ from .stats import (
 )
 
 __all__ = [
-    "AT_RISK_THRESHOLD",
     "EvalReport",
     "HashedTfEmbedder",
     "HttpEmbedder",

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import re
-from importlib import resources
 
-from ..textproc import normalize_ws
+from ..textproc import data_lines, data_text, normalize_ws
 from ..yamlio import load_yaml
 
 _PARENTHETICAL = re.compile(r"\s*\(([^)]*)\)")
@@ -20,20 +19,12 @@ _PARENTHETICAL = re.compile(r"\s*\(([^)]*)\)")
 
 @functools.cache
 def load_specifier_patterns() -> tuple[re.Pattern[str], ...]:
-    text = resources.files("anonpsy").joinpath("data/specifier_patterns.txt").read_text(encoding="utf-8")
-    patterns = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        patterns.append(re.compile(line, re.IGNORECASE))
-    return tuple(patterns)
+    return tuple(re.compile(line, re.IGNORECASE) for line in data_lines("specifier_patterns.txt"))
 
 
 @functools.cache
 def load_synonyms() -> dict[str, str]:
-    text = resources.files("anonpsy").joinpath("data/diagnosis_synonyms.yaml").read_text(encoding="utf-8")
-    doc = load_yaml(text) or {}
+    doc = load_yaml(data_text("diagnosis_synonyms.yaml")) or {}
     return {str(k).lower(): str(v).lower() for k, v in doc.items()}
 
 

@@ -57,10 +57,7 @@ def _bucket(term: str, dimensions: int) -> int:
 class HashedTfEmbedder:
     """Hashed term-frequency document vectors over unigrams and bigrams."""
 
-    name = "fallback"
-
-    def __init__(self, dimensions: int = FALLBACK_DIMENSIONS):
-        self.dimensions = dimensions
+    def __init__(self):
         # A token or a token pair -> its bucket.
         self._buckets: dict[str | tuple[str, str], int] = {}
 
@@ -78,7 +75,7 @@ class HashedTfEmbedder:
                     if len(memo) >= MEMO_CAP:
                         memo.clear()
                     spelled = term if isinstance(term, str) else f"{term[0]} {term[1]}"
-                    found[term] = memo[term] = _bucket(spelled, self.dimensions)
+                    found[term] = memo[term] = _bucket(spelled, FALLBACK_DIMENSIONS)
             buckets = list(map(found.__getitem__, terms))
         counts = Counter(buckets)
         keys = sorted(counts)
@@ -89,8 +86,6 @@ class HashedTfEmbedder:
 
 class HttpEmbedder:
     """Embedding endpoint speaking the Ollama-compatible /api/embeddings shape."""
-
-    name = "http"
 
     def __init__(self, endpoint: str, model: str, timeout_seconds: float = 60.0):
         self.endpoint = endpoint.rstrip("/")

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from ..gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
 from ..yamlio import reply_mapping
 
-AT_RISK_THRESHOLD = 3
-
-
 class JudgeError(RuntimeError):
     pass
 

@@ -147,7 +147,7 @@ def run_eval(cases: list[CaseEval]) -> EvalReport:
 
 
 def eval_case(
-    narrative: CaseNarrative, texts: dict[str, str], gw: LlmGateway, embedder, match_threshold: float, seed: int
+    narrative: CaseNarrative, texts: dict[str, str], gw: LlmGateway, embedder, seed: int
 ) -> CaseEval:
     """Score the original and each variant's text (variant -> text) against the case's gold diagnoses."""
     case_id, original = narrative.case_id, narrative.text
@@ -159,7 +159,7 @@ def eval_case(
     for variant, text in texts.items():
         predicted_raw = _predict_diagnoses(gw, text, case_id, variant)
         predicted = canonical_label_set(predicted_raw)
-        score = soft_f1(predicted, gold, threshold=match_threshold)
+        score = soft_f1(predicted, gold)
         cos = cosines[variant]
         acceptable = None
         if gold:

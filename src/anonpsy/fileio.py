@@ -7,7 +7,6 @@ produces the same artifact costs a read, not a write and a rename.
 from __future__ import annotations
 
 import os
-import uuid
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> bool:
@@ -26,7 +25,7 @@ def write_atomic(path: str | os.PathLike, text: str) -> bool:
     except OSError:
         pass  # missing or unreadable: write it as below
     head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{uuid.uuid4().hex}.tmp")
+    tmp = os.path.join(head, f".{name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "xb") as out:
             out.write(data)

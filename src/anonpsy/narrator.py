@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 
 from .converter import CaseNarrative
 from .gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
 from .model import Node, SemanticGraph, SymptomNode, TreatmentNode, frame_text, node_name
-from .textproc import spell_number, split_sentences
+from .textproc import data_lines, spell_number, split_sentences
 from .yamlio import safe_dump
 
 _ADMISSION_SETTINGS = ("inpatient", "emergency", "hospital")
@@ -348,10 +347,7 @@ _ROLE_LINE = re.compile(r"^\s*(system|assistant|user|output|response)\s*[:>]", r
 
 
 def _load_name_whitelist() -> frozenset[str]:
-    text = resources.files("anonpsy").joinpath("data/name_whitelist.txt").read_text(encoding="utf-8")
-    return frozenset(
-        line.strip().lower() for line in text.splitlines() if line.strip() and not line.startswith("#")
-    )
+    return frozenset(line.lower() for line in data_lines("name_whitelist.txt"))
 
 
 _NAME_WHITELIST = _load_name_whitelist()

@@ -15,12 +15,11 @@ import functools
 import hashlib
 import typing
 from dataclasses import dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from ..textproc import id_bytes
+from ..textproc import data_lines, data_text, id_bytes
 from ..yamlio import load_yaml, safe_load
 
 CONSTRAINT_KINDS = ("min_present_age", "max_onset_age", "required_sex")
@@ -33,7 +32,7 @@ class ConfigError(ValueError):
 
 def setting(default, section: str | None = None, bound: str | tuple[str, ...] | None = None):
     """A field a config-file key sets: its default, the file section holding the key (None: the
-    top level), and its bound (">= 1", "[0, 2]", "(0, 1]") or its choices."""
+    top level), and its bound (">= 1", "[0, 2]", "(0, 1)") or its choices."""
     return field(default=default, metadata={"section": section, "bound": bound})
 
 
@@ -181,34 +180,29 @@ def _pools(doc: dict) -> tuple[TestValuePool, ...]:
 # The packaged data files do not change while the program runs, so each is
 # read and parsed once per process. The cached values are shared: callers
 # only read them.
-def _data_text(name: str) -> str:
-    return resources.files("anonpsy").joinpath(f"data/{name}").read_text(encoding="utf-8")
-
-
 @functools.cache
 def load_feasibility_rules() -> tuple[FeasibilityRule, ...]:
-    return _rules(load_yaml(_data_text("feasibility_rules.yaml")) or {})
+    return _rules(load_yaml(data_text("feasibility_rules.yaml")) or {})
 
 
 @functools.cache
 def load_test_value_pools() -> tuple[TestValuePool, ...]:
-    return _pools(load_yaml(_data_text("test_value_pools.yaml")) or {})
+    return _pools(load_yaml(data_text("test_value_pools.yaml")) or {})
 
 
 @functools.cache
 def load_minor_occupations() -> frozenset[str]:
-    lines = _data_text("minor_occupations.txt").splitlines()
-    return frozenset(line.strip().lower() for line in lines if line.strip())
+    return frozenset(line.lower() for line in data_lines("minor_occupations.txt"))
 
 
 @functools.cache
 def load_contradiction_lexicon() -> dict[str, dict[str, list[str]]]:
-    return load_yaml(_data_text("contradiction_lexicon.yaml")) or {}
+    return load_yaml(data_text("contradiction_lexicon.yaml")) or {}
 
 
 @functools.cache
 def load_mse_domains() -> dict[str, list[str]]:
-    return load_yaml(_data_text("mse_domains.yaml")) or {}
+    return load_yaml(data_text("mse_domains.yaml")) or {}
 
 
 def _read_table(key: str, path: str, parse):

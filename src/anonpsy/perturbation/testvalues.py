@@ -43,35 +43,47 @@ def perturb_test_values(
         if not text:
             continue
         # Collect matches first so replacement offsets stay valid.
+        found = [
+            (pool, match, pool.band_for(int(match.group(1))))
+            for pool, pattern in patterns
+            for match in pattern.finditer(text)
+        ]
+        # Two pools' patterns can reach one number. It is edited, or flagged, once: by the pool whose alias
+        # stands nearest before it among those whose bands hold it, else among all; the earlier pool wins a
+        # tie. The rest are skipped in place, so draws keep their pool-major order.
+        owner: dict[int, tuple[bool, int, int]] = {}
+        for index, (_, match, band) in enumerate(found):
+            rank = (band is not None, match.start(), -index)
+            owner[match.start(1)] = max(owner.get(match.start(1), rank), rank)
         edits: list[tuple[int, int, str]] = []
-        for pool, pattern in patterns:
-            for match in pattern.finditer(text):
-                original = int(match.group(1))
-                band = pool.band_for(original)
-                if band is None:
-                    audits.append(
-                        {
-                            "step": "test_value",
-                            "field": field_name,
-                            "test": pool.canonical_test,
-                            "value": original,
-                            "flagged": "outside all pools; unchanged",
-                        }
-                    )
-                    continue
-                low, high, label = band
-                new_value = _resample(low, high, original, rng)
-                edits.append((match.start(1), match.end(1), str(new_value)))
+        for index, (pool, match, band) in enumerate(found):
+            if owner[match.start(1)][2] != -index:
+                continue
+            original = int(match.group(1))
+            if band is None:
                 audits.append(
                     {
                         "step": "test_value",
                         "field": field_name,
                         "test": pool.canonical_test,
-                        "band": label,
-                        "original": original,
-                        "new": new_value,
+                        "value": original,
+                        "flagged": "outside all pools; unchanged",
                     }
                 )
+                continue
+            low, high, label = band
+            new_value = _resample(low, high, original, rng)
+            edits.append((match.start(1), match.end(1), str(new_value)))
+            audits.append(
+                {
+                    "step": "test_value",
+                    "field": field_name,
+                    "test": pool.canonical_test,
+                    "band": label,
+                    "original": original,
+                    "new": new_value,
+                }
+            )
         for start, end, replacement in sorted(edits, reverse=True):
             text = text[:start] + replacement + text[end:]
         new_results[field_name] = text

@@ -214,7 +214,7 @@ def _generate(case_dir: Path, graph: SemanticGraph, shared: Shared) -> tuple[tup
 
 
 def _phi(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
-    return (phi_mask(narrative.text, ner_backend=None),), None
+    return (phi_mask(narrative.text),), None
 
 
 def _sdc(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
@@ -231,8 +231,7 @@ def _eval(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tup
         for variant, file in VARIANT_FILES.items()
         if (case_dir / file).is_file()
     }
-    config = shared.config
-    return (), eval_case(narrative, texts, shared.gateway, shared.embedder, config.match_threshold, config.seed)
+    return (), eval_case(narrative, texts, shared.gateway, shared.embedder, shared.config.seed)
 
 
 # Every per-case stage, keyed by its manifest name, in pipeline order: a stage

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from importlib import resources
 
 _WS = re.compile(r"\s+")
 _SENTENCE_END = re.compile(r"(?<=[.!?])\s+(?=[A-Z\"'(])")
@@ -19,6 +20,16 @@ def id_bytes(text: str) -> bytes:
     surrogate, as a case id read from a directory name that is not UTF-8 holds,
     gives back its original byte."""
     return text.encode("utf-8", "surrogateescape")
+
+
+def data_text(name: str) -> str:
+    """The text of the packaged data file `data/<name>`."""
+    return resources.files("anonpsy").joinpath(f"data/{name}").read_text(encoding="utf-8")
+
+
+def data_lines(name: str) -> list[str]:
+    """The stripped lines of a packaged data file, blank lines and `#` comment lines left out."""
+    return [line for line in map(str.strip, data_text(name).splitlines()) if line and not line.startswith("#")]
 
 
 def normalize_ws(text: str) -> str:

@@ -36,6 +36,9 @@ GOLDEN_ARTIFACTS = (
     "stage1.entities.yaml",
     "stage2.episodes.yaml",
     "convert.log",
+    "baseline.phi.txt",
+    "baseline.sdc.txt",
+    "baseline.llm_only.txt",
 )
 
 

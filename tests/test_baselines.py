@@ -49,11 +49,6 @@ class TestPhiMaskRules:
                 assert idx >= 0, f"masking altered non-PHI bytes: {piece!r}"
                 cursor = idx + len(piece)
 
-    def test_ner_backend_spans_masked(self):
-        text = "Seen with daughter Maria in Springfield."
-        spans = [(19, 24, "PERSON"), (28, 39, "GPE")]
-        assert phi_mask(text, ner_backend=lambda _t: spans) == "Seen with daughter [NAME] in [LOC]."
-
 
 class TestSdcRewrite:
     def test_mock_fixture_returned_verbatim(self, fixtures_dir, run_config):

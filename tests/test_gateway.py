@@ -560,7 +560,7 @@ class TestHttpClient:
         assert len(made) == 1
 
 
-@pytest.mark.parametrize("module", ["requests", "scipy", "numpy"])
+@pytest.mark.parametrize("module", ["requests", "scipy", "numpy", "uuid", "platform"])
 def test_cli_and_runner_do_not_import(module):
     src_dir = Path(anonpsy.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))

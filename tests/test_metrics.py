@@ -190,7 +190,7 @@ class TestEvalCaseCosines:
         gateway = FakeGateway(lambda _template, _variables: "diagnoses: []\n")
         embedder = HashedTfEmbedder()
         for original in filter(str.strip, texts):
-            case = eval_case(CaseNarrative("case_x", original), variants, gateway, embedder, 0.85, 42)
+            case = eval_case(CaseNarrative("case_x", original), variants, gateway, embedder, 42)
             expected = {name: _dense_similarity(original, text) for name, text in variants.items()}
             assert {name: m.cosine for name, m in case.variants.items()} == {"original": 1.0, **expected}
 

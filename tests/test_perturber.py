@@ -462,6 +462,34 @@ class TestPerturbTestValues:
         assert attrs.test_results["labs"] == "Fasting glucose was 101 mg/dL"
         assert attrs.test_results["other"] == "MMSE score was 24. Full Scale IQ of 114."
 
+    def test_a_number_two_pools_reach_is_edited_once(self):
+        for seed in range(20):
+            attrs, audits = perturb_test_values(
+                self._attrs("FSIQ and fasting glucose were 95 and 97."), POOLS, random.Random(seed)
+            )
+            (entry,) = audits
+            assert (entry["test"], entry["original"]) == ("fasting glucose", 95)  # the nearest alias before it
+            assert attrs.test_results["other"] == f"FSIQ and fasting glucose were {entry['new']} and 97."
+
+    def test_the_nearest_pool_that_holds_the_number_edits_it(self):
+        # MMSE stands nearer but its bands end at 30: glucose edits 95, and nothing flags it.
+        text = "Fasting glucose and MMSE were 95."
+        attrs, audits = perturb_test_values(self._attrs(text), POOLS, random.Random(3))
+        (entry,) = audits
+        assert (entry["test"], entry["original"]) == ("fasting glucose", 95)
+        assert attrs.test_results["other"] == f"Fasting glucose and MMSE were {entry['new']}."
+
+    def test_a_number_no_reaching_pool_holds_is_flagged_once(self):
+        attrs, audits = perturb_test_values(self._attrs("FSIQ and MMSE were 999."), POOLS, random.Random(3))
+        assert attrs.test_results["other"] == "FSIQ and MMSE were 999."
+        flag = {"step": "test_value", "field": "other", "test": "mmse", "value": 999}
+        assert audits == [{**flag, "flagged": "outside all pools; unchanged"}]
+
+    def test_table_order_breaks_a_tie(self):
+        first, second = (replace(POOLS[0], canonical_test=name, aliases=("score",)) for name in ("first", "second"))
+        _, audits = perturb_test_values(self._attrs("score 42"), [second, first], random.Random(3))
+        assert [entry["test"] for entry in audits] == ["second"]
+
 
 class TestAlignMse:
     def _attrs(self):

@@ -5,6 +5,7 @@ import copy
 import inspect
 import itertools
 import os
+import re
 import shutil
 import textwrap
 import threading
@@ -17,9 +18,10 @@ import yaml
 
 import anonpsy
 import anonpsy.runner as runner
-from anonpsy import converter
+from anonpsy import converter, narrator
 from anonpsy.config import RunConfig
 from anonpsy.converter import ConversionError
+from anonpsy.evaluation import canon
 from anonpsy.gateway import LlmGateway, MockBackend
 from anonpsy.model import Violation
 from anonpsy.perturbation import config as perturb_tables
@@ -610,6 +612,31 @@ def test_run_parses_no_graph_and_writes_the_manifest_once(tmp_path, monkeypatch)
     generated = runner.run_generate(out_dir, config)
     assert generated.ok and generated.skipped == {case_id: ["generate"] for case_id in CASE_IDS}
     assert parsed == [graph.read_text(encoding="utf-8")]
+
+
+def test_each_packaged_data_loader_gives_what_its_file_spells():
+    # The reference: each loader's own parse, over its file read directly rather than through textproc.
+    data = {path.name: path.read_text(encoding="utf-8") for path in (Path(anonpsy.__file__).parent / "data").iterdir()}
+
+    def lines(name):
+        return [line.strip() for line in data[name].splitlines() if line.strip()]
+
+    def table(name):
+        return yaml.safe_load(data[name])
+
+    assert narrator._load_name_whitelist() == frozenset(
+        line.lower() for line in lines("name_whitelist.txt") if not line.startswith("#")
+    )
+    assert canon.load_specifier_patterns() == tuple(
+        re.compile(line, re.IGNORECASE) for line in lines("specifier_patterns.txt") if not line.startswith("#")
+    )
+    assert perturb_tables.load_minor_occupations() == frozenset(map(str.lower, lines("minor_occupations.txt")))
+    synonyms = table("diagnosis_synonyms.yaml")
+    assert canon.load_synonyms() == {str(k).lower(): str(v).lower() for k, v in synonyms.items()}
+    assert perturb_tables.load_feasibility_rules() == perturb_tables._rules(table("feasibility_rules.yaml"))
+    assert perturb_tables.load_test_value_pools() == perturb_tables._pools(table("test_value_pools.yaml"))
+    assert perturb_tables.load_contradiction_lexicon() == table("contradiction_lexicon.yaml")
+    assert perturb_tables.load_mse_domains() == table("mse_domains.yaml")
 
 
 def test_a_warm_rerun_neither_parses_nor_serialises_the_manifest_through_pyyaml(tmp_path, monkeypatch):
