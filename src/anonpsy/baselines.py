@@ -39,6 +39,7 @@ _PHI_RULES: list[tuple[re.Pattern[str], str]] = [
     (re.compile(r"(?<=\bage )(?:9\d|1[0-2]\d)\b"), "[AGE]"),
 ]
 
+
 def phi_mask(text: str) -> str:
     """Replace surface identifiers with typed placeholders.
 
@@ -63,11 +64,11 @@ def phi_mask(text: str) -> str:
     return text
 
 
-def sdc_rewrite(text: str, gw: LlmGateway, temperature: float = 0.7) -> str:
+def sdc_rewrite(text: str, gw: LlmGateway) -> str:
     """Unconstrained one-pass synthetic rewrite of the whole narrative."""
     if not text.strip():
         raise ValueError("cannot rewrite an empty narrative")
-    return gw.call("sdc_rewrite", {"case_text": text}, temperature=temperature).strip()
+    return gw.call("sdc_rewrite", {"case_text": text}).strip()
 
 
 def llm_only(text: str, gw: LlmGateway) -> str:

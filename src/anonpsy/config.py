@@ -12,7 +12,6 @@ import functools
 import hashlib
 import json
 import os
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -34,19 +33,12 @@ class RunConfig:
     retries: int = setting(3, "gateway", ">= 1")
     backoff_seconds: float = setting(0.5, "gateway", ">= 0")
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
-    # The range a chat request accepts; see gateway.ChatRequest.
-    sdc_temperature: float = setting(0.7, "baselines", "[0, 2]")
     embedder: str = setting("fallback", "eval", ("fallback", "http"))
     embedding_model: str = setting("all-mpnet-base-v2", "eval")
     embedding_endpoint: str | None = setting(None, "eval")
     judge_model: str | None = setting(None, "eval")
 
     def __post_init__(self) -> None:
-        # A request's temperature keys the response cache by its repr: 1 and 1.0 are one setting.
-        # Stored before the check, so a bound error names the value as stored. An int too large for a
-        # float is kept: it lies outside the bound, and the check names it as given.
-        if type(self.sdc_temperature) is int and abs(self.sdc_temperature) <= sys.float_info.max:
-            object.__setattr__(self, "sdc_temperature", float(self.sdc_temperature))
         check_settings(self)
         if self.backend == "mock" and not self.fixtures_dir:
             raise ConfigError("mock backend requires gateway.fixtures_dir")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ..gateway import VALIDATED_ATTEMPTS, LlmGateway, validated_call
 from ..yamlio import reply_mapping
 
+
 class JudgeError(RuntimeError):
     pass
 

@@ -47,8 +47,7 @@ class CallPolicy:
 
 # How each template is called. Conversion and generation run cold for schema
 # stability; perturbation runs warm for semantic diversity; the judge runs
-# greedy. `sdc_rewrite` has no row: its temperature is the
-# `baselines.sdc_temperature` setting, which its caller passes.
+# greedy.
 CALL_POLICIES = {
     "extract_entities": CallPolicy(0.1),
     "extract_episodes": CallPolicy(0.1),
@@ -61,6 +60,7 @@ CALL_POLICIES = {
     # Episode sentences run slightly warmer than the rest of generation to avoid rote phrasing.
     "steb_sentence": CallPolicy(0.2),
     "tail_append": CallPolicy(0.1),
+    "sdc_rewrite": CallPolicy(0.7),
     "llm_only_rewrite": CallPolicy(0.2),
     "llm_only_critique": CallPolicy(0.0),
     "predict_diagnoses": CallPolicy(0.0, judge=True),
@@ -70,8 +70,7 @@ CALL_POLICIES = {
 
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
-# Model calls per validated step outside perturbation; perturbation steps take
-# theirs from `PerturbConfig.max_retries`.
+# Model calls per validated step.
 VALIDATED_ATTEMPTS = 3
 
 
@@ -151,9 +150,10 @@ class MockBackend:
 
     def complete(self, req: ChatRequest) -> str:
         path = self.fixture_path(req.template_id, dict(req.variables))
+        # Bytes, as the cache reads them: text mode would turn the reply's CRLF and CR into LF.
         try:
-            with open(path, encoding="utf-8") as fixture:
-                return fixture.read()
+            with open(path, "rb") as fixture:
+                return fixture.read().decode("utf-8")
         except FileNotFoundError:
             digest = os.path.basename(path).removesuffix(".txt")
             raise MockFixtureMissing(req.template_id, f"no mock fixture at {path} (digest {digest})") from None
@@ -429,20 +429,13 @@ class LlmGateway:
     # -- request construction -------------------------------------------
 
     def request(self, template_id: str, variables: dict[str, str], temperature: float | None = None) -> ChatRequest:
-        """The request for template_id: its temperature and model from CALL_POLICIES.
-
-        `temperature` is given only for a template without a policy row (`sdc_rewrite`).
-        """
-        policy = CALL_POLICIES.get(template_id)
-        if temperature is None:
-            if policy is None:
-                raise ValueError(f"template {template_id!r} has no call policy; give its temperature")
-            temperature = policy.temperature
+        """The request for template_id: its temperature, unless given, and model from CALL_POLICIES."""
+        policy = CALL_POLICIES[template_id]
         return ChatRequest(
             template_id=template_id,
             messages=tuple(prompts.render(template_id, variables)),
-            temperature=temperature,
-            model=self.judge_model if policy is not None and policy.judge else self.model,
+            temperature=policy.temperature if temperature is None else temperature,
+            model=self.judge_model if policy.judge else self.model,
             variables=tuple(sorted((k, str(v)) for k, v in variables.items())),
         )
 
@@ -546,9 +539,8 @@ def validated_call(
     template_id: str,
     variables: dict[str, str],
     check: Callable[[str, Callable[[str], None]], Any],
-    attempts: int = VALIDATED_ATTEMPTS,
 ) -> Validated:
-    """Call `gw.call` until `check` accepts a reply, at most `attempts` times.
+    """Call `gw.call` until `check` accepts a reply, at most `VALIDATED_ATTEMPTS` times.
 
     The first call carries the variables as given; call N from 2 on adds
     `attempt` = "N". `check(text, reject)` returns the accepted value or None;
@@ -562,7 +554,7 @@ def validated_call(
         out.reason = reason
         out.rejected.append(f"attempt {out.attempts}: {reason}")
 
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, VALIDATED_ATTEMPTS + 1):
         out.attempts = attempt
         tagged = {**variables, "attempt": str(attempt)} if attempt > 1 else variables
         try:

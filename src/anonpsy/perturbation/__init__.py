@@ -99,7 +99,7 @@ def perturb(g: SemanticGraph, gw, cfg: PerturbConfig, case_id: str = "case") -> 
     audit.record(sex_entry)
     g2 = _with_demographics(g2, sex=new_sex)
 
-    ethnicity, occupation, identity_entry = perturb_identity_fields(g2, gw, cfg)
+    ethnicity, occupation, identity_entry = perturb_identity_fields(g2, gw)
     audit.record(identity_entry)
     g2 = _with_demographics(g2, ethnicity=ethnicity, occupation=occupation)
 
@@ -118,7 +118,7 @@ def perturb(g: SemanticGraph, gw, cfg: PerturbConfig, case_id: str = "case") -> 
 
     diff = essence_diff(g, g2)
     thoughts = rewritten_thoughts(g, g2)
-    new_mse, mse_entry = align_mse(g2.attributes, diff, thoughts, gw, cfg)
+    new_mse, mse_entry = align_mse(g2.attributes, diff, thoughts, gw)
     audit.record(mse_entry)
     results = dict(g2.attributes.test_results)
     results["mental_status"] = new_mse

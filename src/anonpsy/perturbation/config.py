@@ -77,7 +77,6 @@ class PerturbConfig:
     sex_flip_probability: float = setting(0.5, "perturb", "[0, 1]")
     steb_window_size: int = setting(3, "perturb", ">= 1")
     similarity_threshold: float = setting(0.85, "perturb", "(0, 1)")
-    max_retries: int = setting(3, "perturb", ">= 1")
     seed: int = 0  # set from the run's seed by RunConfig
     rules: tuple[FeasibilityRule, ...] = field(default_factory=lambda: load_feasibility_rules(), repr=False)
     pools: tuple[TestValuePool, ...] = field(default_factory=lambda: load_test_value_pools(), repr=False)

@@ -156,11 +156,7 @@ def perturb_sex(
     return sex, {"step": "sex", "original": sex, "new": sex}
 
 
-def perturb_identity_fields(
-    g: SemanticGraph,
-    gw: LlmGateway,
-    cfg: PerturbConfig,
-) -> tuple[str, str, dict]:
+def perturb_identity_fields(g: SemanticGraph, gw: LlmGateway) -> tuple[str, str, dict]:
     """Model-proposed ethnicity/occupation replacements behind hard gates.
 
     Proposals equal to the originals are rejected; occupations for patients
@@ -190,7 +186,6 @@ def perturb_identity_fields(
         "identity_fields",
         {"age": str(demo.age), "sex": demo.sex, "ethnicity": demo.ethnicity, "occupation": demo.occupation},
         proposal,
-        attempts=cfg.max_retries,
     )
     if out.value is None:
         return demo.ethnicity, demo.occupation, {

@@ -99,7 +99,6 @@ def rewrite_visit_episode(
             "pathway": visit.pathway or "",
         },
         rewrite,
-        attempts=cfg.max_retries,
     )
     if out.value is None:
         entry = {"step": "visit_episode", "rejected": out.rejected, "scaffold": scaffold, "fallback": "original kept"}
@@ -171,7 +170,6 @@ def rewrite_steb_contexts(
                     "age_at_event": str(_age_at_event(age, start)),
                 },
                 rewrite,
-                attempts=cfg.max_retries,
             )
             audit = {"step": "steb", "node_id": node.id, "frame": frame_index, "rejected": out.rejected}
             if out.value is None:
@@ -236,7 +234,6 @@ def align_mse(
     diff: dict[str, dict[str, str]],
     thoughts: list[str],
     gw: LlmGateway,
-    cfg: PerturbConfig,
 ) -> tuple[str, dict]:
     """Minimally edit the MSE paragraph to match perturbed demographics/themes.
 
@@ -264,7 +261,6 @@ def align_mse(
         "mse_align",
         {"mental_status": source, "changes": changes, "thoughts": "\n".join(thoughts)},
         edit,
-        attempts=cfg.max_retries,
     )
     if out.value is None:
         return source, {"step": "mse", "rejected": out.rejected, "fallback": "original kept"}

@@ -77,6 +77,10 @@ CASE_INPUTS = {
 }
 
 
+# The files a run directory holds beside its case directories; no case id may name one.
+RUN_FILES = MANIFEST_FILE, REPORT_YAML, REPORT_CSV = ("run_manifest.yaml", "report.yaml", "report.csv")
+
+
 class UsageError(RuntimeError):
     """Bad invocation or missing inputs; maps to exit code 2."""
 
@@ -170,6 +174,8 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[CaseNarrative]:
         # The case id names the case's directory, which must lie inside the run directory.
         if case_id in (".", "..") or "/" in case_id or os.sep in case_id or "\0" in case_id:
             raise UsageError(f"{where}: case_id {case_id!r} is not a directory name")
+        if case_id in RUN_FILES:
+            raise UsageError(f"{where}: case_id {case_id!r} names a file of the run directory")
         if case_id in seen:
             raise UsageError(f"{where}: case_id {case_id!r} repeats cases[{seen[case_id]}]")
         seen[case_id] = i
@@ -218,7 +224,7 @@ def _phi(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tupl
 
 
 def _sdc(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
-    return (sdc_rewrite(narrative.text, shared.gateway, temperature=shared.config.sdc_temperature),), None
+    return (sdc_rewrite(narrative.text, shared.gateway),), None
 
 
 def _llm_only(case_dir: Path, narrative: CaseNarrative, shared: Shared) -> tuple[tuple[str, ...], Any]:
@@ -413,7 +419,7 @@ def run_stage(
     if missing:
         raise UsageError("missing run artifacts: " + ", ".join(missing))
     shared = Shared(config, build_gateway(config), build_embedder(config))
-    manifest_path = out_dir / "run_manifest.yaml"
+    manifest_path = out_dir / MANIFEST_FILE
     manifest = (load_yaml(manifest_path.read_text(encoding="utf-8")) or {}) if manifest_path.is_file() else {}
     # case id -> row -> trace, as recorded; the tasks only read it
     recorded: dict[str, dict[str, str]] = manifest.get("provenance") or {}
@@ -582,7 +588,7 @@ def run_evaluation(out_dir: str | Path, config: RunConfig) -> StageResult:
     """Score every case on the pool, then report the succeeded ones in case-id order."""
     result = run_stage("eval", out_dir, config)
     report = run_eval([result.products[case_id] for case_id in result.succeeded])
-    yaml_path, csv_path = os.path.join(out_dir, "report.yaml"), os.path.join(out_dir, "report.csv")
+    yaml_path, csv_path = os.path.join(out_dir, REPORT_YAML), os.path.join(out_dir, REPORT_CSV)
     text = report.to_yaml()
     if _read(yaml_path) != text.encode("utf-8"):
         # A command killed between the two writes leaves no CSV of an earlier eval beside the new YAML.
@@ -634,4 +640,4 @@ def _update_manifest(
     if provenance:  # none until a traced row has run here
         doc["provenance"] = provenance
     if doc != loaded:
-        write_atomic(out_dir / "run_manifest.yaml", json_dump(doc))
+        write_atomic(out_dir / MANIFEST_FILE, json_dump(doc))

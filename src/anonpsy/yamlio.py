@@ -61,7 +61,7 @@ _NUMBER_LIKE = re.compile(r"[-+]?\d+(\.\d+)?")
 
 # Characters JSON leaves raw but YAML either forbids (DEL, C1) or treats as
 # line breaks inside double-quoted scalars (NEL, LS, PS).
-_YAML_UNSAFE = re.compile("[\x7f-\x9f  ￾￿]")
+_YAML_UNSAFE = re.compile("[\x7f-\x9f\u2028\u2029\ufffe\uffff]")
 # The same, and lone surrogates, which UTF-8 cannot encode: a case directory
 # whose name is not UTF-8 puts them into the run manifest. `json` and pure
 # PyYAML read their escapes back; libyaml refuses them.

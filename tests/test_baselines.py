@@ -63,17 +63,6 @@ class TestSdcRewrite:
         with pytest.raises(ValueError):
             sdc_rewrite("   ", gw)
 
-    def test_temperature_comes_from_config(self):
-        captured = {}
-
-        class Spy(FakeGateway):
-            def call(self, template_id, variables, temperature=None):
-                captured["temperature"] = temperature
-                return "rewritten"
-
-        sdc_rewrite("text", Spy(lambda t, v: "rewritten"), temperature=0.55)
-        assert captured["temperature"] == 0.55
-
 
 class TestLlmOnly:
     def test_two_stage_flow_and_temperatures(self):

@@ -39,8 +39,8 @@ LLM_ONLY_CRITIQUE_SHA256 = "2946995265d7384117ee435184e59e84f0d7999b9a4f6c691455
 
 
 class TestCallPolicy:
-    def test_every_template_but_sdc_rewrite_has_one_row(self):
-        assert sorted(CALL_POLICIES) == [t for t in prompts.list_templates() if t != "sdc_rewrite"]
+    def test_every_template_has_exactly_one_row(self):
+        assert sorted(CALL_POLICIES) == list(prompts.list_templates())
 
     def test_the_judge_model_answers_the_judge_templates_and_the_model_every_other(self, tmp_path, monkeypatch):
         config = replace(make_config(), judge_model="judge-x")
@@ -145,6 +145,16 @@ class TestMockBackend:
             backend.complete(_request(variables=(("case_id", "case_002"),)))
         monkeypatch.undo()
         assert interned == []
+
+    def test_fixture_hit_keeps_carriage_returns(self, tmp_path):
+        # Read in text mode, the fixture came back with every CRLF and lone CR as LF.
+        text = "diagnoses:\r\n- x\r\nnote: a\rb\n"
+        backend = MockBackend(tmp_path)
+        path = Path(backend.fixture_path("lead_paragraph", {"case_id": "case_001"}))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(text.encode("utf-8"))
+        response = LlmGateway(backend, model="test-model").complete(_request())
+        assert (response.backend, response.text) == ("mock", text)
 
     def test_missing_fixture_names_key(self, tmp_path):
         gw = LlmGateway(MockBackend(tmp_path), model="test-model")
@@ -349,12 +359,6 @@ class TestRequestConstruction:
         gw = LlmGateway(MockBackend(tmp_path), model="m")
         req = gw.request("llm_only_rewrite", {"case_text": "text"}, temperature=0.7)
         assert req.temperature == 0.7
-
-    def test_a_template_without_a_policy_needs_a_temperature(self, tmp_path):
-        gw = LlmGateway(MockBackend(tmp_path), model="m")
-        with pytest.raises(ValueError, match="'sdc_rewrite' has no call policy"):
-            gw.request("sdc_rewrite", {"case_text": "text"})
-        assert gw.request("sdc_rewrite", {"case_text": "text"}, temperature=0.2).temperature == 0.2
 
 
 class TestHttpBackend:

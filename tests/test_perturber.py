@@ -246,7 +246,7 @@ class TestIdentityFields:
             "2": yaml.safe_dump({"ethnicity": "of coastal descent", "occupation": "babysitter"}),
         }
         gw = FakeGateway(lambda t, v: responses[v.get("attempt", "1")])
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg())
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw)
         assert occupation == "babysitter"
         assert any("not minor-permissible" in r for r in entry["rejected"])
 
@@ -257,21 +257,21 @@ class TestIdentityFields:
             "2": yaml.safe_dump({"ethnicity": "of river valley descent", "occupation": "florist"}),
         }
         gw = FakeGateway(lambda t, v: responses[v.get("attempt", "1")])
-        _, occupation, entry = perturb_identity_fields(g, gw, _cfg())
+        _, occupation, entry = perturb_identity_fields(g, gw)
         assert occupation == "florist"
         assert any("occupation unchanged" in r for r in entry["rejected"])
 
     def test_valid_proposal_accepted_verbatim(self):
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: yaml.safe_dump({"ethnicity": "of alpine descent", "occupation": "florist"}))
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg())
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw)
         assert (ethnicity, occupation) == ("of alpine descent", "florist")
         assert entry["rejected"] == []
 
     def test_exhausted_retries_keep_originals(self):
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: yaml.safe_dump({"ethnicity": "", "occupation": "clerk"}))
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(max_retries=2))
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw)
         assert occupation == "clerk"
         assert entry["fallback"] == "originals kept"
 
@@ -279,10 +279,10 @@ class TestIdentityFields:
         # Pure PyYAML raises a bare ValueError on this reply, which failed the case.
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: "ethnicity: 2021-02-30\noccupation: florist\n")
-        ethnicity, occupation, entry = perturb_identity_fields(g, gw, _cfg(max_retries=2))
+        ethnicity, occupation, entry = perturb_identity_fields(g, gw)
         assert (ethnicity, occupation) == ("", "clerk")
         reason = "invalid YAML: day is out of range for month at line 1, column 12"
-        assert entry["rejected"] == [f"attempt 1: {reason}", f"attempt 2: {reason}"]
+        assert entry["rejected"] == [f"attempt 1: {reason}", f"attempt 2: {reason}", f"attempt 3: {reason}"]
         assert entry["fallback"] == "originals kept"
 
 
@@ -328,7 +328,7 @@ class TestVisitRewrite:
     def test_identical_rewrite_rejected_by_similarity_gate(self):
         g = minimal_graph()
         gw = FakeGateway(lambda t, v: yaml.safe_dump({"visit_episode": g.visit_event.visit_episode}))
-        new_visit, entry = rewrite_visit_episode(g, gw, _cfg(max_retries=2))
+        new_visit, entry = rewrite_visit_episode(g, gw, _cfg())
         assert new_visit.visit_episode == g.visit_event.visit_episode
         assert entry["fallback"] == "original kept"
         assert all("similarity" in r for r in entry["rejected"])
@@ -402,7 +402,7 @@ class TestStebRewrite:
                  for name in [f.strip() for f in v["fields"].split(",")]}
             )
         )
-        out, audits = rewrite_steb_contexts(g, gw, _cfg(max_retries=2))
+        out, audits = rewrite_steb_contexts(g, gw, _cfg())
         assert out.symptoms == g.symptoms
         assert all(a.get("fallback") for a in audits)
 
@@ -505,7 +505,7 @@ class TestAlignMse:
 
     def test_empty_diff_skips_edit(self):
         gw = FakeGateway(lambda t, v: (_ for _ in ()).throw(AssertionError("should not be called")))
-        text, entry = align_mse(self._attrs(), {}, [], gw, _cfg())
+        text, entry = align_mse(self._attrs(), {}, [], gw)
         assert entry["skipped"]
         assert text == self._attrs().test_results["mental_status"]
 
@@ -513,14 +513,14 @@ class TestAlignMse:
         source = self._attrs()
         edited = source.test_results["mental_status"].replace("She was", "He was")
         gw = FakeGateway(lambda t, v: edited)
-        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw, _cfg())
+        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw)
         assert text == edited and "fallback" not in entry
 
     def test_dropping_perception_sentence_rejected(self):
         source = self._attrs()
         mutilated = source.test_results["mental_status"].replace("no hallucinations, ", "")
         gw = FakeGateway(lambda t, v: mutilated)
-        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw, _cfg(max_retries=2))
+        text, entry = align_mse(source, {"sex": {"from": "female", "to": "male"}}, [], gw)
         assert text == source.test_results["mental_status"]
         assert any("perception" in r for r in entry["rejected"])
 
