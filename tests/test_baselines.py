@@ -63,6 +63,12 @@ class TestSdcRewrite:
         with pytest.raises(ValueError):
             sdc_rewrite("   ", gw)
 
+    def test_temperature_and_model_come_from_the_call_policy(self):
+        backend = SpyBackend(lambda req: "rewritten")
+        assert sdc_rewrite("case body", LlmGateway(backend, model="m")) == "rewritten"
+        seen = [(req.template_id, req.temperature, req.model) for req in backend.requests]
+        assert seen == [("sdc_rewrite", 0.7, "m")]
+
 
 class TestLlmOnly:
     def test_two_stage_flow_and_temperatures(self):

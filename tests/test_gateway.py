@@ -360,6 +360,11 @@ class TestRequestConstruction:
         req = gw.request("llm_only_rewrite", {"case_text": "text"}, temperature=0.7)
         assert req.temperature == 0.7
 
+    def test_a_template_without_a_policy_is_refused(self, tmp_path):
+        gw = LlmGateway(MockBackend(tmp_path), model="m")
+        with pytest.raises(KeyError, match="no_such_template"):
+            gw.request("no_such_template", {"case_text": "text"}, temperature=0.2)
+
 
 class TestHttpBackend:
     def test_payload_shape_and_content_extraction(self, http_stub):
