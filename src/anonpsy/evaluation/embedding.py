@@ -10,10 +10,10 @@ instance maps a term to its bucket. A unigram is keyed by its token and a
 bigram by its token pair, so a memo hit builds no string. `embed` looks every
 term up in one `map` over the memo; only a text with a term the memo lacks
 takes the path that hashes and stores it. `runner.build_embedder` makes one
-instance per command, so the memo lives for one command and nothing outlives
-it. The memo is cleared when it holds `MEMO_CAP` terms, 2**14; full, it takes
-about 2.1 MB, some 130 bytes a term for its dict slot, its key and its bucket.
-So memory does not grow with the corpus. The bucket counts are integers and
+instance per command, so the memo lives for one command. The memo is
+cleared when it holds `MEMO_CAP` terms, 2**14; full, it takes about 2.1 MB,
+some 130 bytes a term for its dict slot, its key and its bucket. So memory
+does not grow with the corpus. The bucket counts are integers and
 the norm is taken over them exactly, so every vector is bit-identical to
 hashing each term occurrence anew into a dense float vector.
 
@@ -22,6 +22,17 @@ Each dict read, write and clear is atomic, a miss is read back from a local
 map, never from the memo after a possible clear, and a term's bucket depends
 on the term alone. So the worst a race does is hash a term twice, or after a
 clear hash it again, into the same bucket: every vector stays bit-identical.
+
+With `gateway.cache_dir` set, `runner.build_embedder` wraps the embedder in
+a `CachedEmbedder`, and its vectors outlive the command: each text's map, as
+`_unit` builds it, is kept in the gateway's cache beside the chat replies,
+under SHA-256 of the embedder's identity and the text. The identity of the
+fallback is the package's source digest, so an edit to the package embeds
+each text once again; that of the HTTP embedder is its model. An entry
+packs the indices as uint32 and the values as float64, little-endian, in
+base64, so the cache stays text and a cached vector scores with the same
+bits as a computed one. A warm eval reads each text's entry and hashes no
+term. Without a cache nothing is written, and a command embeds every text.
 
 `similarities` scores one case: it embeds the original and each variant
 once, and takes each one's norm in one pass over its nonzero entries, which
@@ -33,16 +44,26 @@ embedder returns, scores with the same bits as its sparse map.
 
 from __future__ import annotations
 
+import base64
 import hashlib
-import http.client
 import json
 import math
 import operator
+import struct
+import time
 from collections import Counter
 from collections.abc import Iterable
 
-from ..gateway import post_json
-from ..textproc import tokenize
+from ..gateway import (
+    DEFAULT_BACKOFF_SECONDS,
+    DEFAULT_RETRIES,
+    TransientBackendError,
+    cache_read,
+    cache_write,
+    post_retryable,
+    retrying,
+)
+from ..textproc import id_bytes, tokenize
 
 FALLBACK_DIMENSIONS = 4096
 # Terms a HashedTfEmbedder remembers before it clears its memo.
@@ -85,18 +106,39 @@ class HashedTfEmbedder:
 
 
 class HttpEmbedder:
-    """Embedding endpoint speaking the Ollama-compatible /api/embeddings shape."""
+    """Embedding endpoint speaking the Ollama-compatible /api/embeddings shape.
 
-    def __init__(self, endpoint: str, model: str, timeout_seconds: float = 60.0):
+    A connection failure, a 5xx or a 429 is retried through `gateway.retrying`,
+    as a chat completion is; any other fault fails at once.
+    """
+
+    def __init__(
+        self,
+        endpoint: str,
+        model: str,
+        timeout_seconds: float = 60.0,
+        retries: int = DEFAULT_RETRIES,
+        backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
+        sleep=time.sleep,
+    ):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.timeout_seconds = timeout_seconds
+        self.retries = retries
+        self.backoff_seconds = backoff_seconds
+        self._sleep = sleep
 
     def embed(self, text: str) -> list[float]:
         url = f"{self.endpoint}/api/embeddings"
+        payload = {"model": self.model, "prompt": text}
         try:
-            status, data = post_json(url, {"model": self.model, "prompt": text}, self.timeout_seconds)
-        except (OSError, http.client.HTTPException) as exc:
+            status, data = retrying(
+                lambda: post_retryable(url, payload, self.timeout_seconds),
+                self.retries,
+                self.backoff_seconds,
+                self._sleep,
+            )
+        except TransientBackendError as exc:
             raise RuntimeError(f"embedding endpoint {url} failed: {exc}") from exc
         if not 200 <= status < 300:
             reply = data.decode("utf-8", "replace")
@@ -109,6 +151,60 @@ class HttpEmbedder:
         if not isinstance(embedding, list) or not embedding:
             raise RuntimeError(f"embedding endpoint returned no vector: {url}")
         return [float(v) for v in embedding]
+
+
+def cache_key(identity: str, text: str) -> str:
+    """The cache key of text's embedding under the embedder identity: SHA-256 over canonical JSON."""
+    canon = json.dumps({"embedder": identity, "text": text}, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(id_bytes(canon)).hexdigest()
+
+
+def pack(vector: dict[int, float]) -> str:
+    """A cache entry: the indices as uint32, then the values as float64, little-endian, in base64."""
+    n = len(vector)
+    return base64.b64encode(struct.pack(f"<{n}I{n}d", *vector, *vector.values())).decode("ascii")
+
+
+def unpack(entry: str) -> dict[int, float] | None:
+    """The vector `pack` wrote; None for an entry that is not base64, or whose length is not a multiple
+    of 12 bytes, an index and its value.
+
+    Only `pack` writes entries, each in one atomic write, so these checks catch
+    a foreign or cut file; the bytes of a well-formed entry are trusted, as a
+    cached reply is.
+    """
+    try:
+        data = base64.b64decode(entry, validate=True)
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        return None
+    n, rest = divmod(len(data), 12)
+    if rest:
+        return None
+    return dict(zip(struct.unpack_from(f"<{n}I", data), struct.unpack_from(f"<{n}d", data, 4 * n)))
+
+
+class CachedEmbedder:
+    """An embedder behind the gateway's cache.
+
+    `embed` returns the map `_unit` builds from the inner embedder's vector:
+    read from the entry under `cache_key(identity, text)`, else computed and
+    written there. An entry that cannot be read (not UTF-8, not what `pack`
+    writes) is a miss and is overwritten.
+    """
+
+    def __init__(self, embedder, identity: str, cache_dir: str):
+        self.embedder = embedder
+        self.identity = identity
+        self.cache_dir = cache_dir
+
+    def embed(self, text: str) -> dict[int, float]:
+        key = cache_key(self.identity, text)
+        entry = cache_read(self.cache_dir, key)
+        vector = None if entry is None else unpack(entry)
+        if vector is None:
+            vector = _unit(self.embedder.embed(text))[0]
+            cache_write(self.cache_dir, key, pack(vector))
+        return vector
 
 
 def _unit(vector) -> tuple[dict[int, float], float]:

@@ -3,15 +3,19 @@
 All operators go through one gateway that owns how each template is called
 (`CALL_POLICIES`: its temperature, and whether the judge model answers it),
 transparent response caching, bounded retries with exponential backoff, and
-backend selection. The mock backend resolves requests against an on-disk
-fixture directory and fails loudly on misses, which keeps the whole pipeline
-byte-reproducible offline. `validated_call` is the one loop that retries a
-model step until its validator accepts a reply.
+backend selection. The cache (`cache_read`, `cache_write`: one UTF-8 text
+file per SHA-256 key in `cache_dir`) and the retry loop (`retrying`) are
+functions of their own, which the embedders share. The mock backend
+resolves requests against an on-disk fixture directory and fails loudly on
+misses, which keeps the whole pipeline byte-reproducible offline.
+`validated_call` is the one loop that retries a model step until its
+validator accepts a reply.
 
 `post_json` is the package's one HTTP client, which the live backend and the
-HTTP embedder share: one HTTP/1.1 exchange per call, on a connection of its
-own. What does not change between calls, the proxy route of an endpoint and
-the TLS context, is worked out once per process.
+HTTP embedder share through `post_retryable`, the one rule of which
+failures are worth retrying: one HTTP/1.1 exchange per call, on a
+connection of its own. What does not change between calls, the proxy route
+of an endpoint and the TLS context, is worked out once per process.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 from . import prompts
 from .fileio import write_atomic
@@ -134,6 +138,48 @@ def cache_key(req: ChatRequest) -> str:
         doc["attempt"] = attempt
     canon = json.dumps(doc, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(id_bytes(canon)).hexdigest()
+
+
+T = TypeVar("T")
+
+
+def retrying(attempt: Callable[[], T], retries: int, backoff_seconds: float, sleep: Callable[[float], Any]) -> T:
+    """attempt() until it returns, at most `retries` times in all: the retry loop of chat and embedding calls.
+
+    A `TransientBackendError` is tried again after `sleep(backoff_seconds * 2 ** (n - 1))`,
+    n the tries so far; any other error passes through at once. When every try
+    failed, raise `TransientBackendError("exhausted N attempts: <the last failure>")`.
+    """
+    last: TransientBackendError | None = None
+    for retry in range(retries):
+        if retry:
+            sleep(backoff_seconds * (2 ** (retry - 1)))
+        try:
+            return attempt()
+        except TransientBackendError as exc:
+            last = exc
+    raise TransientBackendError(f"exhausted {retries} attempts: {last}") from last
+
+
+def cache_path(cache_dir: str, key: str) -> str:
+    # A str path: pathlib passes every path part, here a 64-hex key, through sys.intern.
+    return os.path.join(cache_dir, f"{key}.txt")
+
+
+def cache_read(cache_dir: str, key: str) -> str | None:
+    """The cache entry under key; None on a miss: no entry, or one that is not UTF-8, which the caller
+    computes again and overwrites."""
+    # Bytes, not text mode, which would turn a reply's CRLF and CR into LF.
+    try:
+        with open(cache_path(cache_dir, key), "rb") as cached:
+            return cached.read().decode("utf-8")
+    except (FileNotFoundError, UnicodeDecodeError):
+        return None
+
+
+def cache_write(cache_dir: str, key: str, text: str) -> None:
+    os.makedirs(cache_dir, exist_ok=True)
+    write_atomic(cache_path(cache_dir, key), text)
 
 
 class MockBackend:
@@ -363,6 +409,18 @@ def post_json(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
         sock.close()
 
 
+def post_retryable(url: str, payload: dict, timeout: float) -> tuple[int, bytes]:
+    """`post_json`, with the failures worth retrying raised as `TransientBackendError`:
+    a connection, timeout or protocol failure, a 5xx and a 429."""
+    try:
+        status, data = post_json(url, payload, timeout)
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransientBackendError(str(exc)) from exc
+    if status >= 500 or status == 429:
+        raise TransientBackendError(f"backend returned {status}: {data.decode('utf-8', 'replace')[:200]}")
+    return status, data
+
+
 class HttpBackend:
     """Chat-completion backend speaking the Ollama-compatible /api/chat shape."""
 
@@ -381,12 +439,7 @@ class HttpBackend:
         }
         if req.seed is not None:
             payload["options"]["seed"] = req.seed
-        try:
-            status, data = post_json(f"{self.endpoint}/api/chat", payload, self.timeout_seconds)
-        except (OSError, http.client.HTTPException) as exc:
-            raise TransientBackendError(str(exc)) from exc
-        if status >= 500 or status == 429:
-            raise TransientBackendError(f"backend returned {status}")
+        status, data = post_retryable(f"{self.endpoint}/api/chat", payload, self.timeout_seconds)
         if status != 200:
             text = data.decode("utf-8", "replace")
             raise GatewayError(req.template_id, f"backend returned {status}: {text[:200]}")
@@ -446,55 +499,25 @@ class LlmGateway:
     # -- completion ------------------------------------------------------
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        cached = self._cache_read(req)
+        key = None if self.cache_dir is None else cache_key(req)
+        cached = None if key is None else cache_read(self.cache_dir, key)
         if cached is not None:
             return ChatResponse(text=cached, backend="cache", latency_ms=0)
 
-        last_transient: Exception | None = None
-        for retry in range(self.retries):
-            if retry:
-                self._sleep(self.backoff_seconds * (2 ** (retry - 1)))
+        def attempt() -> tuple[str, int]:
             started = time.monotonic()
-            try:
-                text = self.backend.complete(req)
-            except TransientBackendError as exc:
-                last_transient = exc
-                continue
-            latency_ms = int((time.monotonic() - started) * 1000)
-            if not text:
-                raise GatewayError(req.template_id, "empty completion")
-            self._cache_write(req, text)
-            return ChatResponse(text=text, backend=self.backend.name, latency_ms=latency_ms)
-        raise GatewayError(
-            req.template_id,
-            f"exhausted {self.retries} attempts: {last_transient}",
-        )
+            text = self.backend.complete(req)
+            return text, int((time.monotonic() - started) * 1000)
 
-    # -- cache -----------------------------------------------------------
-
-    def _cache_path(self, req: ChatRequest) -> str | None:
-        # A str path: pathlib passes every path part, here a 64-hex key, through sys.intern.
-        if self.cache_dir is None:
-            return None
-        return os.path.join(self.cache_dir, f"{cache_key(req)}.txt")
-
-    def _cache_read(self, req: ChatRequest) -> str | None:
-        path = self._cache_path(req)
-        if path is None:
-            return None
-        # Bytes, not text mode, which would turn the reply's CRLF and CR into LF.
         try:
-            with open(path, "rb") as cached:
-                return cached.read().decode("utf-8")
-        except FileNotFoundError:
-            return None
-
-    def _cache_write(self, req: ChatRequest, text: str) -> None:
-        path = self._cache_path(req)
-        if path is None:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        write_atomic(path, text)
+            text, latency_ms = retrying(attempt, self.retries, self.backoff_seconds, self._sleep)
+        except TransientBackendError as exc:
+            raise GatewayError(req.template_id, str(exc)) from exc
+        if not text:
+            raise GatewayError(req.template_id, "empty completion")
+        if key is not None:
+            cache_write(self.cache_dir, key, text)
+        return ChatResponse(text=text, backend=self.backend.name, latency_ms=latency_ms)
 
 
 @dataclass

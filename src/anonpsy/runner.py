@@ -56,7 +56,7 @@ from . import prompts
 from .baselines import llm_only, phi_mask, sdc_rewrite
 from .config import RunConfig
 from .converter import INTERMEDIATES, CaseNarrative, convert
-from .evaluation.embedding import HashedTfEmbedder, HttpEmbedder
+from .evaluation.embedding import CachedEmbedder, HashedTfEmbedder, HttpEmbedder
 from .evaluation.report import eval_case, run_eval
 from .fileio import write_atomic
 from .gateway import HttpBackend, LlmGateway, MockBackend, collect_failures
@@ -147,9 +147,23 @@ def build_gateway(config: RunConfig) -> LlmGateway:
 
 
 def build_embedder(config: RunConfig):
+    """The configured embedder; behind the gateway cache when `cache_dir` is set.
+
+    A cached vector is keyed by the embedder's identity: the model for the HTTP
+    embedder, the package's source digest for the fallback, so an edit to the
+    package embeds each text once again.
+    """
     if config.embedder == "http":
-        return HttpEmbedder(config.embedding_endpoint, config.embedding_model)
-    return HashedTfEmbedder()
+        embedder = HttpEmbedder(
+            config.embedding_endpoint,
+            config.embedding_model,
+            retries=config.retries,
+            backoff_seconds=config.backoff_seconds,
+        )
+        identity = config.embedding_model
+    else:
+        embedder, identity = HashedTfEmbedder(), source_digest()
+    return CachedEmbedder(embedder, identity, config.cache_dir) if config.cache_dir else embedder
 
 
 def load_corpus(corpus_dir: str | os.PathLike) -> list[CaseNarrative]:

@@ -2,12 +2,14 @@ import random
 import re
 import shutil
 import sys
+from dataclasses import replace
 
 import pytest
 import yaml
 
 import anonpsy.runner as runner
 from anonpsy import prompts
+from anonpsy import gateway
 from anonpsy.evaluation import embedding
 from anonpsy.evaluation.judge import JudgeError, judge_risk
 from anonpsy.evaluation.report import CaseEval, VariantMetrics, run_eval
@@ -15,6 +17,7 @@ from anonpsy.runner import VARIANT_FILES, UsageError, run_baseline, run_pipeline
 from anonpsy.textproc import tokenize
 from tests.gen_fixtures import make_config
 
+from .conftest import CORPUS_DIR
 from .helpers import FakeGateway
 
 CASE_IDS = ["case_001", "case_002", "case_003"]
@@ -273,17 +276,9 @@ class TestRunEval:
             for _, content in prompts.render(template_id, shown):
                 assert not name.search(content), (template_id, content)
 
-    def test_each_distinct_term_is_hashed_once(self, full_run, monkeypatch):
+    def test_each_distinct_term_is_hashed_once(self, full_run, bucket_calls):
         # At jobs 1: two pool tasks may each hash a term that both miss at once.
         out_dir, config = full_run
-        hashed = []
-        bucket = embedding._bucket
-
-        def counting_bucket(term, dimensions):
-            hashed.append(term)
-            return bucket(term, dimensions)
-
-        monkeypatch.setattr(embedding, "_bucket", counting_bucket)
         assert config.jobs == 1
         runner.run_evaluation(out_dir, config)
         terms = set()
@@ -292,5 +287,138 @@ class TestRunEval:
                 tokens = tokenize((out_dir / case_id / name).read_text(encoding="utf-8"))
                 terms.update(tokens)
                 terms.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        assert len(hashed) == len(terms)
-        assert set(hashed) == terms
+        assert len(bucket_calls) == len(terms)
+        assert set(bucket_calls) == terms
+
+
+def _cached(tmp_path, **changes):
+    return replace(make_config(), cache_dir=str(tmp_path / "cache"), **changes)
+
+
+def _eval_texts(out_dir) -> list[str]:
+    """Every text eval embeds: each case's original and its variants."""
+    names = ("original.txt", *VARIANT_FILES.values())
+    return [(out_dir / case_id / name).read_text(encoding="utf-8") for case_id in CASE_IDS for name in names]
+
+
+def _entries(cache_dir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(cache_dir.iterdir())}
+
+
+def _embedding_entries(out_dir, identity: str) -> set[str]:
+    return {f"{embedding.cache_key(identity, text)}.txt" for text in _eval_texts(out_dir)}
+
+
+@pytest.fixture()
+def run_copy(full_run, tmp_path):
+    out_dir, _ = full_run
+    shutil.copytree(out_dir, tmp_path / "run")
+    return tmp_path / "run"
+
+
+@pytest.fixture()
+def bucket_calls(monkeypatch) -> list[str]:
+    """The terms `embedding._bucket` hashes from here on."""
+    hashed = []
+    bucket = embedding._bucket
+    monkeypatch.setattr(embedding, "_bucket", lambda term, dimensions: hashed.append(term) or bucket(term, dimensions))
+    return hashed
+
+
+class TestEmbeddingCache:
+    def test_a_warm_eval_reads_every_vector_and_hashes_no_term(self, run_copy, tmp_path, bucket_calls):
+        config = _cached(tmp_path)
+        assert runner.run_evaluation(run_copy, config).ok
+        report = (run_copy / "report.yaml").read_bytes()
+        assert bucket_calls
+        assert _embedding_entries(run_copy, runner.source_digest()) <= set(_entries(tmp_path / "cache"))
+        bucket_calls.clear()
+        assert runner.run_evaluation(run_copy, config).ok
+        assert bucket_calls == []
+        assert (run_copy / "report.yaml").read_bytes() == report
+
+    def test_a_warm_http_eval_sends_no_embedding_request(self, run_copy, tmp_path, http_stub):
+        rng = random.Random(3)
+        # One distinct dense vector, holding zeros, for each text the first eval asks for.
+        http_stub.replies += [
+            (200, {"embedding": [rng.choice([0.0, rng.uniform(-1, 1)]) for _ in range(32)]})
+            for _ in set(_eval_texts(run_copy))
+        ]
+        config = _cached(tmp_path, embedder="http", embedding_endpoint=http_stub.url)
+        assert runner.run_evaluation(run_copy, config).ok
+        asked = len(http_stub.requests)
+        assert asked == len(set(_eval_texts(run_copy)))
+        report = (run_copy / "report.yaml").read_bytes()
+        assert runner.run_evaluation(run_copy, config).ok
+        assert len(http_stub.requests) == asked
+        assert (run_copy / "report.yaml").read_bytes() == report
+
+    def test_an_entry_of_another_source_digest_is_not_read(self, run_copy, tmp_path, bucket_calls, monkeypatch):
+        config = _cached(tmp_path)
+        assert runner.run_evaluation(run_copy, config).ok
+        report = (run_copy / "report.yaml").read_bytes()
+        before = set(_entries(tmp_path / "cache"))
+        monkeypatch.setattr(runner, "source_digest", lambda: "an edited package")
+        bucket_calls.clear()
+        assert runner.run_evaluation(run_copy, config).ok
+        assert bucket_calls
+        assert set(_entries(tmp_path / "cache")) - before == _embedding_entries(run_copy, "an edited package")
+        assert (run_copy / "report.yaml").read_bytes() == report
+
+    def test_an_entry_of_another_embedding_model_is_not_read(self, run_copy, tmp_path, http_stub):
+        texts = set(_eval_texts(run_copy))
+        http_stub.replies += [(200, {"embedding": [1.0, 0.0]})] * (2 * len(texts))
+        config = _cached(tmp_path, embedder="http", embedding_endpoint=http_stub.url)
+        assert runner.run_evaluation(run_copy, config).ok
+        assert runner.run_evaluation(run_copy, replace(config, embedding_model="another-model")).ok
+        assert len(http_stub.requests) == 2 * len(texts)
+        assert {body["model"] for _, body in http_stub.requests[len(texts) :]} == {"another-model"}
+
+    def test_without_a_cache_dir_no_entry_is_written(self, run_copy, monkeypatch):
+        writes = []
+        monkeypatch.setattr(gateway, "cache_write", lambda *args: writes.append(args))
+        monkeypatch.setattr(embedding, "cache_write", lambda *args: writes.append(args))
+        assert runner.run_evaluation(run_copy, make_config()).ok
+        assert writes == []
+
+    def test_an_entry_that_is_not_utf8_is_a_miss_and_is_rewritten(self, run_copy, tmp_path):
+        # One chat entry and one embedding entry: each is computed again and overwritten.
+        config = _cached(tmp_path)
+        assert runner.run_evaluation(run_copy, config).ok
+        report = (run_copy / "report.yaml").read_bytes()
+        entries = _entries(tmp_path / "cache")
+        vectors = _embedding_entries(run_copy, runner.source_digest())
+        chat = next(name for name in entries if name not in vectors)
+        vector = f"{embedding.cache_key(runner.source_digest(), _eval_texts(run_copy)[0])}.txt"
+        for name in (chat, vector):
+            (tmp_path / "cache" / name).write_bytes(b"\xff\xfe bad")
+        assert runner.run_evaluation(run_copy, config).ok
+        assert (run_copy / "report.yaml").read_bytes() == report
+        assert _entries(tmp_path / "cache") == entries
+
+
+def _workflow_twice(corpus, out_dir, config) -> None:
+    for _ in range(2):
+        assert run_pipeline(corpus, out_dir, config).ok
+        for name in runner.BASELINE_NAMES:
+            assert run_baseline(name, corpus, out_dir, config).ok
+        assert runner.run_evaluation(out_dir, config).ok
+
+
+def test_a_workflow_run_twice_adds_only_embedding_entries_to_the_cache(tmp_path, monkeypatch):
+    # The chat entries are those of a run whose embedder is not cached, as before embeddings joined the cache.
+    with monkeypatch.context() as patch:
+        build = runner.build_embedder
+        patch.setattr(runner, "build_embedder", lambda config: build(replace(config, cache_dir=None)))
+        _workflow_twice(CORPUS_DIR, tmp_path / "bare" / "run", _cached(tmp_path / "bare"))
+    _workflow_twice(CORPUS_DIR, tmp_path / "cached" / "run", _cached(tmp_path / "cached"))
+    chat, entries = _entries(tmp_path / "bare" / "cache"), _entries(tmp_path / "cached" / "cache")
+    out_dir = tmp_path / "cached" / "run"
+    vectors = _embedding_entries(out_dir, runner.source_digest())
+    assert vectors.isdisjoint(chat)
+    assert set(entries) == set(chat) | vectors
+    assert {name: data for name, data in entries.items() if name in chat} == chat
+    for text in _eval_texts(out_dir):
+        entry = entries[f"{embedding.cache_key(runner.source_digest(), text)}.txt"].decode("ascii")
+        assert embedding.unpack(entry) == embedding.HashedTfEmbedder().embed(text)
+    assert (out_dir / "report.yaml").read_bytes() == (tmp_path / "bare" / "run" / "report.yaml").read_bytes()

@@ -250,6 +250,16 @@ class TestRetryAndCache:
         assert gw.complete(_request()).backend == "cache"
         assert backend.calls == 1
 
+    def test_cache_entry_that_is_not_utf8_is_a_miss_and_is_overwritten(self, tmp_path):
+        backend = _CountingBackend()
+        gw = LlmGateway(backend, model="m", cache_dir=tmp_path / "cache")
+        entry = tmp_path / "cache" / f"{cache_key(_request())}.txt"
+        entry.parent.mkdir()
+        entry.write_bytes(b"\xff\xfe bad")
+        assert (gw.complete(_request()).backend, backend.calls) == ("live", 1)
+        assert entry.read_bytes() == b"reply 1"
+        assert (gw.complete(_request()).backend, backend.calls) == ("cache", 1)
+
     def test_two_threads_writing_one_key_both_succeed(self, tmp_path, monkeypatch):
         # Hold the first writer between its write and its rename until the
         # second writer has renamed: writers that share a temporary file

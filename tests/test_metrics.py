@@ -1,17 +1,21 @@
+import base64
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import anonpsy.runner as runner
 from anonpsy.converter import CaseNarrative
 from anonpsy.evaluation import embedding
 from anonpsy.evaluation.canon import canonical_label_set, canonicalize_diagnosis, soft_f1
 from anonpsy.evaluation.embedding import (
     FALLBACK_DIMENSIONS,
+    CachedEmbedder,
     HashedTfEmbedder,
     _bucket,
     doc_similarity,
@@ -19,6 +23,7 @@ from anonpsy.evaluation.embedding import (
 )
 from anonpsy.evaluation.report import eval_case
 from anonpsy.textproc import tokenize
+from tests.gen_fixtures import make_config
 
 from .conftest import CORPUS_DIR, GOLDEN_DIR, RawReply
 from .helpers import FakeGateway, tf_cosine_oracle
@@ -289,10 +294,15 @@ class TestHttpEmbedder:
     def test_endpoint_faults_are_runtime_errors_naming_endpoint(self, http_stub, reply, fault):
         from anonpsy.evaluation.embedding import HttpEmbedder
 
-        http_stub.replies.append(reply)
+        # A 5xx is asked again until every attempt is spent; every other fault fails at once.
+        attempts = 3 if not isinstance(reply, RawReply) and reply[0] >= 500 else 1
+        http_stub.replies.extend([reply] * attempts)
+        sleeps = []
         with pytest.raises(RuntimeError, match=fault) as err:
-            HttpEmbedder(http_stub.url, "all-mpnet-base-v2").embed("some text")
+            HttpEmbedder(http_stub.url, "all-mpnet-base-v2", retries=3, sleep=sleeps.append).embed("some text")
         assert f"{http_stub.url}/api/embeddings" in str(err.value)
+        assert len(http_stub.requests) == attempts
+        assert sleeps == [0.5, 1.0][: attempts - 1]
 
     def test_refused_connection_is_runtime_error_naming_endpoint(self, refused_url):
         from anonpsy.evaluation.embedding import HttpEmbedder
@@ -300,3 +310,116 @@ class TestHttpEmbedder:
         with pytest.raises(RuntimeError, match="failed") as err:
             HttpEmbedder(refused_url, "all-mpnet-base-v2").embed("some text")
         assert f"{refused_url}/api/embeddings" in str(err.value)
+
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_a_transient_fault_then_a_vector_returns_the_vector(self, http_stub, status):
+        from anonpsy.evaluation.embedding import HttpEmbedder
+
+        http_stub.replies += [(status, "busy"), (200, {"embedding": [0.0, 3.0, 4.0]})]
+        sleeps = []
+        embedder = HttpEmbedder(http_stub.url, "m", retries=3, backoff_seconds=0.25, sleep=sleeps.append)
+        assert embedder.embed("some text") == [0.0, 3.0, 4.0]
+        assert [path for path, _ in http_stub.requests] == ["/api/embeddings"] * 2
+        assert sleeps == [0.25]
+
+    def test_a_refused_connection_is_asked_again_until_every_attempt_is_spent(self, refused_url):
+        from anonpsy.evaluation.embedding import HttpEmbedder
+
+        sleeps = []
+        with pytest.raises(RuntimeError, match="failed: exhausted 2 attempts: .*refused"):
+            HttpEmbedder(refused_url, "m", retries=2, sleep=sleeps.append).embed("some text")
+        assert sleeps == [0.5]
+
+    def test_the_run_config_sets_its_retries_and_backoff(self):
+        from anonpsy.evaluation.embedding import HttpEmbedder
+
+        config = replace(make_config(), embedder="http", embedding_endpoint="http://e", retries=5)
+        config = replace(config, backoff_seconds=0.125)
+        embedder = runner.build_embedder(config)
+        assert isinstance(embedder, HttpEmbedder)
+        assert (embedder.retries, embedder.backoff_seconds) == (5, 0.125)
+
+
+class _Unreachable:
+    """An embedder that must not be asked: every vector comes from the cache."""
+
+    def embed(self, text):
+        raise AssertionError(f"embedded {text!r}")
+
+
+def _hex_rows(texts, embedder):
+    return [[score.hex() for score in similarities(original, texts, embedder)] for original in texts]
+
+
+class TestEmbeddingCache:
+    def test_fallback_cosines_from_cached_vectors_equal_computed_ones_bit_for_bit(self, tmp_path):
+        texts = _all_texts()  # holds the empty text
+        expected = _hex_rows(texts, HashedTfEmbedder())
+        cache = str(tmp_path / "cache")
+        assert _hex_rows(texts, CachedEmbedder(HashedTfEmbedder(), "digest", cache)) == expected
+        assert _hex_rows(texts, CachedEmbedder(_Unreachable(), "digest", cache)) == expected
+
+    def test_dense_http_cosines_from_cached_vectors_equal_computed_ones_bit_for_bit(self, http_stub, tmp_path):
+        from anonpsy.evaluation.embedding import HttpEmbedder
+
+        rng = random.Random(7)
+        texts = ["low mood", "poor sleep", "", "low mood, poor sleep"]
+        # Dense vectors that hold zeros, as a real endpoint's may.
+        vectors = {t: [rng.choice([0.0, -0.0, rng.uniform(-1, 1)]) for _ in range(64)] for t in texts}
+        vectors[""] = [0.0] * 64
+
+        embedder = HttpEmbedder(http_stub.url, "m")
+        http_stub.replies += [(200, {"embedding": vectors[t]}) for o in texts for t in (o, *texts)]
+        expected = _hex_rows(texts, embedder)
+        # Cached, each text is asked for once, in the order the scoring first meets it.
+        http_stub.replies += [(200, {"embedding": vectors[t]}) for t in texts]
+        cache = str(tmp_path / "cache")
+        assert _hex_rows(texts, CachedEmbedder(embedder, "m", cache)) == expected
+        asked = len(http_stub.requests)
+        assert _hex_rows(texts, CachedEmbedder(embedder, "m", cache)) == expected
+        assert len(http_stub.requests) == asked
+
+    def test_an_entry_holds_the_nonzero_entries_and_reads_back_bit_for_bit(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        vector = CachedEmbedder(_DenseEmbedder(), "dense", cache).embed(CASE_001)
+        assert vector == _dense_as_sparse(CASE_001)
+        entry = (tmp_path / "cache" / f"{embedding.cache_key('dense', CASE_001)}.txt").read_text(encoding="ascii")
+        assert len(base64.b64decode(entry)) == 12 * len(vector)
+        read = CachedEmbedder(_Unreachable(), "dense", cache).embed(CASE_001)
+        assert list(read) == list(vector)
+        assert [x.hex() for x in read.values()] == [x.hex() for x in vector.values()]
+
+    @given(st.dictionaries(st.integers(0, 2**32 - 1), st.floats(allow_nan=False).filter(bool), max_size=40))
+    def test_pack_and_unpack_round_trip(self, vector):
+        vector = dict(sorted(vector.items()))
+        read = embedding.unpack(embedding.pack(vector))
+        assert list(read.items()) == list(vector.items())
+        assert [x.hex() for x in read.values()] == [x.hex() for x in vector.values()]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "not base64!",
+            base64.b64encode(bytes(11)).decode(),  # a length that is not a multiple of 12
+            embedding.pack({1: 0.5, 2: 0.5})[:-4],  # cut short
+            "\u00e9t\u00e9",  # UTF-8, not ASCII
+        ],
+        ids=["not-base64", "length", "cut-short", "not-ascii"],
+    )
+    def test_an_entry_that_is_not_a_packed_vector_is_a_miss_and_is_overwritten(self, tmp_path, entry):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / f"{embedding.cache_key('digest', 'low mood')}.txt"
+        path.write_text(entry, encoding="utf-8")
+        assert embedding.unpack(entry) is None
+        vector = CachedEmbedder(HashedTfEmbedder(), "digest", str(cache)).embed("low mood")
+        assert vector == _dense_as_sparse("low mood")
+        assert path.read_text(encoding="ascii") == embedding.pack(vector)
+
+    def test_runner_caches_only_with_a_cache_dir(self, tmp_path):
+        assert isinstance(runner.build_embedder(make_config()), HashedTfEmbedder)
+        cached = runner.build_embedder(replace(make_config(), cache_dir=str(tmp_path)))
+        assert isinstance(cached, CachedEmbedder)
+        assert cached.identity == runner.source_digest()
+        http = replace(make_config(), cache_dir=str(tmp_path), embedder="http", embedding_endpoint="http://e")
+        assert runner.build_embedder(http).identity == http.embedding_model

@@ -889,7 +889,7 @@ def test_files_are_written_only_through_the_stage_engine_the_report_the_manifest
     ]
     writers = {
         "runner.py": [("run_stage", "write"), ("run_evaluation",), ("_update_manifest",)],
-        "gateway.py": [("LlmGateway", "_cache_write")],
+        "gateway.py": [("cache_write",)],
     }
     allowed = []
     for file, functions in writers.items():
